@@ -1,13 +1,15 @@
-"""Pure-Python (numpy-vectorized) kernel implementations.
+"""Selector and visible-point enumeration kernels, vectorized with numpy.
 
-Fallback used when the compiled extension is unavailable.  The functions
-here define the kernel API; `_fast.pyx` mirrors it.
+`totients` and `vpv` look each kernel up as a module attribute at call time
+(`_kernels.selector_tuples(...)`), so that the traced benchmark can count
+calls by replacing the attribute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# read by perfbench/run.py, which records it with every benchmark run
 BACKEND = "pure"
 
 
@@ -39,11 +41,15 @@ def selector_count(m: int, k: int) -> int:
 
 
 def selector_cos_sum(k: int, n: tuple[int, ...]) -> float:
-    """sum over the selector of cos(2*pi*(j . n)/k)."""
+    """sum over the selector of cos(2*pi*(j . n)/k).
+
+    Each n_i is reduced mod k as a Python int first, so that j * n_i fits in
+    int64 for any n_i; j . n mod k is unchanged.
+    """
     cols = _selector_cols(len(n), k)
     dots = np.zeros(cols.shape[1], dtype=np.int64)
     for row, ni in zip(cols, n):
-        dots += row * ni
+        dots += row * (ni % k)
     return float(np.cos(2.0 * np.pi * (dots % k) / k).sum())
 
 

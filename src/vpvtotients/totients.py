@@ -25,7 +25,6 @@ from .exactcore import divisors, factorize, gcd_many, moebius
 
 __all__ = [
     "LatticeSelector",
-    "RamanujanCohenValue",
     "DEFAULT_SELECTOR_CAP",
     "enumerate_selector",
     "selector_size",
@@ -38,7 +37,6 @@ __all__ = [
     "unnormalized_phi",
     "m_phi",
     "sigma",
-    "selector_character_sum",
 ]
 
 DEFAULT_SELECTOR_CAP = 10**7
@@ -122,20 +120,6 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RamanujanCohenValue:
-    """A computed c_k(n) together with its arguments."""
-
-    k: int
-    n: tuple[int, ...]
-    value: int
-
-    @classmethod
-    def compute(cls, k: int, n: list[int] | tuple[int, ...]) -> "RamanujanCohenValue":
-        nt = tuple(int(v) for v in n)
-        return cls(k, nt, ramanujan_cohen(k, nt))
-
-
 def jordan(m: int, k: int) -> int:
     """Jordan totient J_m(k) = k^m * prod_{p|k} (1 - p^-m), exactly."""
     if m < 1 or k < 1:
@@ -217,21 +201,3 @@ def sigma(s: int, n: int) -> Fraction:
     if n < 1:
         raise DomainError(f"sigma requires n >= 1, got {n}")
     return sum((Fraction(d) ** s for d in divisors(n)), Fraction(0))
-
-
-def selector_character_sum(
-    k: int,
-    m: int,
-    thetas: list[float] | tuple[float, ...],
-    cap: int = DEFAULT_SELECTOR_CAP,
-) -> complex:
-    """sum over the selector of exp(2*pi*i*(j_1 th_1 + ... + j_m th_m)/k).
-
-    At integer rotation numbers this reproduces ramanujan_cohen(k, n).
-    """
-    if k < 1 or m < 1 or len(thetas) != m:
-        raise DomainError("selector_character_sum requires k >= 1 and m rotation numbers")
-    if k == 1:
-        return complex(0.0)
-    _check_cap(m, k, cap)
-    return _kernels.selector_char_sum(k, tuple(float(th) for th in thetas))

@@ -51,7 +51,6 @@ __all__ = [
     "RadialRegion",
     "visible_points",
     "multiples_partition_check",
-    "tail_sum",
     "lemma_3_2_check",
     "thm_5_1_check",
     "thm_5_2_check",
@@ -113,11 +112,6 @@ class FiniteSequence:
         return sum(self(j) for j in range(k, self.bound + 1, k))
 
 
-def tail_sum(a: FiniteSequence, k: int):
-    """S_k = sum_{j>=1} a_{jk}, exact for exact-valued sequences."""
-    return a.tail(k)
-
-
 _REGION_CONSTRAINTS = ("box", "hyperpyramid")
 
 
@@ -149,12 +143,16 @@ class RadialRegion:
             size *= b
         return size
 
-    def points(self):
-        """All lattice points of the region, lexicographic order."""
+    def _check_size(self) -> None:
+        """Raise ResourceError when the region has more points than the cap."""
         if self.lattice_size() > DEFAULT_SELECTOR_CAP:
             raise ResourceError(
                 f"lattice size {self.lattice_size()} exceeds cap {DEFAULT_SELECTOR_CAP}"
             )
+
+    def points(self):
+        """All lattice points of the region, lexicographic order."""
+        self._check_size()
         if self.constraint == "box":
             out = []
             pt = [1] * self.dims
@@ -190,10 +188,7 @@ class RadialRegion:
 def visible_points(region: RadialRegion) -> list:
     """Lattice points of the region with coordinate gcd 1, lexicographic."""
     if region.constraint == "box":
-        if region.lattice_size() > DEFAULT_SELECTOR_CAP:
-            raise ResourceError(
-                f"lattice size {region.lattice_size()} exceeds cap {DEFAULT_SELECTOR_CAP}"
-            )
+        region._check_size()
         return _kernels.visible_points_box(region.bounds)
     return [p for p in region.points() if math.gcd(*p) == 1]
 

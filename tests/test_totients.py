@@ -34,6 +34,12 @@ def test_closed_form_matches_enumeration_grid():
     assert cases >= 500
 
 
+def test_enumeration_with_huge_n():
+    # j * n_i would overflow int64 without reducing n_i mod k first
+    for k, n, want in ((30, (2**62 + 6,), -4), (7, (10**19,), -1)):
+        assert ramanujan_cohen_enum(k, n) == ramanujan_cohen(k, n) == want
+
+
 def test_k1_convention():
     assert ramanujan_cohen(1, [5]) == 1
     assert ramanujan_cohen(1, [0, 0]) == 1

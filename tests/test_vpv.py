@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vpvtotients.errors import DomainError
+from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
@@ -62,6 +62,17 @@ def test_visible_points_are_coprime():
     pts = visible_points(region)
     assert all(math.gcd(*p) == 1 for p in pts)
     assert (1, 1) in pts and (2, 4) not in pts
+
+
+def test_region_size_cap():
+    # the cap is checked before anything is allocated
+    for region in (
+        RadialRegion(2, (10**4, 10**4 + 1)),
+        RadialRegion(3, (10**3, 10**3, 11), constraint="hyperpyramid"),
+    ):
+        for enumerate_region in (visible_points, RadialRegion.points):
+            with pytest.raises(ResourceError, match="exceeds cap 10000000"):
+                enumerate_region(region)
 
 
 def test_lemma_3_2_randomized():
