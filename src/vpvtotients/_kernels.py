@@ -33,7 +33,7 @@ def _selector_cols(m: int, k: int) -> np.ndarray:
 def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     """Selector tuples in lexicographic order."""
     cols = _selector_cols(m, k)
-    return [tuple(int(v) for v in col) for col in cols.T]
+    return list(map(tuple, cols.T.tolist()))
 
 
 def selector_count(m: int, k: int) -> int:
@@ -78,4 +78,4 @@ def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     for row in cols[1:]:
         g = np.gcd(g, row)
     cols = cols[:, g == 1]
-    return [tuple(int(v) for v in col) for col in cols.T]
+    return list(map(tuple, cols.T.tolist()))

@@ -29,8 +29,10 @@ _RENDER_MAX = 64
 
 
 def _parse_int_list(text: str) -> list:
+    """Comma-separated integers; an empty field is a usage error, because
+    skipping it would silently change the number of arguments."""
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 

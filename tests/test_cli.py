@@ -42,6 +42,15 @@ def test_compute_bad_params_exit_2(capsys):
     assert code == 2 and err
 
 
+def test_compute_empty_list_field_exit_2(capsys):
+    # "1,,2" must not be read as (1, 2), nor "0," as (0,)
+    for n in ("1,,2", "0,", ",3", "", " , "):
+        code, out, err = run(capsys, "compute", "ramanujan", "--k", "5", "--n", n)
+        assert code == 2 and err and not out, n
+    code, out, err = run(capsys, "compute", "sigma", "--s", "1", "--n", "6,")
+    assert code == 2 and err and not out
+
+
 def test_lattice_grid_matches_visibility(capsys):
     code, out, _ = run(capsys, "lattice", "--dims", "2", "--max", "8")
     assert code == 0

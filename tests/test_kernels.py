@@ -47,14 +47,22 @@ BOXES = ((1,), (10,), (7, 5), (8, 8), (1, 6), (4, 3, 5), (2, 1, 3))
 # itertools.product oracle above
 
 
+def _python_ints(tuples):
+    """True when every coordinate is a Python int: callers raise them to
+    integer powers, which would wrap silently in int64."""
+    return all(type(c) is int for t in tuples for c in t)
+
+
 def test_selector_definition():
     for m, k in FIXED_CASES:
-        assert kernels.selector_tuples(m, k) == _brute_selector(m, k), (m, k)
+        got = kernels.selector_tuples(m, k)
+        assert got == _brute_selector(m, k) and _python_ints(got), (m, k)
 
 
 def test_selector_tuples_cross_backend():
     for m, k in RANDOM_CASES:
-        assert kernels.selector_tuples(m, k) == _brute_selector(m, k), (m, k)
+        got = kernels.selector_tuples(m, k)
+        assert got == _brute_selector(m, k) and _python_ints(got), (m, k)
 
 
 def test_selector_count_cross_backend():
@@ -90,4 +98,5 @@ def test_selector_numeric_sums_cross_backend():
 
 def test_visible_points_box_cross_backend():
     for bounds in BOXES:
-        assert kernels.visible_points_box(bounds) == _brute_visible(bounds), bounds
+        got = kernels.visible_points_box(bounds)
+        assert got == _brute_visible(bounds) and _python_ints(got), bounds

@@ -1,10 +1,15 @@
+import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+from vpvtotients import vpv
 from vpvtotients.errors import DomainError, ResourceError
+from vpvtotients.exactcore import divisors, moebius
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
@@ -26,7 +31,10 @@ from vpvtotients.vpv import (
     lemma_3_2_check,
     multiples_partition_check,
     thm_5_1_check,
+    thm_5_2_check,
     thm_5_5_check,
+    thm_5_8_check,
+    thm_5_10_check,
     visible_points,
 )
 
@@ -98,6 +106,74 @@ def test_one_factor_resolved_vs_printed():
         as_printed=True,
     )
     assert abs(lhs_p - rhs_p) > 1e-3
+
+
+def _brute_selector_exp_sum(h, v, b, x):
+    """sum over j in [0, v)^h with gcd(j, v) = 1 of exp((j . b) x / v), by a
+    scalar loop over the whole grid."""
+    return sum(
+        cmath.exp(sum(bl * j for bl, j in zip(b, js)) * x / v)
+        for js in product(range(v), repeat=h)
+        if math.gcd(v, *js) == 1
+    )
+
+
+def _moebius_selector_exp_sum(h, v, b, x):
+    """The same sum factored by Moebius inversion over d = gcd(j, v):
+    sum_{d | v} mu(d) prod_L sum_{i < v/d} exp(b_L d i x / v)."""
+    return sum(
+        moebius(d) * math.prod(
+            sum(cmath.exp(bl * d * i * x / v) for i in range(v // d)) for bl in b
+        )
+        for d in divisors(v)
+    )
+
+
+def test_regrouping_inner_sum_three_routes():
+    # the engine's selector sum against two routes that share none of its code
+    rng = random.Random(14)
+    for h in (1, 2, 3):
+        for v in range(2, 31):
+            bs = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(h)]
+                for _ in range(2)
+            ]
+            if h == 2:  # thm-5.8's weights (b, 0)
+                bs.append([Fraction(rng.randint(-5, 5), rng.randint(1, 6)), 0])
+            x = rng.uniform(0.2, 1.2)
+            got = vpv._selector_exp_sums(h, v, np.array(bs, dtype=float), x)
+            for b, value in zip(bs, got):
+                fb = [float(bl) for bl in b]
+                for route in (_brute_selector_exp_sum, _moebius_selector_exp_sum):
+                    want = route(h, v, fb, x)
+                    assert abs(value - want) <= 1e-12 * abs(want), (route, h, v, b)
+
+
+def test_checks_enumerate_each_selector_once(monkeypatch):
+    # perfbench's traced run wraps vpv.enumerate_selector by name and divides
+    # by its call count; a repeated (m, k) within one check is wasted work
+    calls = []
+    original = vpv.enumerate_selector
+
+    def counting(sel, *args, **kwargs):
+        calls.append((sel.m, sel.k))
+        return original(sel, *args, **kwargs)
+
+    monkeypatch.setattr(vpv, "enumerate_selector", counting)
+    rng = random.Random(15)
+    a, b, c, d = (_rand_seq(rng, 12, nonzero=True) for _ in range(4))
+    checks = {
+        "lemma-3.2": lambda: lemma_3_2_check(a, [0.3, 0.6]),
+        "thm-5.1": lambda: thm_5_1_check(a, b, 0.5),
+        "thm-5.2": lambda: thm_5_2_check(a, b, c, 0.5),
+        "thm-5.8": lambda: thm_5_8_check(a, b, 0.5),
+        "thm-5.10": lambda: thm_5_10_check(a, [b, c, d], 0.5),
+    }
+    for name, check in checks.items():
+        calls.clear()
+        check()
+        assert calls, name
+        assert len(calls) == len(set(calls)), (name, calls)
 
 
 def test_grid_power_identities_exact():
