@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from ..analytic import (
@@ -44,7 +44,7 @@ from ..analytic import (
     zeta,
 )
 from ..errors import UsageError
-from ..exactcore import bernoulli, divisors
+from ..exactcore import divisors
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
     LatticeSelector,
@@ -64,6 +64,7 @@ from ..vpv import (
     cor_5_3_check,
     cor_5_7_check,
     cor_5_9_check,
+    cor_5_11_check,
     cor_5_12_check,
     cor_5_13_check,
     cor_5_14_check,
@@ -79,6 +80,7 @@ from ..vpv import (
     lemma_3_2_check,
     multiples_partition_check,
     phi_weight_identity_check,
+    printed_t,
     thm_5_1_check,
     thm_5_2_check,
     thm_5_5_check,
@@ -191,10 +193,6 @@ def _rel_residual(lhs: complex, rhs: complex) -> float:
 def _pass_if(ok: bool, residual=None, counterexample=None, notes=()) -> Outcome:
     status = "PASS" if ok else "FAILS_AS_PRINTED"
     return Outcome(status, residual, counterexample, tuple(notes))
-
-
-def _selector(m: int, k: int) -> list:
-    return enumerate_selector(LatticeSelector(m, k))
 
 
 _TREND_KS = (100, 1000, 10000)
@@ -680,40 +678,16 @@ def _check_h_factor(rng: random.Random) -> Outcome:
     return _pass_if(worst < 1e-8, worst)
 
 
-def _bracket_sides(h: int, m: int, rng: random.Random, use_oracle: bool) -> tuple:
-    n = rng.randint(8, 14)
-    a = _rand_seq(rng, n)
-    bs = [[_frac(rng, -3, 3, 4) for _ in range(n)] for _ in range(h)]
-    fn = bracket_polynomial_oracle if use_oracle else bracket_polynomial
-    lhs = sum(
-        a(k) * fn(h, m, k, [b[k - 1] for b in bs]) for k in range(1, n + 1)
-    )
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        sel = _selector(h, v)
-        for w in range(1, n // v + 1):
-            avw = a(v * w)
-            if not avw:
-                continue
-            bvals = [b[v * w - 1] for b in bs]
-            rhs += avw * sum(
-                (sum(bv * j for bv, j in zip(bvals, js)) / Fraction(v)) ** m
-                for js in sel
-            )
-    return Fraction(lhs), rhs
-
-
-def _printed_t(mu: int, k: int) -> Fraction:
-    return -sum(
-        comb(mu, alpha) * bernoulli(alpha) / Fraction(k) ** (alpha - 1)
-        for alpha in range(1, mu + 1)
-    )
-
-
 def _check_bracket_corollary(rng: random.Random) -> Outcome:
     for h in (1, 2, 3):
         for m in (1, 2, 3):
-            lhs, rhs = _bracket_sides(h, m, rng, use_oracle=True)
+            n = rng.randint(8, 14)
+            a = _rand_seq(rng, n)
+            bs = [
+                FiniteSequence.from_values([_frac(rng, -3, 3, 4) for _ in range(n)])
+                for _ in range(h)
+            ]
+            lhs, rhs = cor_5_11_check(a, bs, m)
             if lhs != rhs:
                 return Outcome("SKIPPED", None, None,
                                (f"oracle bracket imbalance at h={h}, m={m}",))
@@ -742,7 +716,7 @@ def _check_first_bracket_display(rng: random.Random) -> Outcome:
                 return Outcome("SKIPPED", None, None,
                                (f"first-order oracle mismatch at k={k}",))
     k = 5
-    printed = 2 * _printed_t(1, k) * _printed_t(2, k) * 1 * 1
+    printed = 2 * printed_t(1, k) * printed_t(2, k) * 1 * 1
     true_val = _q1(k, Fraction(1), Fraction(1))
     if printed == true_val:
         return _pass_if(True, 0.0)
@@ -764,7 +738,7 @@ def _check_second_bracket_display(rng: random.Random) -> Outcome:
                 return Outcome("SKIPPED", None, None,
                                (f"second-order oracle mismatch at k={k}",))
     k, b1, b2 = 5, Fraction(1), Fraction(2)
-    t1, t2, t3 = (_printed_t(mu, k) for mu in (1, 2, 3))
+    t1, t2, t3 = (printed_t(mu, k) for mu in (1, 2, 3))
     printed = t1 * t3 * b1 * b2 * (b1**2 + b2**2) + t2**2 * b1**2 * b2**2
     true_val = _q2(k, b1, b2)
     if printed == true_val:
@@ -1073,7 +1047,7 @@ def _check_selector_weight_def(rng: random.Random) -> Outcome:
             roots = [_factor_root(f, v) for f in factors]
             brute = sum(
                 math.prod(r**j for r, j in zip(roots, js))
-                for js in _selector(m, v)
+                for js in enumerate_selector(LatticeSelector(m, v))
             )
             worst = max(worst, abs(brute - _selector_weight(factors, v)))
     return _pass_if(

@@ -16,12 +16,11 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 
 from .audit import run_audit
 from .errors import DomainError, ResourceError, UsageError
 from .exactcore import bernoulli, stirling2
-from .series import PowerSeries, product_with_exponents, ps_exp, ps_mul, geometric
+from .series import PowerSeries, product_with_exponents, ps_exp
 from .totients import jordan, m_phi, phi_t, ramanujan_cohen, sigma
 from .vpv import RadialRegion, visible_points
 
@@ -109,16 +108,13 @@ def _cmd_lattice(args) -> int:
             )
         # visible points as bullets, proper multiples as crosses; the y axis
         # increases upward so the top row is y = bound
+        visible = set(visible_points(region))
         for y in range(bound, 0, -1):
             row = " ".join(
-                "•" if gcd(x, y) == 1 else "x" for x in range(1, bound + 1)
+                "•" if (x, y) in visible else "x" for x in range(1, bound + 1)
             )
             print(row)
-        visible = sum(
-            1 for x in range(1, bound + 1) for y in range(1, bound + 1)
-            if gcd(x, y) == 1
-        )
-        print(f"{visible} visible of {bound * bound} points")
+        print(f"{len(visible)} visible of {bound * bound} points")
         return 0
     try:
         total = region.lattice_size()

@@ -8,9 +8,12 @@ S_v = sum_{j>=1} a_{jv}, and every check in this module is an instance of it
 evaluated with finitely supported sequences, so both sides are finite and
 (where the inputs are rational) exact.
 
-The floating-point rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and
-5.10) share one right side, computed by the single engine `_regroup_rhs`:
-each check passes it only the exponent weights of its factors.
+Two engines compute the regrouped right sides; each check passes only the
+weights of its factors.  The floating-point rearrangements (lemma 3.2 and
+theorems 5.1, 5.2, 5.8 and 5.10) share `_regroup_rhs`, a sum of exponentials
+over each selector.  The exact grid-power and bracket identities (eq-4.1..4.3,
+eq-4.7 and corollaries 5.11, 5.12 and 5.13) share `_regroup_power`, a sum of
+rational p-th powers over each selector.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -24,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
+from operator import mul
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceError
-from .exactcore import divisors, faulhaber_sum
+from .exactcore import bernoulli, divisors, faulhaber_sum
 from .series import (
     PowerSeries,
     geometric,
@@ -63,8 +67,10 @@ __all__ = [
     "thm_5_2_check",
     "thm_5_8_check",
     "thm_5_10_check",
+    "printed_t",
     "bracket_polynomial",
     "bracket_polynomial_oracle",
+    "cor_5_11_check",
     "cor_5_3_check",
     "thm_5_5_check",
     "eq_5_5_check",
@@ -295,6 +301,32 @@ def _selector_exp_sums(h: int, v: int, bs: np.ndarray, x) -> np.ndarray:
     return np.exp((js.reshape(-1, h) @ bs.T) * (x / v)).sum(axis=0)
 
 
+def _regroup_power(a: FiniteSequence, weights, n: int, h: int, p: int) -> Fraction:
+    """The exact right side shared by the grid-power and bracket identities:
+
+        sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
+
+    with b_k = weights(k), a vector of h rationals.  The selector of each v is
+    enumerated once.  For each multiple the weights are scaled to integer
+    numerators over their common denominator D, the p-th powers are summed
+    as Python ints (numpy int64 overflows at h = 3, p = 3) and the total is
+    divided once by (D v)^p.  This stays an enumeration, like `_regroup_rhs`.
+    """
+    rhs = Fraction(0)
+    for v in range(2, n + 1):
+        ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
+        if not ks:
+            continue
+        sel = _selector(h, v)
+        for k in ks:
+            bk = [Fraction(c) for c in weights(k)]
+            den = math.lcm(*(c.denominator for c in bk))
+            nums = [c.numerator * (den // c.denominator) for c in bk]
+            total = sum(sum(map(mul, js, nums)) ** p for js in sel)
+            rhs += a(k) * Fraction(total, (den * v) ** p)
+    return rhs
+
+
 def thm_5_1_check(
     a: FiniteSequence, b: FiniteSequence, x: float, n: int | None = None,
     as_printed: bool = False,
@@ -375,23 +407,25 @@ def thm_5_10_check(
 # the coefficient bracket of the h-factor rearrangement
 
 
+def printed_t(mu: int, k: int) -> Fraction:
+    """The printed bracket coefficient
+    T_mu = -sum_{alpha=1..mu} C(mu, alpha) B_alpha / k^(alpha-1) (B_1 = -1/2)."""
+    return -sum(
+        comb(mu, alpha) * bernoulli(alpha) / Fraction(k) ** (alpha - 1)
+        for alpha in range(1, mu + 1)
+    )
+
+
 def bracket_polynomial(h: int, m: int, k: int, bs_at_k) -> Fraction:
     """Printed bracket: coefficient of x^m in
-    prod_{L=1..h} sum_{mu>=1} T_mu (b_L x)^(mu-1),
-    T_mu = -sum_{alpha=1..mu} C(mu, alpha) B_alpha / k^(alpha-1)
-    (B_1 = -1/2).  Compare with bracket_polynomial_oracle."""
-    from .exactcore import bernoulli
-
+    prod_{L=1..h} sum_{mu>=1} T_mu (b_L x)^(mu-1), T_mu = printed_t(mu, k).
+    Compare with bracket_polynomial_oracle."""
     if k < 1 or m < 1 or h < 1:
         raise DomainError("h, m, k must be positive")
     bs = [Fraction(b) for b in bs_at_k]
     if len(bs) != h:
         raise DomainError("need one b value per factor")
-    ts = [
-        -sum(comb(mu, al) * bernoulli(al) / Fraction(k) ** (al - 1)
-             for al in range(1, mu + 1))
-        for mu in range(1, m + 2)
-    ]
+    ts = [printed_t(mu, k) for mu in range(1, m + 2)]
     # factor L has coefficient T_{j+1} * b_L^j at x^j
     polys = [[ts[j] * b**j for j in range(m + 1)] for b in bs]
     return _poly_product_coeff(polys, m)
@@ -436,6 +470,26 @@ def _poly_product_coeff(polys: list, m: int) -> Fraction:
                 nxt[i + j] += ai * p[j]
         acc = nxt
     return acc[m]
+
+
+def cor_5_11_check(a: FiniteSequence, bs: list, m: int) -> tuple:
+    """The m-th order bracket identity of the h-factor rearrangement (audit
+    id cor-5.11), exact, with the bracket that balances it:
+
+        sum_k a_k bracket_polynomial_oracle(h, m, k, b(k))
+        = sum_{v>=2} sum_w a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^m,
+
+    where bs lists the h exponent sequences; the right side is
+    `_regroup_power` with weights (b_1(k), ..., b_h(k)) and p = m.
+    """
+    h, n = len(bs), a.bound
+    lhs = sum(
+        a(k) * bracket_polynomial_oracle(h, m, k, [b(k) for b in bs])
+        for k in range(1, n + 1)
+        if a(k)
+    )
+    rhs = _regroup_power(a, lambda k: [b(k) for b in bs], n, h, m)
+    return Fraction(lhs), rhs
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +617,8 @@ def grid_power_identity_check(
     eq-4.7; c = 0 is eq-4.4).
 
     c >= 1:  sum_k a_k k^(-c) sum_grid (A x + B y)^c
-           = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c.
+           = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c,
+             the right side being `_regroup_power` with weights (x, y), p = c.
     c = 0:   sum_k k^2 a_k = S_1 + sum_{v>=2} S_v J_2(v).
     """
     n = a.bound
@@ -577,14 +632,7 @@ def grid_power_identity_check(
         for k in range(1, n + 1)
         if a(k)
     )
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        sv = a.tail(v)
-        if not sv:
-            continue
-        sel = sum((j1 * x + j2 * y) ** c for j1, j2 in _selector(2, v))
-        rhs += sv * sel / Fraction(v) ** c
-    return Fraction(lhs), Fraction(rhs)
+    return Fraction(lhs), _regroup_power(a, lambda k: (x, y), n, 2, c)
 
 
 def phi_weight_identity_check(t: int, m: int, a: FiniteSequence) -> tuple:
@@ -612,19 +660,16 @@ def _q2(k: int, b1: Fraction, b2: Fraction) -> Fraction:
     return quad * (b1 * b1 + b2 * b2) + Fraction((k - 1) ** 2, 2) * b1 * b2
 
 
-def _selector_linear(v: int, b1: Fraction, b2: Fraction, power: int) -> Fraction:
-    return sum((b1 * j1 + b2 * j2) ** power for j1, j2 in _selector(2, v))
-
-
 def cor_5_12_check(
     a: FiniteSequence, b1: FiniteSequence, b2: FiniteSequence,
     as_printed: bool = True,
 ) -> tuple:
     """First-order two-factor bracket identity (audit id cor-5.12).
 
-    rhs = sum_v (1/v) sum_w a_{vw} sum_selector (b1 j1 + b2 j2).  The printed
-    left side (1/3) sum (1/k) a_k b1_k does not balance it; the corrected
-    left side is sum a_k (k(k-1)/2)(b1_k + b2_k).
+    rhs = sum_v (1/v) sum_w a_{vw} sum_selector (b1 j1 + b2 j2), which is
+    `_regroup_power` with weights (b1_k, b2_k) and p = 1.  The printed left
+    side (1/3) sum (1/k) a_k b1_k does not balance it; the corrected left
+    side is sum a_k (k(k-1)/2)(b1_k + b2_k).
     """
     n = a.bound
     if as_printed:
@@ -634,17 +679,7 @@ def cor_5_12_check(
     else:
         lhs = sum(a(k) * _q1(k, Fraction(b1(k)), Fraction(b2(k)))
                   for k in range(1, n + 1))
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        for w in range(1, n // v + 1):
-            avw = a(v * w)
-            if not avw:
-                continue
-            kk = v * w
-            rhs += Fraction(avw, 1) * _selector_linear(
-                v, Fraction(b1(kk)), Fraction(b2(kk)), 1
-            ) / v
-    return Fraction(lhs), Fraction(rhs)
+    return Fraction(lhs), _regroup_power(a, lambda k: (b1(k), b2(k)), n, 2, 1)
 
 
 def cor_5_13_check(
@@ -655,21 +690,12 @@ def cor_5_13_check(
 
     Corrected: sum a_k Q2(k) = sum_v (1/v^2) sum_w a_{vw}
     sum_selector (b1 j1 + b2 j2)^2.  As printed the left side is Q2/4 and the
-    right side repeats cor-5.12's first-power sum with weight 1/v.
+    right side repeats cor-5.12's first-power sum with weight 1/v.  Either
+    right side is `_regroup_power` with weights (b1_k, b2_k), p = 1 as
+    printed and p = 2 corrected.
     """
     n = a.bound
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        for w in range(1, n // v + 1):
-            avw = a(v * w)
-            if not avw:
-                continue
-            kk = v * w
-            bb1, bb2 = Fraction(b1(kk)), Fraction(b2(kk))
-            if as_printed:
-                rhs += Fraction(avw, 1) * _selector_linear(v, bb1, bb2, 1) / v
-            else:
-                rhs += Fraction(avw, 1) * _selector_linear(v, bb1, bb2, 2) / v**2
+    rhs = _regroup_power(a, lambda k: (b1(k), b2(k)), n, 2, 1 if as_printed else 2)
     if as_printed:
         lhs = Fraction(1, 2) * sum(
             a(k)
@@ -683,7 +709,7 @@ def cor_5_13_check(
     else:
         lhs = sum(a(k) * _q2(k, Fraction(b1(k)), Fraction(b2(k)))
                   for k in range(1, n + 1))
-    return Fraction(lhs), Fraction(rhs)
+    return Fraction(lhs), rhs
 
 
 def _phi_u(t: int, v: int) -> Fraction:
@@ -962,20 +988,14 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
 
 
 def _hyperpyramid_visible(n: int, cutoff: int):
-    """Visible points with all coordinates >= 1 and a_1..a_{n-1} < a_n <= cutoff."""
+    """Visible points with all coordinates >= 1 and a_1..a_{n-1} < a_n <= cutoff:
+    for each apex a_n, the (n-1)-dimensional selector tuples of a_n with no
+    zero coordinate."""
     if n == 1:
         return [(1,)] if cutoff >= 1 else []
-    out = []
-
-    def rec(prefix, an):
-        if len(prefix) == n - 1:
-            pt = prefix + (an,)
-            if math.gcd(*pt) == 1:
-                out.append(pt)
-            return
-        for v in range(1, an):
-            rec(prefix + (v,), an)
-
-    for an in range(2, cutoff + 1):
-        rec((), an)
-    return out
+    return [
+        js + (an,)
+        for an in range(2, cutoff + 1)
+        for js in _selector(n - 1, an)
+        if all(js)
+    ]

@@ -17,7 +17,9 @@ from vpvtotients.vpv import (
     bracket_polynomial_oracle,
     cor_5_7_check,
     cor_5_9_check,
+    cor_5_11_check,
     cor_5_12_check,
+    cor_5_13_check,
     cor_5_14_check,
     cor_5_15_check,
     cor_5_16_check,
@@ -168,12 +170,69 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         "thm-5.2": lambda: thm_5_2_check(a, b, c, 0.5),
         "thm-5.8": lambda: thm_5_8_check(a, b, 0.5),
         "thm-5.10": lambda: thm_5_10_check(a, [b, c, d], 0.5),
+        "cor-5.12 printed": lambda: cor_5_12_check(a, b, c, as_printed=True),
+        "cor-5.12 corrected": lambda: cor_5_12_check(a, b, c, as_printed=False),
+        "cor-5.13 printed": lambda: cor_5_13_check(a, b, c, as_printed=True),
+        "cor-5.13 corrected": lambda: cor_5_13_check(a, b, c, as_printed=False),
+        "eq-4.16 n=3": lambda: hyperpyramid_log_check(
+            (0.4, 0.3, 0.5), (Fraction(1, 3),) * 3, 10
+        ),
     }
+    for p in (1, 2, 3, 4):
+        checks[f"grid-power c={p}"] = lambda p=p: grid_power_identity_check(
+            p, a, Fraction(1, 2), Fraction(-2, 3)
+        )
+    for h in (1, 2, 3):
+        checks[f"cor-5.11 h={h}"] = lambda h=h: cor_5_11_check(a, [b, c, d][:h], 2)
     for name, check in checks.items():
         calls.clear()
         check()
         assert calls, name
         assert len(calls) == len(set(calls)), (name, calls)
+
+
+def _brute_power_sum(h, v, b, p):
+    """sum over j in [0, v)^h with gcd(j, v) = 1 of ((j . b) / v)^p, one
+    Fraction at a time over the whole grid."""
+    return sum(
+        (sum(bl * j for bl, j in zip(b, js)) / Fraction(v)) ** p
+        for js in product(range(v), repeat=h)
+        if math.gcd(v, *js) == 1
+    )
+
+
+def _moebius_power_sum(h, v, b, p):
+    """The same sum factored by Moebius inversion over d = gcd(j, v):
+    sum_{d | v} mu(d) sum_{i in [0, v/d)^h} ((d i . b) / v)^p."""
+    return sum(
+        moebius(d) * sum(
+            (sum(bl * d * i for bl, i in zip(b, js)) / Fraction(v)) ** p
+            for js in product(range(v // d), repeat=h)
+        )
+        for d in divisors(v)
+    )
+
+
+def test_regroup_power_three_routes():
+    # the exact engine against two routes that share none of its code; the
+    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers
+    rng = random.Random(16)
+    pool = [0, 1, -3, Fraction(-5, 6), Fraction(7, 4), Fraction(-1, 2**40)]
+    for h, n in ((1, 20), (2, 20), (3, 12)):
+        a = _rand_seq(rng, n)
+        slots = [pool[i % len(pool)] for i in range(n * h)]
+        rng.shuffle(slots)
+        weights = {k: slots[(k - 1) * h:k * h] for k in range(1, n + 1)}
+        for p in (1, 2, 3, 4):
+            got = vpv._regroup_power(a, weights.get, n, h, p)
+            assert isinstance(got, Fraction)
+            for route in (_brute_power_sum, _moebius_power_sum):
+                want = sum(
+                    a(v * w) * route(h, v, weights[v * w], p)
+                    for v in range(2, n + 1)
+                    for w in range(1, n // v + 1)
+                )
+                assert got == want, (route.__name__, h, p)
 
 
 def test_grid_power_identities_exact():
@@ -221,6 +280,13 @@ def test_bracket_oracle_vs_printed_form():
     for k in range(2, 20):
         want = Fraction(k * (k - 1), 2) * 2
         assert bracket_polynomial_oracle(2, 1, k, bs) == want
+    # with the oracle bracket the h-factor bracket identity balances exactly
+    rng = random.Random(11)
+    a = _rand_seq(rng, 12)
+    for h in (1, 2, 3):
+        for m in (1, 2, 3):
+            lhs, rhs = cor_5_11_check(a, [_rand_seq(rng, 12) for _ in range(h)], m)
+            assert lhs == rhs, (h, m)
 
 
 def test_linear_bracket_identity_printed_vs_corrected():
