@@ -1,5 +1,11 @@
 """Selector and visible-point enumeration kernels, vectorized with numpy.
 
+Every selector kernel reads one k^m boolean mask, `_selector_mask(m, k)`,
+folded from gcd(arange(k), k) with `np.gcd.outer`, as gcd(j_1..j_m, k) =
+gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built.
+Values are `np.add.outer` folds of 1-D vectors, read through the mask, and
+tuples are the C-order (so lexicographic) `np.nonzero` indices, zipped.
+
 `totients` and `vpv` look each kernel up as a module attribute at call time
 (`_kernels.selector_tuples(...)`), so that the traced benchmark can count
 calls by replacing the attribute.
@@ -7,37 +13,28 @@ calls by replacing the attribute.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 # read by perfbench/run.py, which records it with every benchmark run
 BACKEND = "pure"
 
 
-def _grid(m: int, k: int) -> np.ndarray:
-    """All of [0,k)^m as an (m, k**m) array, columns in lexicographic order."""
-    return np.indices((k,) * m, dtype=np.int64).reshape(m, -1)
-
-
-def _selector_cols(m: int, k: int) -> np.ndarray:
-    """Columns of the selector set: gcd(j_1..j_m, k) = 1 and j != 0."""
-    cols = _grid(m, k)
-    g = cols[0].copy()
-    for row in cols[1:]:
-        g = np.gcd(g, row)
-    mask = np.gcd(g, k) == 1
-    if k == 1:
-        mask &= cols.sum(axis=0) != 0
-    return cols[:, mask]
+def _selector_mask(m: int, k: int) -> np.ndarray:
+    """The selector as a (k,)*m boolean array: gcd(j_1..j_m, k) = 1, j != 0."""
+    mask = reduce(np.gcd.outer, [np.gcd(np.arange(k), k)] * m) == 1
+    mask.flat[0] = False  # the origin has gcd k, so this acts only at k = 1
+    return mask
 
 
 def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
-    """Selector tuples in lexicographic order."""
-    cols = _selector_cols(m, k)
-    return list(map(tuple, cols.T.tolist()))
+    """Selector tuples in lexicographic order, with Python-int coordinates."""
+    return list(zip(*(a.tolist() for a in np.nonzero(_selector_mask(m, k)))))
 
 
 def selector_count(m: int, k: int) -> int:
-    return int(_selector_cols(m, k).shape[1])
+    return int(np.count_nonzero(_selector_mask(m, k)))
 
 
 def selector_cos_sum(k: int, n: tuple[int, ...]) -> float:
@@ -46,36 +43,28 @@ def selector_cos_sum(k: int, n: tuple[int, ...]) -> float:
     Each n_i is reduced mod k as a Python int first, so that j * n_i fits in
     int64 for any n_i; j . n mod k is unchanged.
     """
-    cols = _selector_cols(len(n), k)
-    dots = np.zeros(cols.shape[1], dtype=np.int64)
-    for row, ni in zip(cols, n):
-        dots += row * (ni % k)
+    mask = _selector_mask(len(n), k)
+    dots = reduce(np.add.outer, [np.arange(k) * (ni % k) for ni in n])[mask]
     return float(np.cos(2.0 * np.pi * (dots % k) / k).sum())
 
 
 def selector_char_sum(k: int, thetas: tuple[float, ...]) -> complex:
     """sum over the selector of exp(2*pi*i*(j . theta)/k)."""
-    cols = _selector_cols(len(thetas), k)
-    phase = np.zeros(cols.shape[1], dtype=np.float64)
-    for row, th in zip(cols, thetas):
-        phase += row * th
+    mask = _selector_mask(len(thetas), k)
+    phase = reduce(np.add.outer, [np.arange(k) * th for th in thetas])[mask]
     phase *= 2.0 * np.pi / k
     return complex(np.exp(1j * phase).sum())
 
 
 def selector_power_sum(t: int, m: int, k: int) -> int:
     """Exact sum over the selector of (j_1 + ... + j_m)**t."""
-    cols = _selector_cols(m, k)
-    sums = cols.sum(axis=0)
+    mask = _selector_mask(m, k)
+    sums = reduce(np.add.outer, [np.arange(k)] * m)[mask]
     counts = np.bincount(sums, minlength=1)
     return sum(int(c) * s**t for s, c in enumerate(counts) if c)
 
 
 def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex order."""
-    cols = np.indices(bounds, dtype=np.int64).reshape(len(bounds), -1) + 1
-    g = cols[0].copy()
-    for row in cols[1:]:
-        g = np.gcd(g, row)
-    cols = cols[:, g == 1]
-    return list(map(tuple, cols.T.tolist()))
+    g = reduce(np.gcd.outer, [np.arange(1, b + 1) for b in bounds])
+    return list(zip(*((a + 1).tolist() for a in np.nonzero(g == 1))))

@@ -224,6 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact results such as jordan(10000, 3) pass the 4300-digit int -> str limit
+    max_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (UsageError, DomainError) as exc:
@@ -232,6 +235,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(max_digits)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -163,14 +163,18 @@ def bernoulli(a: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, j: int) -> int:
-    """Stirling number of the second kind: partitions of an n-set into j blocks."""
+    """Stirling number of the second kind: partitions of an n-set into j blocks,
+    built bottom-up one row S(r, 0..j) at a time, so n is not bound by recursion."""
     if n < 0 or j < 0:
         raise DomainError("stirling2 requires non-negative arguments")
-    if n == 0 and j == 0:
-        return 1
-    if n == 0 or j == 0 or j > n:
+    if j > n:
         return 0
-    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+    row = [1] + [0] * j  # S(0, 0..j)
+    for r in range(1, n + 1):
+        for i in range(min(r, j), 0, -1):
+            row[i] = i * row[i] + row[i - 1]
+        row[0] = 0
+    return row[j]
 
 
 def faulhaber_sum_direct(m: int, k: int) -> int:

@@ -1,9 +1,11 @@
 import json
+import sys
 from math import gcd
 
 import pytest
 
 from vpvtotients.cli import main
+from vpvtotients.totients import jordan
 
 
 def run(capsys, *argv):
@@ -23,6 +25,25 @@ def test_compute_ramanujan(capsys):
 def test_compute_jordan(capsys):
     code, out, _ = run(capsys, "compute", "jordan", "--m", "2", "--k", "4")
     assert code == 0 and out.strip() == "12"
+
+
+def test_compute_result_above_int_str_digit_limit(capsys):
+    # J_10000(3) has 4772 digits, past the default int -> str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "compute", "jordan", "--m", "10000", "--k", "3")
+    assert sys.get_int_max_str_digits() == limit  # restored after the command
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(jordan(10000, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and not err
+    assert out.strip() == want
+
+
+def test_compute_stirling_large_n(capsys):
+    code, out, _ = run(capsys, "compute", "stirling", "--n-arg", "900", "--j", "3")
+    assert code == 0 and int(out) == (3**900 - 3 * 2**900 + 3) // 6
 
 
 def test_compute_phi(capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -74,6 +74,15 @@ def test_stirling2_recurrence_and_values():
     for n in range(1, 10):
         for j in range(1, n + 1):
             assert stirling2(n, j) == j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+
+
+def test_stirling2_large_n_inclusion_exclusion():
+    # n far beyond the recursion limit; oracle S(n, 3) = sum_i (-1)^i C(3,i) (3-i)^n / 3!
+    n = 2000
+    want = sum((-1) ** i * comb(3, i) * (3 - i) ** n for i in range(4))
+    assert want % 6 == 0
+    assert stirling2(n, 3) == want // 6
+    assert stirling2(n, n + 1) == 0 and stirling2(n, 0) == 0 and stirling2(n, n) == 1
 
 
 def test_faulhaber_matches_direct():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import vpvtotients._kernels as kernels
@@ -100,3 +101,23 @@ def test_visible_points_box_cross_backend():
     for bounds in BOXES:
         got = kernels.visible_points_box(bounds)
         assert got == _brute_visible(bounds) and _python_ints(got), bounds
+
+
+def test_kernel_peak_memory_per_grid_point():
+    # Each kernel holds one k^m boolean mask and at most one k^m value array
+    # at a time; an (m, k^m) int64 coordinate grid alone would cost 24 B/point
+    # at m = 3, and its gcd temporaries ran the peak to about 61 B/point.
+    cases = (
+        (lambda: kernels.selector_count(3, 100), 100**3),
+        (lambda: kernels.selector_power_sum(2, 3, 100), 100**3),
+        (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3),
+    )
+    for run, points in cases:
+        run()  # numpy's lazy set-up is not the kernel's cost
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * points, peak / points

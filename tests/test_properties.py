@@ -1,0 +1,124 @@
+"""Property tests: closed forms against enumeration, and CLI exit codes.
+
+Each property runs under one fixed `derandomize=True` profile, so a run
+draws the same examples every time and writes no example database.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vpvtotients.cli import main
+from vpvtotients.totients import (
+    jordan,
+    phi_t,
+    phi_t_enum,
+    ramanujan_cohen,
+    ramanujan_cohen_enum,
+    selector_size,
+)
+
+DETERMINISTIC = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=80,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# the selector is empty at k = 1, where the closed forms take conventions
+ks = st.integers(min_value=2, max_value=40)
+ms = st.integers(min_value=1, max_value=3)
+
+
+@DETERMINISTIC
+@given(k=ks, n=st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=3))
+def test_ramanujan_cohen_closed_form_vs_enumeration(k, n):
+    assert ramanujan_cohen(k, n) == ramanujan_cohen_enum(k, n)
+
+
+@DETERMINISTIC
+@given(t=st.integers(min_value=0, max_value=4), m=ms, k=ks)
+def test_phi_t_closed_form_vs_enumeration(t, m, k):
+    assert phi_t(t, m, k) == phi_t_enum(t, m, k)
+
+
+@DETERMINISTIC
+@given(m=ms, k=ks)
+def test_jordan_closed_form_vs_selector_count(m, k):
+    assert jordan(m, k) == selector_size(m, k)
+
+
+# --------------------------------------------------------------------------
+# CLI argv fuzz: every argument vector ends in exit 0 or 2, never a traceback
+
+
+def _int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# well-formed lists, and lists with empty, signed, spaced or non-digit fields
+int_lists = st.one_of(
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=4).map(
+        lambda v: ",".join(map(str, v))
+    ),
+    st.text(alphabet="0123456789,- +x.", max_size=8),
+)
+
+
+def _options(**flags):
+    """Any subset of the given flags, each with a value from its strategy."""
+    return st.fixed_dictionaries({}, optional=flags).map(
+        lambda chosen: [tok for flag, value in chosen.items() for tok in (flag, value)]
+    )
+
+
+compute_argv = st.tuples(
+    st.sampled_from(
+        ["ramanujan", "jordan", "phi", "mphi", "sigma", "stirling", "bernoulli"]
+    ),
+    _options(
+        **{
+            "--k": _int(-3, 200),
+            "--m": _int(-3, 40),
+            "--t": _int(-3, 5),
+            "--s": _int(-3, 3),
+            "--n": int_lists,
+            "--n-arg": _int(-3, 300),
+            "--j": _int(-3, 12),
+            "--a": _int(-3, 40),
+        }
+    ),
+).map(lambda kind_opts: ["compute", kind_opts[0], *kind_opts[1]])
+
+lattice_argv = _options(**{"--dims": _int(-2, 4), "--max": _int(-2, 12)}).map(
+    lambda opts: ["lattice", *opts]
+)
+
+exp_sums = st.one_of(
+    st.integers(0, 4).map(lambda p: f"k^{p} z^k"),
+    st.text(alphabet="kz^ 0123456789", max_size=10),
+)
+series_argv = _options(
+    **{
+        "--product": st.sampled_from(["jordan", "partition", "bogus"]),
+        "--exp-sum": exp_sums,
+        "--m": _int(-2, 4),
+        "--order": _int(-3, 40),
+    }
+).map(lambda opts: ["series", *opts])
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(argv=st.one_of(compute_argv, lattice_argv, series_argv))
+def test_cli_argv_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            assert exc.code == 2, (argv, exc.code)
+            return
+    assert code in (0, 2), (argv, code, err.getvalue())
