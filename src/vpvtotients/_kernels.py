@@ -6,9 +6,10 @@ gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built.
 Values are `np.add.outer` folds of 1-D vectors, read through the mask, and
 tuples are the C-order (so lexicographic) `np.nonzero` indices, zipped.
 
-`totients` and `vpv` look each kernel up as a module attribute at call time
-(`_kernels.selector_tuples(...)`), so that the traced benchmark can count
-calls by replacing the attribute.
+`totients`, `vpv` and `analytic` (whose theta checks take every selector
+weight from `selector_char_sum`) look each kernel up as a module attribute at
+call time (`_kernels.selector_tuples(...)`), so that the traced benchmark and
+the tests can count calls by replacing the attribute.
 """
 
 from __future__ import annotations

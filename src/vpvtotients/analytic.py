@@ -3,7 +3,11 @@
 The power-series identities elsewhere in the package are exact; this module
 handles the statements that are genuinely analytic — Dirichlet generating
 functions checked as partial-sum trends, and the theta-function product
-identities checked by matched-index rearrangement.
+identities checked by matched-index rearrangement.  Each theta factor is
+its rotation number theta (x = e^(2 pi i theta)), and the selector weights of
+the rearranged side are enumerated by the shared kernel
+`_kernels.selector_char_sum`; their Moebius closed form is only the oracle of
+the eq-6.7 audit check.
 
 theta1 uses the standard convention 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1))
 sin((2k+1)z).  All identities consuming it are ratio identities in which the
@@ -16,8 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from . import _kernels
 from .errors import DomainError
-from .exactcore import bernoulli, divisors, gcd_many, moebius, moebius_sieve
+from .exactcore import bernoulli, divisors, gcd_many, moebius_sieve
+from .totients import _check_cap
 
 __all__ = [
     "TruncationControl",
@@ -192,66 +198,13 @@ def theta_log_ratio_check(
 
 # --- matched-index verification of the theta-product identities ------------
 
-# factor kinds on the left side: ("real", x) with 0<x<1, ("rot", theta) with
-# x = e^(2 pi i theta), ("unit",) for the x -> 1 limit.
-Factor = tuple
 
-
-def _geo(y: complex, L: int) -> complex:
-    """1 + y + ... + y^(L-1), exact branch-free finite sum."""
+def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
+    """prod over factors of (1-x)/(1-x^(1/k)), as the full-grid geometric sum
+    prod_i sum_{A<k} x_i^(A/k), which includes every degenerate case."""
     total = 1.0 + 0.0j
-    p = 1.0 + 0.0j
-    for _ in range(L - 1):
-        p *= y
-        total += p
-    return total
-
-
-def _factor_root(factor: Factor, k: int) -> complex:
-    kind = factor[0]
-    if kind == "real":
-        x = factor[1]
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"real factor requires 0 < x < 1, got {x}")
-        return complex(x ** (1.0 / k))
-    if kind == "rot":
-        return cmath.exp(2j * math.pi * factor[1] / k)
-    if kind == "unit":
-        return complex(1.0)
-    raise DomainError(f"unknown factor kind {kind!r}")
-
-
-def _left_weight(factors: tuple[Factor, ...], k: int) -> complex:
-    """prod over factors of (finite geometric sum of the k-th root), the
-    closed value of prod (1-x)/(1-x^(1/k)) including every degenerate case."""
-    total = 1.0 + 0.0j
-    for f in factors:
-        if f[0] == "unit":
-            total *= k
-        else:
-            total *= _geo(_factor_root(f, k), k)
-    return total
-
-
-def _selector_weight(factors: tuple[Factor, ...], v: int) -> complex:
-    """Selector sum of prod_i x_i^(j_i/v), via Moebius inversion on the grid.
-
-    For integer rotation numbers this equals ramanujan_cohen(v, n); for all
-    unit factors it equals the Jordan totient.
-    """
-    total = 0.0 + 0.0j
-    for d in divisors(v):
-        mu = moebius(d)
-        if not mu:
-            continue
-        L = v // d
-        term = 1.0 + 0.0j
-        for f in factors:
-            if f[0] == "unit":
-                term *= L
-            else:
-                term *= _geo(_factor_root(f, v) ** d, L)
-        total += mu * term
+    for th in thetas:
+        total *= sum(cmath.exp(2j * math.pi * th * A / k) for A in range(k))
     return total
 
 
@@ -271,20 +224,27 @@ class ThetaVpvResult:
 THETA_IDENTITIES = ("thm-6.1", "cor-6.2", "cor-6.3", "thm-6.4", "cor-6.5", "cor-6.6")
 
 
-def _factors_for(identity: str, params: dict) -> tuple[Factor, ...]:
+def _factors_for(identity: str, params: dict) -> tuple[complex, ...]:
+    """The rotation number theta of each left-side factor, x = e^(2 pi i theta):
+    n for a rotation, 0 for the limit x -> 1, log(x)/(2 pi i) for real x."""
     if identity == "thm-6.1":
-        return (("real", float(params["x"])),)
-    if identity == "cor-6.2":
-        return (("rot", int(params["n"])),)
-    if identity == "cor-6.3":
-        return (("unit",),)
-    if identity == "thm-6.4":
-        return tuple(("real", float(x)) for x in params["xs"])
-    if identity == "cor-6.5":
-        return (("unit",),) * int(params["m"])
-    if identity == "cor-6.6":
-        return tuple(("rot", int(v)) for v in params["n"])
-    raise DomainError(f"unknown theta identity {identity!r}")
+        xs = (float(params["x"]),)
+    elif identity == "thm-6.4":
+        xs = tuple(float(x) for x in params["xs"])
+    elif identity == "cor-6.2":
+        return (complex(int(params["n"])),)
+    elif identity == "cor-6.3":
+        return (0j,)
+    elif identity == "cor-6.5":
+        return (0j,) * int(params["m"])
+    elif identity == "cor-6.6":
+        return tuple(complex(int(v)) for v in params["n"])
+    else:
+        raise DomainError(f"unknown theta identity {identity!r}")
+    for x in xs:
+        if not 0.0 < x < 1.0:
+            raise DomainError(f"real factor requires 0 < x < 1, got {x}")
+    return tuple(cmath.log(x) / (2j * math.pi) for x in xs)
 
 
 def theta_vpv_check(
@@ -312,14 +272,15 @@ def theta_vpv_check(
     if not 0.0 <= q < 1.0:
         return ThetaVpvResult(identity, params, 0, 0, math.inf, None,
                               "SKIPPED", reason=f"|q| >= 1 (q={q}): not convergent")
-    factors = _factors_for(identity, params)
+    thetas = _factors_for(identity, params)
+    _check_cap(len(thetas), K)
     trunc = TruncationControl(max_index=400, tolerance=1e-16)
 
     def a(k: int) -> float:
         q2k = q ** (2 * k)
         return 4.0 / k * q2k / (1.0 - q2k) * math.sin(2 * k * alpha) * math.sin(2 * k * beta)
 
-    lhs = sum(a(k) * _left_weight(factors, k) for k in range(1, K + 1))
+    lhs = sum(a(k) * _left_weight(thetas, k) for k in range(1, K + 1))
 
     def tail(v: int) -> float:
         total = 0.0
@@ -329,22 +290,24 @@ def theta_vpv_check(
             j += 1
         return total
 
+    # the selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
+    # visible denominator v, enumerated once and read by both routes
+    weights = [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
     rhs = complex(tail(1))
-    for v in range(2, K + 1):
-        rhs += tail(v) * _selector_weight(factors, v)
+    for v, w in zip(range(2, K + 1), weights):
+        rhs += tail(v) * w
     residual = abs(lhs - rhs)
 
     direct_residual = None
-    try:
-        weights = [_selector_weight(factors, v) for v in range(2, K + 1)]
-        if all(abs(w.imag) < 1e-9 for w in weights):
+    if all(abs(w.imag) < 1e-9 for w in weights):
+        try:
             direct = _theta_ratio_log(1, alpha, beta, q, trunc)
             for v, w in zip(range(2, K + 1), weights):
                 if abs(w.real) > 1e-15:
                     direct += w.real / v * _theta_ratio_log(v, alpha, beta, q, trunc)
             direct_residual = abs(lhs.real - direct)
-    except DomainError:
-        direct_residual = None
+        except DomainError:
+            direct_residual = None
 
     status = "PASS" if residual < tol else "FAIL"
     return ThetaVpvResult(identity, params, lhs, rhs, residual, direct_residual, status)

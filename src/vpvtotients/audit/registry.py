@@ -25,6 +25,7 @@ counterexample produced by an oracle in this package.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -32,9 +33,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
+from .. import _kernels
 from ..analytic import (
-    _factor_root,
-    _selector_weight,
     dirichlet_partial_cohen,
     ramanujan_mean_zero,
     ramanujan_mean_zero_direct,
@@ -44,11 +44,9 @@ from ..analytic import (
     zeta,
 )
 from ..errors import UsageError
-from ..exactcore import divisors
+from ..exactcore import divisors, moebius
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
-    LatticeSelector,
-    enumerate_selector,
     jordan,
     phi_t,
     ramanujan_cohen,
@@ -1033,23 +1031,43 @@ def _check_theta_identity(identity: str, params: dict, extra_notes: tuple = ()):
     return run
 
 
+def _geo(y: complex, L: int) -> complex:
+    """1 + y + ... + y^(L-1), exact branch-free finite sum."""
+    total = 1.0 + 0.0j
+    p = 1.0 + 0.0j
+    for _ in range(L - 1):
+        p *= y
+        total += p
+    return total
+
+
+def _selector_weight(thetas: tuple, v: int) -> complex:
+    """Selector sum of prod_i x_i^(j_i/v), x_i = e^(2 pi i theta_i), via
+    Moebius inversion on the grid: the oracle for the enumerated weights.
+
+    For integer rotation numbers this equals ramanujan_cohen(v, n); for all
+    unit factors it equals the Jordan totient.
+    """
+    total = 0.0 + 0.0j
+    for d in divisors(v):
+        mu = moebius(d)
+        if not mu:
+            continue
+        term = 1.0 + 0.0j
+        for th in thetas:
+            term *= _geo(cmath.exp(2j * math.pi * th * d / v), v // d)
+        total += mu * term
+    return total
+
+
 def _check_selector_weight_def(rng: random.Random) -> Outcome:
-    cases = [
-        (("rot", 2), ("rot", 3)),
-        (("unit",), ("unit",)),
-        (("real", 0.5),),
-        (("real", 0.5), ("unit",)),
-    ]
+    half = cmath.log(0.5) / (2j * math.pi)  # the real factor x = 1/2
+    cases = [(2.0, 3.0), (0.0, 0.0), (half,), (half, 0.0)]
     worst = 0.0
-    for factors in cases:
-        m = len(factors)
+    for thetas in cases:
         for v in range(2, 21):
-            roots = [_factor_root(f, v) for f in factors]
-            brute = sum(
-                math.prod(r**j for r, j in zip(roots, js))
-                for js in enumerate_selector(LatticeSelector(m, v))
-            )
-            worst = max(worst, abs(brute - _selector_weight(factors, v)))
+            enumerated = _kernels.selector_char_sum(v, thetas)
+            worst = max(worst, abs(enumerated - _selector_weight(thetas, v)))
     return _pass_if(
         worst < 1e-8, worst,
         notes=("the defining selector sum matches the Moebius-inverted "

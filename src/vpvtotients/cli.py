@@ -7,7 +7,8 @@ Subcommands:
   series   print exact rational coefficients of generating products
 
 Exit codes: 0 success (audit: every status as expected), 1 unexpected audit
-status, 2 usage error, 3 I/O error.
+status, 2 usage error (an input above a size or work cap included), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -116,11 +117,8 @@ def _cmd_lattice(args) -> int:
             print(row)
         print(f"{len(visible)} visible of {bound * bound} points")
         return 0
-    try:
-        total = region.lattice_size()
-        count = len(visible_points(region))
-    except ResourceError as exc:
-        raise UsageError(str(exc)) from exc
+    total = region.lattice_size()
+    count = len(visible_points(region))
     print(f"dims={dims} max={bound}: {count} visible of {total} points")
     return 0
 
@@ -229,7 +227,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, ResourceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage errors exit 2, IO failures exit 3.
+The CLI maps these onto exit codes: usage, domain and resource errors exit 2,
+IO failures exit 3.
 """
 
 
@@ -13,7 +14,7 @@ class UsageError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """A computation would exceed its size cap."""
 
 
 class ConsistencyError(RuntimeError):

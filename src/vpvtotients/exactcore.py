@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .errors import ConsistencyError, DomainError, UsageError
+from .errors import ConsistencyError, DomainError, ResourceError, UsageError
 
 __all__ = [
     "Factorization",
@@ -36,6 +36,13 @@ __all__ = [
 # Smallest-prime-factor sieve, built lazily on first factorization request.
 _SPF_LIMIT = 10**6
 _spf: list[int] | None = None
+
+# Work caps, each a few seconds of CPU.  B_a costs O(a^2) Fraction steps
+# (B_600 takes about 2 s).  S(n, j) costs n*j - j(j-1)/2 row steps, each
+# about 256 64-bit words of interpreter overhead plus the words of one entry,
+# and S(n, j) < j^n has at most n*ceil(log2 j) bits.
+_BERNOULLI_CAP = 600
+_STIRLING_WORK_CAP = 2 * 10**9
 
 
 def _spf_sieve() -> list[int]:
@@ -153,6 +160,8 @@ def bernoulli(a: int) -> Fraction:
     """
     if a < 0:
         raise DomainError(f"bernoulli requires a >= 0, got {a}")
+    if a > _BERNOULLI_CAP:
+        raise ResourceError(f"bernoulli({a}) is above cap a <= {_BERNOULLI_CAP}")
     if a == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -169,6 +178,12 @@ def stirling2(n: int, j: int) -> int:
         raise DomainError("stirling2 requires non-negative arguments")
     if j > n:
         return 0
+    work = (n * j - j * (j - 1) // 2) * (256 + n * (j - 1).bit_length() // 64)
+    if work > _STIRLING_WORK_CAP:
+        raise ResourceError(
+            f"stirling2({n}, {j}) needs about {work} word steps, "
+            f"above cap {_STIRLING_WORK_CAP}"
+        )
     row = [1] + [0] * j  # S(0, 0..j)
     for r in range(1, n + 1):
         for i in range(min(r, j), 0, -1):

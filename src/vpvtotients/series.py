@@ -32,8 +32,6 @@ __all__ = [
 
 DEFAULT_ORDER = 64
 
-_Q = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

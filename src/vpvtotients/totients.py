@@ -57,30 +57,27 @@ class LatticeSelector:
             raise DomainError(f"selector requires m >= 1 and k >= 1, got {self}")
 
 
-def _check_cap(m: int, k: int, cap: int) -> None:
-    if k**m > cap:
+def _check_cap(m: int, k: int) -> None:
+    if k**m > DEFAULT_SELECTOR_CAP:
         raise ResourceError(
-            f"selector grid for m={m}, k={k} has {k**m} tuples, above cap {cap}"
+            f"selector grid for m={m}, k={k} has {k**m} tuples, "
+            f"above cap {DEFAULT_SELECTOR_CAP}"
         )
 
 
-def enumerate_selector(
-    sel: LatticeSelector, cap: int = DEFAULT_SELECTOR_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_selector(sel: LatticeSelector) -> list[tuple[int, ...]]:
     """The selector set as a lexicographically ordered list of m-tuples."""
-    _check_cap(sel.m, sel.k, cap)
+    _check_cap(sel.m, sel.k)
     return _kernels.selector_tuples(sel.m, sel.k)
 
 
-def selector_size(m: int, k: int, cap: int = DEFAULT_SELECTOR_CAP) -> int:
+def selector_size(m: int, k: int) -> int:
     """Cardinality of the selector set, by counting."""
-    _check_cap(m, k, cap)
+    _check_cap(m, k)
     return _kernels.selector_count(m, k)
 
 
-def ramanujan_cohen_enum(
-    k: int, n: list[int] | tuple[int, ...], cap: int = DEFAULT_SELECTOR_CAP
-) -> int:
+def ramanujan_cohen_enum(k: int, n: list[int] | tuple[int, ...]) -> int:
     """c_k(n) by direct enumeration: sum of cos(2*pi*(j.n)/k) over the selector.
 
     Floating point with a rounding-residual guard; the residual before
@@ -90,7 +87,7 @@ def ramanujan_cohen_enum(
         raise DomainError("enumeration oracle requires k >= 2; use the k=1 convention")
     if not n:
         raise DomainError("n must be a non-empty tuple")
-    _check_cap(len(n), k, cap)
+    _check_cap(len(n), k)
     total = _kernels.selector_cos_sum(k, tuple(int(v) for v in n))
     nearest = round(total)
     if abs(total - nearest) >= _ENUM_RESIDUAL_TOL:
@@ -166,13 +163,13 @@ def phi_t(t: int, m: int, k: int) -> Fraction:
     return total
 
 
-def phi_t_enum(t: int, m: int, k: int, cap: int = DEFAULT_SELECTOR_CAP) -> Fraction:
+def phi_t_enum(t: int, m: int, k: int) -> Fraction:
     """phi_t by direct enumeration over the selector (the oracle route)."""
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
         return Fraction(0)
-    _check_cap(m, k, cap)
+    _check_cap(m, k)
     return Fraction(_kernels.selector_power_sum(t, m, k), k**t)
 
 
@@ -191,6 +188,7 @@ def m_phi(m_fixed: int, k: int) -> int:
     """
     if m_fixed < 0 or k < 1:
         raise DomainError("m_phi requires m_fixed >= 0 and k >= 1")
+    _check_cap(1, k)
     return sum(
         1 for a in range(k) if gcd(gcd(a, m_fixed), k) == 1 and a + m_fixed != 0
     )

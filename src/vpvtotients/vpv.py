@@ -444,18 +444,13 @@ def bracket_polynomial_oracle(h: int, m: int, k: int, bs_at_k) -> Fraction:
         raise DomainError("need one b value per factor")
     if k == 1:
         return Fraction(0)
-    power_sums = [_power_sum_below(j, k) for j in range(m + 1)]
+    power_sums = [faulhaber_sum(j, k) for j in range(m + 1)]
     polys = [
         [b**j * power_sums[j] / (math.factorial(j) * Fraction(k) ** j)
          for j in range(m + 1)]
         for b in bs
     ]
     return _poly_product_coeff(polys, m) * math.factorial(m)
-
-
-def _power_sum_below(j: int, k: int) -> int:
-    """sum_{A=0}^{k-1} A^j with the 0^0 = 1 convention."""
-    return faulhaber_sum(j, k)
 
 
 def _poly_product_coeff(polys: list, m: int) -> Fraction:
@@ -603,7 +598,7 @@ def _grid_weighted_sum(c: int, k: int, x: Fraction, y: Fraction) -> Fraction:
     """
     if c < 1:
         raise DomainError("c must be >= 1")
-    power = [_power_sum_below(j, k) for j in range(c + 1)]
+    power = [faulhaber_sum(j, k) for j in range(c + 1)]
     return sum(
         comb(c, i) * x**i * y ** (c - i) * power[i] * power[c - i]
         for i in range(c + 1)

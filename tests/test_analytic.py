@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import mpmath
 import pytest
 
+import vpvtotients._kernels as kernels
 from vpvtotients.analytic import (
     THETA_IDENTITIES,
     dirichlet_partial_cohen,
@@ -13,7 +15,9 @@ from vpvtotients.analytic import (
     theta_vpv_check,
     zeta,
 )
+from vpvtotients.audit.registry import _selector_weight
 from vpvtotients.errors import DomainError
+from vpvtotients.totients import jordan
 
 
 def test_zeta_against_mpmath():
@@ -87,6 +91,50 @@ def test_theta_residual_shrinks_with_truncation(identity):
     r20 = theta_vpv_check(identity, _PARAMS[identity], K=20).residual
     r80 = theta_vpv_check(identity, _PARAMS[identity], K=80).residual
     assert r80 <= r20
+
+
+def test_theta_weights_enumerated_once_per_v(monkeypatch):
+    # every right-side selector weight comes from the shared kernel, one call
+    # per visible denominator v = 2..K, read by both routes
+    kernel, seen = kernels.selector_char_sum, []
+
+    def counted(k, thetas):
+        seen.append(k)
+        return kernel(k, thetas)
+
+    monkeypatch.setattr(kernels, "selector_char_sum", counted)
+    for identity in THETA_IDENTITIES:
+        seen.clear()
+        theta_vpv_check(identity, _PARAMS[identity], K=20)
+        assert seen == list(range(2, 21)), identity
+
+
+def _real(x):
+    """The rotation number theta of a real factor x = e^(2 pi i theta)."""
+    return cmath.log(x) / (2j * math.pi)
+
+
+def test_selector_weight_kernel_vs_moebius_oracle():
+    # rotation, unit and real factors, alone and mixed; every term has
+    # modulus <= 1, so the error is measured against the term count J_h(v)
+    cases = (
+        (2 + 0j,), (0j,), (_real(0.5),),
+        (2 + 0j, 3 + 0j), (0j, 0j), (_real(0.5), _real(0.25)),
+        (2 + 0j, _real(0.3)), (0j, _real(0.7)),
+        (1 + 0j, 0j, _real(0.5)),
+    )
+    for thetas in cases:
+        h = len(thetas)
+        for v in range(2, 81):
+            got = kernels.selector_char_sum(v, thetas)
+            want = _selector_weight(thetas, v)
+            assert abs(got - want) <= 1e-12 * jordan(h, v), (thetas, v)
+
+
+def test_theta_real_factor_domain():
+    for x in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError, match="0 < x < 1"):
+            theta_vpv_check("thm-6.1", {"x": x})
 
 
 def test_theta_q_out_of_range_skips():

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -44,6 +45,22 @@ def test_compute_result_above_int_str_digit_limit(capsys):
 def test_compute_stirling_large_n(capsys):
     code, out, _ = run(capsys, "compute", "stirling", "--n-arg", "900", "--j", "3")
     assert code == 0 and int(out) == (3**900 - 3 * 2**900 + 3) // 6
+
+
+def test_compute_work_caps_exit_2_at_once(capsys):
+    # each input is one past its cap, or one that used to run for minutes
+    for argv in (
+        ("mphi", "--m", "1", "--k", "10000001"),
+        ("mphi", "--m", "1", "--k", "1000000000"),
+        ("stirling", "--n-arg", "7812501", "--j", "1"),
+        ("stirling", "--n-arg", "100000000", "--j", "50"),
+        ("bernoulli", "--a", "601"),
+        ("bernoulli", "--a", "3000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2 and not out and err.startswith("usage error: "), argv
 
 
 def test_compute_phi(capsys):
@@ -103,6 +120,10 @@ def test_lattice_3d_counts_only(capsys):
 def test_lattice_oversize_exit_2(capsys):
     code, _, err = run(capsys, "lattice", "--dims", "2", "--max", "100000")
     assert code == 2 and err
+    # 216^3 is one past the lattice cap of 10^7 points
+    code, out, err = run(capsys, "lattice", "--dims", "3", "--max", "216")
+    assert code == 2 and not out
+    assert err == "usage error: lattice size 10077696 exceeds cap 10000000\n"
 
 
 def test_series_partition_numbers(capsys):

@@ -3,7 +3,7 @@ from math import comb, gcd
 
 import pytest
 
-from vpvtotients.errors import DomainError
+from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import (
     bernoulli,
     divisors,
@@ -104,3 +104,13 @@ def test_domain_errors():
         factorize(0)
     with pytest.raises((DomainError, ValueError)):
         moebius(0)
+
+
+def test_work_caps_raise_one_past_the_limit():
+    # B_600 is the largest Bernoulli number; S(n, 1) costs 256 word steps
+    # per row against a cap of 2*10^9, so n = 7812500 is the last allowed
+    with pytest.raises(ResourceError, match="bernoulli"):
+        bernoulli(601)
+    for n, j in ((7812501, 1), (10**5, 10), (10**8, 50)):
+        with pytest.raises(ResourceError, match="stirling2"):
+            stirling2(n, j)

@@ -89,12 +89,19 @@ def test_selector_numeric_sums_cross_backend():
                 for js in brute
             )
             assert abs(kernels.selector_cos_sum(k, n) - want) <= 1e-9, (k, n)
-        thetas = tuple(rng.uniform(-3, 3) for _ in range(m))
-        want = sum(
-            cmath.exp(2j * math.pi * sum(j * th for j, th in zip(js, thetas)) / k)
-            for js in brute
-        )
-        assert abs(kernels.selector_char_sum(k, thetas) - want) <= 1e-9, (k, thetas)
+        # real rotation numbers, purely imaginary ones (real factors x =
+        # e^(2 pi i theta), as the theta checks pass them) and mixed ones
+        for draw in (
+            lambda: rng.uniform(-3, 3),
+            lambda: 1j * rng.uniform(0.01, 0.5),
+            lambda: complex(rng.uniform(-3, 3), rng.uniform(0.01, 0.5)),
+        ):
+            thetas = tuple(draw() for _ in range(m))
+            want = sum(
+                cmath.exp(2j * math.pi * sum(j * th for j, th in zip(js, thetas)) / k)
+                for js in brute
+            )
+            assert abs(kernels.selector_char_sum(k, thetas) - want) <= 1e-9, (k, thetas)
 
 
 def test_visible_points_box_cross_backend():

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from vpvtotients.errors import DomainError
+import vpvtotients._kernels as kernels
+from vpvtotients.analytic import theta_vpv_check
+from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, moebius
 from vpvtotients.totients import (
     LatticeSelector,
@@ -140,6 +142,26 @@ def test_selector_enumeration_matches_size():
             sel = enumerate_selector(LatticeSelector(m, k))
             assert len(sel) == selector_size(m, k)
             assert len(set(sel)) == len(sel)
+
+
+def test_selector_cap_raises_before_allocating(monkeypatch):
+    # 3162^2 <= 10^7 < 3163^2: one past the cap, every entry point raises
+    # before the kernel builds its k^m mask
+    def no_mask(m, k):
+        raise AssertionError(f"mask built for m={m}, k={k}")
+
+    monkeypatch.setattr(kernels, "_selector_mask", no_mask)
+    calls = (
+        lambda: enumerate_selector(LatticeSelector(2, 3163)),
+        lambda: selector_size(2, 3163),
+        lambda: ramanujan_cohen_enum(3163, (1, 1)),
+        lambda: phi_t_enum(2, 2, 3163),
+        lambda: theta_vpv_check("cor-6.5", {"m": 2}, K=3163),
+        lambda: m_phi(1, 10**7 + 1),
+    )
+    for call in calls:
+        with pytest.raises(ResourceError, match="above cap 10000000"):
+            call()
 
 
 def test_domain_errors():
