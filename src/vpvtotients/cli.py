@@ -21,7 +21,7 @@ from fractions import Fraction
 from .audit import run_audit
 from .errors import DomainError, ResourceError, UsageError
 from .exactcore import bernoulli, stirling2
-from .series import PowerSeries, product_with_exponents, ps_exp
+from .series import PowerSeries, check_power_sum_work, product_with_exponents, ps_exp
 from .totients import jordan, m_phi, phi_t, ramanujan_cohen, sigma
 from .vpv import RadialRegion, visible_points
 
@@ -141,6 +141,8 @@ def _cmd_series(args) -> int:
         result = product_with_exponents(exps, order)
     elif args.product == "jordan":
         m = args.m
+        # the product is exp(sum k^(m-1) z^k), the exp-sum below at power m-1
+        check_power_sum_work(m - 1, order)
         exps = {1: Fraction(-1)}
         for k in range(2, order + 1):
             exps[k] = Fraction(-jordan(m, k), k)
@@ -154,6 +156,7 @@ def _cmd_series(args) -> int:
                 f'--exp-sum must look like "k^2 z^k", got {args.exp_sum!r}'
             )
         power = int(match.group(1))
+        check_power_sum_work(power, order)
         coeffs = [Fraction(0)] + [
             Fraction(k**power) for k in range(1, order + 1)
         ]

@@ -39,6 +39,7 @@ from .series import (
     geometric,
     log_one_minus_z_pow,
     monomial,
+    product_with_exponents,
     ps_exp,
     ps_mul,
     zero,
@@ -849,12 +850,10 @@ def cor_5_17_check(which: str, order: int, reading: str = "printed") -> tuple:
         raise DomainError("reading must be 'printed' or 'corrected'")
     shift = 2 if (which == "a" or reading == "printed") else 3
     t = 1 if which == "a" else 2
-    log_lhs = zero(order)
-    for k in range(2, order + 1):
-        e = _phi_u(t, k) / Fraction(k) ** shift
-        if e:
-            log_lhs = log_lhs - log_one_minus_z_pow(k, order).scale(e)
-    lhs = ps_exp(log_lhs)
+    lhs = product_with_exponents(
+        {k: -_phi_u(t, k) / Fraction(k) ** shift for k in range(2, order + 1)},
+        order,
+    )
 
     z = monomial(1, 1, order)
     inv1z2 = ps_mul(geometric(order), geometric(order))

@@ -140,6 +140,23 @@ def test_series_exp_sum(capsys):
     assert values == ["1", "1", "3/2", "13/6", "73/24"]
 
 
+def test_series_work_caps_exit_2_at_once(capsys):
+    # k^94 at order 512 is one past the cap (the product is exp(sum k^(m-1) z^k));
+    # the others ran for more than 20 s, or would build k^(10^12)
+    for argv in (
+        ("--exp-sum", "k^94 z^k", "--order", "512"),
+        ("--product", "jordan", "--m", "95", "--order", "512"),
+        ("--exp-sum", "k^2000 z^k", "--order", "512"),
+        ("--product", "jordan", "--m", "2000", "--order", "512"),
+        ("--exp-sum", "k^1000000000000 z^k", "--order", "2"),
+        ("--product", "jordan", "--m", "1000000000000", "--order", "40"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 2 and not out and err.startswith("usage error: "), argv
+
+
 def test_series_invalid_spec_exit_2(capsys):
     code, _, err = run(capsys, "series", "--exp-sum", "nonsense")
     assert code == 2 and err

@@ -6,11 +6,14 @@ draws the same examples every time and writes no example database.
 
 import contextlib
 import io
+from datetime import timedelta
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vpvtotients.cli import main
+from vpvtotients.series import PowerSeries, ps_exp, ps_log
 from vpvtotients.totients import (
     jordan,
     phi_t,
@@ -49,6 +52,16 @@ def test_phi_t_closed_form_vs_enumeration(t, m, k):
 @given(m=ms, k=ks)
 def test_jordan_closed_form_vs_selector_count(m, k):
     assert jordan(m, k) == selector_size(m, k)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@DETERMINISTIC
+@given(tail=st.lists(rationals, max_size=40))
+def test_exp_inverts_log(tail):
+    f = PowerSeries((Fraction(1), *tail))
+    assert ps_exp(ps_log(f)) == f
 
 
 # --------------------------------------------------------------------------
@@ -110,9 +123,19 @@ series_argv = _options(
     }
 ).map(lambda opts: ["series", *opts])
 
+# powers up to 10^12 reach far past the series work cap, which must refuse
+# them before any k^P is built
+big_power_argv = st.tuples(
+    st.one_of(
+        st.integers(0, 10**12).map(lambda p: ["--exp-sum", f"k^{p} z^k"]),
+        st.integers(-2, 10**12).map(lambda m: ["--product", "jordan", "--m", str(m)]),
+    ),
+    st.integers(0, 64),
+).map(lambda spec_order: ["series", *spec_order[0], "--order", str(spec_order[1])])
 
-@settings(DETERMINISTIC, max_examples=300)
-@given(argv=st.one_of(compute_argv, lattice_argv, series_argv))
+
+@settings(DETERMINISTIC, max_examples=300, deadline=timedelta(seconds=5))
+@given(argv=st.one_of(compute_argv, lattice_argv, series_argv, big_power_argv))
 def test_cli_argv_fuzz_exits_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

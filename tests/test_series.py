@@ -1,10 +1,13 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from vpvtotients.errors import DomainError
+from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.series import (
     PowerSeries,
+    check_power_sum_work,
     finite_stirling_check,
     geometric,
     log_one_minus_z_pow,
@@ -17,12 +20,108 @@ from vpvtotients.series import (
     ps_mul,
     ps_pow_rational,
     stirling_rhs_series,
-    zero,
 )
 
 
 def _order(series: PowerSeries) -> int:
     return len(series.coeffs) - 1
+
+
+# Oracles: the exp and log recurrences in Fraction arithmetic, term by term.
+
+
+def _fraction_exp(a: list) -> list:
+    """b = exp(a) from n*b_n = sum_{j=1}^{n} j*a_j*b_{n-j}."""
+    b = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for i in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, i + 1):
+            if a[j]:
+                acc += j * a[j] * b[i - j]
+        b[i] = acc / i
+    return b
+
+
+def _fraction_log(a: list) -> list:
+    """l = log(a) from i*a_i = sum_{j=1}^{i} j*l_j*a_{i-j}, a_0 = 1."""
+    l = [Fraction(0)] * len(a)
+    for i in range(1, len(a)):
+        acc = i * a[i]
+        for j in range(1, i):
+            if l[j] and a[i - j]:
+                acc -= j * l[j] * a[i - j]
+        l[i] = acc / i
+    return l
+
+
+def _random_coeffs(rng, order, const, max_den):
+    return [Fraction(const)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < 0.8
+        else Fraction(0)
+        for _ in range(order)
+    ]
+
+
+ORACLE_ORDERS = list(range(0, 8)) + [12, 20, 31, 40]
+
+
+@pytest.mark.parametrize("max_den", [1, 6, 60])
+def test_exp_and_log_equal_fraction_oracles(max_den):
+    # max_den > 1 makes the lcm D (exp) and E (log) of the denominators > 1
+    rng = random.Random(max_den)
+    for order in ORACLE_ORDERS:
+        a = _random_coeffs(rng, order, 0, max_den)
+        assert ps_exp(PowerSeries(tuple(a))).coeffs == tuple(_fraction_exp(a)), order
+        f = _random_coeffs(rng, order, 1, max_den)
+        assert ps_log(PowerSeries(tuple(f))).coeffs == tuple(_fraction_log(f)), order
+
+
+def _naive_product(exps: dict, order: int) -> list:
+    """prod (1 - z^k)^r_k for integer r_k by repeated polynomial products."""
+    out = [1] + [0] * order
+    for k, r in exps.items():
+        for _ in range(abs(r)):
+            if r > 0:  # times (1 - z^k)
+                out = [c - (out[i - k] if i >= k else 0) for i, c in enumerate(out)]
+            else:  # divided by (1 - z^k): prefix sums with stride k
+                for i in range(k, order + 1):
+                    out[i] += out[i - k]
+    return out
+
+
+def test_product_with_exponents_vs_naive_multiplication():
+    rng = random.Random(7)
+    for order in ORACLE_ORDERS:
+        exps = {
+            k: rng.randint(-3, 3) for k in range(1, order + 1) if rng.random() < 0.7
+        }
+        got = product_with_exponents(exps, order)
+        assert got.coeffs == tuple(Fraction(c) for c in _naive_product(exps, order))
+
+
+def test_product_with_exponents_vs_logs():
+    # rational exponents: the Fraction exp of sum_k r_k log(1 - z^k)
+    rng = random.Random(11)
+    for order in ORACLE_ORDERS:
+        exps = {
+            k: Fraction(rng.randint(-5, 5), rng.randint(1, 12))
+            for k in range(1, order + 1)
+            if rng.random() < 0.7
+        }
+        log_sum = [Fraction(0)] * (order + 1)
+        for k, r in exps.items():
+            for i, c in enumerate(log_one_minus_z_pow(k, order).coeffs):
+                log_sum[i] += r * c
+        got = product_with_exponents(exps, order)
+        assert got.coeffs == tuple(_fraction_exp(log_sum)), order
+
+
+def test_product_with_exponents_rejects_keys_outside_order():
+    for k in (0, 9, -1):
+        with pytest.raises(DomainError):
+            product_with_exponents({k: 1}, 8)
+    with pytest.raises(DomainError):
+        product_with_exponents({}, -1)
 
 
 def test_mul_identity_and_commutativity():
@@ -76,19 +175,6 @@ def test_partition_product():
     assert [int(c) for c in got.coeffs] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 
-def test_product_with_exponents_vs_logs():
-    n = 14
-    exps = {1: Fraction(-1), 2: Fraction(-3, 2), 5: Fraction(2, 3)}
-    direct = product_with_exponents(exps, n)
-    log_sum = zero(n)
-    for k, e in exps.items():
-        term = log_one_minus_z_pow(k, n)
-        log_sum = PowerSeries(
-            tuple(a + e * b for a, b in zip(log_sum.coeffs, term.coeffs))
-        )
-    assert direct == ps_exp(log_sum)
-
-
 def test_power_sum_series_values():
     s = power_sum_series(3, 6)
     assert s.coeffs == tuple(
@@ -114,3 +200,44 @@ def test_series_equality_is_exact():
     a = PowerSeries((Fraction(1), Fraction(1, 3)))
     b = PowerSeries((Fraction(1), Fraction(333333, 1000000)))
     assert a != b
+
+
+def test_series_equality_needs_equal_order():
+    # a prefix comparison made (1) equal to both (1, 2) and (1, 3), which
+    # differ, and disagreed with the hash on coeffs
+    short, two, three = PowerSeries((1,)), PowerSeries((1, 2)), PowerSeries((1, 3))
+    assert short != two and short != three and two != three
+    assert PowerSeries((1, 2)) == two and hash(PowerSeries((1, 2))) == hash(two)
+    assert len({short, two, three, PowerSeries((1, 2))}) == 3
+
+
+def test_series_work_cap_raises_before_the_recurrence():
+    # one coefficient of 10^7 bits at order 1 is predicted far above the cap
+    huge = Fraction(2) ** 10**7
+    for call, arg in (
+        (ps_exp, PowerSeries((0, huge))),
+        (ps_log, PowerSeries((1, huge))),
+        (ps_log, PowerSeries((1, 1 / huge))),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="series recurrence"):
+            call(arg)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ResourceError):
+        product_with_exponents({1: Fraction(1, 2**10**6)}, 4)
+
+
+def test_power_sum_cap_matches_the_engine_one_past_the_limit():
+    # k^93 z^k at order 512 is the largest admitted power there (about 2 s);
+    # at k^94 both the prediction and ps_exp itself refuse at once
+    check_power_sum_work(93, 512)
+    with pytest.raises(ResourceError):
+        check_power_sum_work(94, 512)
+    over = PowerSeries(tuple(Fraction(k**94) for k in range(513)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        ps_exp(over)
+    assert time.perf_counter() - start < 0.5
+    # the audit's power sums have power <= 7 at order <= 64
+    for power in (0, 4, 12):
+        check_power_sum_work(power, 128)
