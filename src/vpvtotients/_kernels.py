@@ -2,9 +2,14 @@
 
 Every selector kernel reads one k^m boolean mask, `_selector_mask(m, k)`,
 folded from gcd(arange(k), k) with `np.gcd.outer`, as gcd(j_1..j_m, k) =
-gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built.
-Values are `np.add.outer` folds of 1-D vectors, read through the mask, and
-tuples are the C-order (so lexicographic) `np.nonzero` indices, zipped.
+gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built. The
+fold runs in the narrowest unsigned dtype that holds k
+(`np.min_scalar_type(k)`: uint8 up to 255, uint16 up to 65535), so its
+temporaries cost 1 or 2 bytes a point, not 8. Values are `np.add.outer` folds
+of 1-D vectors, read through the mask. Tuples are
+`compress(product(range(k), repeat=m), mask.tobytes())`: C order is
+lexicographic, the mask bytes cost one byte a point, and `product` shares one
+Python int per coordinate value instead of creating one per point.
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -15,6 +20,7 @@ the tests can count calls by replacing the attribute.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress, product
 
 import numpy as np
 
@@ -24,14 +30,16 @@ BACKEND = "pure"
 
 def _selector_mask(m: int, k: int) -> np.ndarray:
     """The selector as a (k,)*m boolean array: gcd(j_1..j_m, k) = 1, j != 0."""
-    mask = reduce(np.gcd.outer, [np.gcd(np.arange(k), k)] * m) == 1
+    g = np.gcd(np.arange(k, dtype=np.min_scalar_type(k)), k)
+    mask = reduce(np.gcd.outer, [g] * m) == 1
     mask.flat[0] = False  # the origin has gcd k, so this acts only at k = 1
     return mask
 
 
 def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     """Selector tuples in lexicographic order, with Python-int coordinates."""
-    return list(zip(*(a.tolist() for a in np.nonzero(_selector_mask(m, k)))))
+    mask = _selector_mask(m, k).tobytes()  # C order, one 0/1 byte a point
+    return list(compress(product(range(k), repeat=m), mask))
 
 
 def selector_count(m: int, k: int) -> int:
@@ -67,5 +75,7 @@ def selector_power_sum(t: int, m: int, k: int) -> int:
 
 def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex order."""
-    g = reduce(np.gcd.outer, [np.arange(1, b + 1) for b in bounds])
-    return list(zip(*((a + 1).tolist() for a in np.nonzero(g == 1))))
+    dtype = np.min_scalar_type(max(bounds))
+    g = reduce(np.gcd.outer, [np.arange(1, b + 1, dtype=dtype) for b in bounds])
+    mask = (g == 1).tobytes()
+    return list(compress(product(*(range(1, b + 1) for b in bounds)), mask))

@@ -78,17 +78,32 @@ def zeta(s: float, tol: float = 1e-12) -> float:
     return total
 
 
-def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> tuple[int, list[int]]:
-    """(g, [c_1(n)..c_K(n)]) via the closed form and a Moebius sieve."""
+def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
+    """g = gcd(|n_1|..|n_m|), rejected when 0 before any O(K) table is built."""
+    g = gcd_many([abs(int(v)) for v in n])
+    if g == 0:
+        raise DomainError(f"g = gcd(n) = 0: {why}")
+    return g
+
+
+def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
+    """[c_1(n)..c_K(n)] by the closed form sum_{e | gcd(k,g)} mu(k/e) e^m.
+
+    Sieved over the divisors e of g (every e <= K when g = 0, which gives the
+    Jordan totients): each adds mu(q) e^m to c_(eq) for q <= K/e, so the cost
+    is at most K * d(g) additions, with no divisor list per k.
+    """
     m = len(n)
     g = gcd_many([abs(int(v)) for v in n])
     mu = moebius_sieve(K)
-    gdivs = divisors(g) if g else None
-    out = []
-    for k in range(1, K + 1):
-        es = (e for e in gdivs if k % e == 0) if gdivs else divisors(k)
-        out.append(sum(mu[k // e] * e**m for e in es))
-    return g, out
+    out = [0] * (K + 1)
+    for e in divisors(g) if g else range(1, K + 1):
+        if e > K:
+            break
+        em = e**m
+        for q in range(1, K // e + 1):
+            out[e * q] += mu[q] * em
+    return out[1:]
 
 
 def dirichlet_partial_cohen(
@@ -102,9 +117,8 @@ def dirichlet_partial_cohen(
     """
     if s <= 0:
         raise DomainError(f"dirichlet_partial_cohen requires s > 0, got {s}")
-    g, cs = _cohen_values(n, K)
-    if g == 0:
-        raise DomainError("g = gcd(n) = 0: divisor sum undefined, series divergent")
+    g = _nonzero_gcd(n, "divisor sum undefined, series divergent")
+    cs = _cohen_values(n, K)
     m = len(n)
     partial = sum(c / k ** (s + 1.0) for k, c in enumerate(cs, start=1))
     companion = sum(d ** (m - 1.0 - s) for d in divisors(g)) / zeta(s + 1.0)
@@ -120,9 +134,7 @@ def ramanujan_mean_zero(n: list[int] | tuple[int, ...], K: int) -> float:
     if K < 1:
         raise DomainError("K must be >= 1")
     m = len(n)
-    g = gcd_many([abs(int(v)) for v in n])
-    if g == 0:
-        raise DomainError("g = gcd(n) = 0: sum diverges")
+    g = _nonzero_gcd(n, "sum diverges")
     mu = moebius_sieve(K)
     total = 0.0
     for e in divisors(g):
@@ -134,9 +146,8 @@ def ramanujan_mean_zero(n: list[int] | tuple[int, ...], K: int) -> float:
 
 def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
     """Direct-summation oracle for ramanujan_mean_zero."""
-    g, cs = _cohen_values(n, K)
-    if g == 0:
-        raise DomainError("g = gcd(n) = 0: sum diverges")
+    _nonzero_gcd(n, "sum diverges")
+    cs = _cohen_values(n, K)
     return sum(c / k for k, c in enumerate(cs, start=1))
 
 

@@ -1,10 +1,12 @@
 import cmath
 import math
+import time
 
 import mpmath
 import pytest
 
 import vpvtotients._kernels as kernels
+import vpvtotients.analytic as analytic
 from vpvtotients.analytic import (
     THETA_IDENTITIES,
     dirichlet_partial_cohen,
@@ -17,7 +19,7 @@ from vpvtotients.analytic import (
 )
 from vpvtotients.audit.registry import _selector_weight
 from vpvtotients.errors import DomainError
-from vpvtotients.totients import jordan
+from vpvtotients.totients import jordan, ramanujan_cohen, ramanujan_cohen_enum
 
 
 def test_zeta_against_mpmath():
@@ -147,3 +149,41 @@ def test_dirichlet_domain_errors():
         dirichlet_partial_cohen(0.0, (4,), 100)
     with pytest.raises(DomainError):
         dirichlet_partial_cohen(1.0, (0, 0), 100)
+
+
+def test_zero_gcd_rejected_before_the_table(monkeypatch):
+    # g = 0 is known from n alone; the O(K) Moebius table is never built
+    def no_sieve(limit):
+        raise AssertionError(f"Moebius table built up to {limit}")
+
+    monkeypatch.setattr(analytic, "moebius_sieve", no_sieve)
+    for call in (
+        lambda: dirichlet_partial_cohen(1.0, (0, 0), 10**7),
+        lambda: ramanujan_mean_zero_direct((0, 0, 0), 10**7),
+        lambda: ramanujan_mean_zero((0,), 10**7),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="g = gcd"):
+            call()
+        assert time.perf_counter() - start < 0.5
+
+
+# m = 1..3, with negative, zero and all-zero n, and a g with divisors above K
+COHEN_NS = (
+    (5,), (-12,), (0,), (360,), (1000,),
+    (12, -18), (0, 7), (0, 0), (-4, -6), (600, 900),
+    (6, 0, -9), (0, 0, 0), (30, 45, 60), (-1, 1, 1), (0, -8, 0),
+)
+
+
+def test_cohen_table_vs_closed_form():
+    for n in COHEN_NS:
+        want = [ramanujan_cohen(k, n) for k in range(1, 301)]
+        assert analytic._cohen_values(n, 300) == want, n
+
+
+def test_cohen_table_vs_enumeration():
+    for n in COHEN_NS:
+        # c_1(n) = 1 by convention; the enumeration covers k >= 2
+        want = [1] + [ramanujan_cohen_enum(k, n) for k in range(2, 41)]
+        assert analytic._cohen_values(n, 40) == want, n

@@ -56,6 +56,8 @@ def test_compute_work_caps_exit_2_at_once(capsys):
         ("stirling", "--n-arg", "100000000", "--j", "50"),
         ("bernoulli", "--a", "601"),
         ("bernoulli", "--a", "3000"),
+        ("jordan", "--m", "630930", "--k", "3"),
+        ("jordan", "--m", "1000000000000", "--k", "3"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "compute", *argv)

@@ -110,16 +110,41 @@ def test_visible_points_box_cross_backend():
         assert got == _brute_visible(bounds) and _python_ints(got), bounds
 
 
+def test_kernels_at_mask_dtype_boundaries():
+    # the gcd mask is folded in np.min_scalar_type(k), which widens from
+    # uint8 to uint16 at 256 and from uint16 to uint32 at 65536
+    rng = random.Random(13)
+    cases = [(m, k) for k in (255, 256, 257) for m in (1, 2)] + [(1, 65536)]
+    for m, k in cases:
+        brute = _brute_selector(m, k)
+        got = kernels.selector_tuples(m, k)
+        assert got == brute and _python_ints(got), (m, k)
+        assert kernels.selector_count(m, k) == len(brute), (m, k)
+        n = tuple(rng.randint(-(10**6), 10**6) for _ in range(m))
+        want = math.fsum(
+            math.cos(2 * math.pi * (sum(j * v for j, v in zip(js, n)) % k) / k)
+            for js in brute
+        )
+        assert abs(kernels.selector_cos_sum(k, n) - want) <= 1e-8, (k, n)
+    for bounds in ((255, 3), (256, 2), (257,)):
+        got = kernels.visible_points_box(bounds)
+        assert got == _brute_visible(bounds) and _python_ints(got), bounds
+
+
 def test_kernel_peak_memory_per_grid_point():
     # Each kernel holds one k^m boolean mask and at most one k^m value array
     # at a time; an (m, k^m) int64 coordinate grid alone would cost 24 B/point
     # at m = 3, and its gcd temporaries ran the peak to about 61 B/point.
+    # The mask is folded in uint8 below k = 256, so counting costs about
+    # 2 B/point; a tuple list costs about 61 B/point at m = 3 (a 64 B tuple
+    # and its 8 B list slot per selected point, 84 % of the grid at k = 60).
     cases = (
-        (lambda: kernels.selector_count(3, 100), 100**3),
-        (lambda: kernels.selector_power_sum(2, 3, 100), 100**3),
-        (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3),
+        (lambda: kernels.selector_count(3, 100), 100**3, 4),
+        (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
+        (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
+        (lambda: kernels.selector_tuples(3, 60), 60**3, 72),
     )
-    for run, points in cases:
+    for run, points, bound in cases:
         run()  # numpy's lazy set-up is not the kernel's cost
         tracemalloc.start()
         try:
@@ -127,4 +152,4 @@ def test_kernel_peak_memory_per_grid_point():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * points, peak / points
+        assert peak <= bound * points, peak / points

@@ -133,9 +133,18 @@ big_power_argv = st.tuples(
     st.integers(0, 64),
 ).map(lambda spec_order: ["series", *spec_order[0], "--order", str(spec_order[1])])
 
+# the same for J_m(k), whose size cap must refuse it before k^m is built
+big_jordan_argv = st.tuples(st.integers(-2, 10**12), st.integers(-3, 200)).map(
+    lambda mk: ["compute", "jordan", "--m", str(mk[0]), "--k", str(mk[1])]
+)
+
 
 @settings(DETERMINISTIC, max_examples=300, deadline=timedelta(seconds=5))
-@given(argv=st.one_of(compute_argv, lattice_argv, series_argv, big_power_argv))
+@given(
+    argv=st.one_of(
+        compute_argv, lattice_argv, series_argv, big_power_argv, big_jordan_argv
+    )
+)
 def test_cli_argv_fuzz_exits_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 import vpvtotients._kernels as kernels
+import vpvtotients.totients as totients
 from vpvtotients.analytic import theta_vpv_check
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, moebius
@@ -162,6 +163,19 @@ def test_selector_cap_raises_before_allocating(monkeypatch):
     for call in calls:
         with pytest.raises(ResourceError, match="above cap 10000000"):
             call()
+
+
+def test_jordan_cap_raises_before_the_power(monkeypatch):
+    # J_m(k) has about m * log2(k) bits: 10^6 at m = 10^6, k = 2, and
+    # 999998.8 at m = 630929, k = 3. One past, jordan raises before it builds
+    # k^m or factorizes k
+    def no_factorize(k):
+        raise AssertionError(f"factorized {k}")
+
+    monkeypatch.setattr(totients, "factorize", no_factorize)
+    for m, k in ((10**6 + 1, 2), (630930, 3), (10**12, 3), (5, 10**200001)):
+        with pytest.raises(ResourceError, match="above cap 1000000"):
+            jordan(m, k)
 
 
 def test_domain_errors():
