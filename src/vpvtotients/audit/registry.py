@@ -48,7 +48,7 @@ from ..exactcore import divisors, moebius
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
     jordan,
-    phi_t,
+    phi_t_enum,
     ramanujan_cohen,
     selector_size,
 )
@@ -905,7 +905,7 @@ def _check_product_display(which: str):
 
 
 def _check_linear_totient_relation(rng: random.Random) -> Outcome:
-    target = lambda k: phi_t(1, 2, k)  # noqa: E731
+    target = lambda k: phi_t_enum(1, 2, k)  # noqa: E731
     basis = [lambda k: Fraction(jordan(2, k)), lambda k: Fraction(jordan(1, k))]
     coeffs = discover_linear_relation(target, basis, [2, 3], 200)
     if coeffs == (Fraction(1), Fraction(-1)):
@@ -916,7 +916,7 @@ def _check_linear_totient_relation(rng: random.Random) -> Outcome:
 
 
 def _check_quadratic_totient_relation(rng: random.Random) -> Outcome:
-    target = lambda k: phi_t(2, 2, k)  # noqa: E731
+    target = lambda k: phi_t_enum(2, 2, k)  # noqa: E731
     j = [lambda k: Fraction(jordan(3, k)),
          lambda k: Fraction(jordan(2, k)),
          lambda k: Fraction(jordan(1, k))]

@@ -4,7 +4,8 @@ Everything downstream (totients, power series, identity audits) is built on
 the functions here: gcd of tuples, factorization by trial division against a
 cached smallest-prime-factor sieve, the Moebius function, divisor lists,
 Bernoulli numbers (B1 = -1/2 convention), Stirling numbers of the second
-kind, and Faulhaber power sums.
+kind, power sums, and the full-grid power sum that the phi_t closed form,
+the grid-power identities and the bracket oracle share.
 
 Rational values are plain ``fractions.Fraction`` instances; the stdlib type
 already maintains the normalized-form invariant (gcd(|num|, den) = 1,
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .errors import ConsistencyError, DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 
 __all__ = [
     "Factorization",
@@ -29,8 +30,8 @@ __all__ = [
     "divisors",
     "bernoulli",
     "stirling2",
-    "faulhaber_sum",
     "faulhaber_sum_direct",
+    "grid_power_sum",
 ]
 
 # Smallest-prime-factor sieve, built lazily on first factorization request.
@@ -195,32 +196,36 @@ def stirling2(n: int, j: int) -> int:
 def faulhaber_sum_direct(m: int, k: int) -> int:
     """sum_{A=0}^{k-1} A^m by direct summation, with 0^0 = 1."""
     if m < 0:
-        raise DomainError(f"faulhaber_sum requires m >= 0, got {m}")
+        raise DomainError(f"faulhaber_sum_direct requires m >= 0, got {m}")
     if k < 1:
-        raise DomainError(f"faulhaber_sum requires k >= 1, got {k}")
+        raise DomainError(f"faulhaber_sum_direct requires k >= 1, got {k}")
     if m == 0:
         return k  # 0^0 = 1 counts the A = 0 term
     return sum(A**m for A in range(1, k))
 
 
-def faulhaber_sum(m: int, k: int) -> int:
-    """sum_{A=0}^{k-1} A^m via the Bernoulli closed form, cross-checked.
+def grid_power_sum(c: int, k: int, ws) -> int | Fraction:
+    """sum over A in [0, k)^h of (A_1 w_1 + ... + A_h w_h)^c, exact, h = len(ws).
 
-    Closed form: (1/(m+1)) * sum_{a=0}^{m} C(m+1, a) B_a k^(m+1-a), with
-    B1 = -1/2.  For k <= 512 the direct sum is computed as well and a
-    disagreement raises ConsistencyError.
+    The binomial convolution, one factor at a time, of the sequences
+    w^j * sum_{A<k} A^j (0^0 = 1), j = 0..c: c + 1 power sums of k terms,
+    then (c + 1)(c + 2)/2 products per factor, each binomial C(n, j) updated
+    from C(n, j - 1).  With h = 0 the grid is the origin alone: 0^c.
     """
-    if m < 0:
-        raise DomainError(f"faulhaber_sum requires m >= 0, got {m}")
+    if c < 0:
+        raise DomainError(f"grid_power_sum requires c >= 0, got {c}")
     if k < 1:
-        raise DomainError(f"faulhaber_sum requires k >= 1, got {k}")
-    total = Fraction(0)
-    for a in range(m + 1):
-        total += comb(m + 1, a) * bernoulli(a) * Fraction(k) ** (m + 1 - a)
-    total /= m + 1
-    if total.denominator != 1:
-        raise ConsistencyError(f"faulhaber closed form not integral at m={m}, k={k}")
-    value = int(total)
-    if k <= 512 and value != faulhaber_sum_direct(m, k):
-        raise ConsistencyError(f"faulhaber routes disagree at m={m}, k={k}")
-    return value
+        raise DomainError(f"grid_power_sum requires k >= 1, got {k}")
+    power = [faulhaber_sum_direct(j, k) for j in range(c + 1)]
+    acc = [1] + [0] * c
+    for w in ws:
+        terms = [w**j * power[j] for j in range(c + 1)]
+        nxt = []
+        for n in range(c + 1):
+            total, binom = 0, 1
+            for j in range(n + 1):
+                total += binom * terms[j] * acc[n - j]
+                binom = binom * (n - j) // (j + 1)
+            nxt.append(total)
+        acc = nxt
+    return acc[c]

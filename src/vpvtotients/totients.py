@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
+from math import gcd, log, log2, sqrt
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
-from .exactcore import divisors, factorize, gcd_many, moebius
+from .exactcore import divisors, factorize, gcd_many, grid_power_sum, moebius
 
 __all__ = [
     "LatticeSelector",
@@ -33,7 +33,6 @@ __all__ = [
     "jordan",
     "phi_t",
     "phi_t_enum",
-    "grid_power_sum",
     "unnormalized_phi",
     "m_phi",
     "sigma",
@@ -45,6 +44,16 @@ DEFAULT_SELECTOR_CAP = 10**7
 # 2.0-3.9 s end to end (k = 2, 3, 200, 997, 30030, 223092870; most of it the
 # quadratic int -> str), and the time grows with the square of the size.
 JORDAN_BITS_CAP = 10**6
+
+# The phi_t closed form takes t + 1 power sums of e terms for each divisor e
+# of k, and m (t + 1)^2 convolution steps per divisor, on integers of about
+# m log2(k) + t log2(mk) bits.  The prediction bounds sigma(k) by k (1 + ln k)
+# and the number of divisors by 2 sqrt(k), so it needs no factorization, and
+# charges each step 64 words of overhead plus its integer's words.  Inputs
+# at the cap in one of t, m or k took 0.27-3.7 s end to end in
+# `compute phi`; the slowest have t near 1000, whose steps multiply two
+# multi-word integers.
+PHI_WORK_CAP = 2 * 10**9
 
 # residual guard for the floating-point cosine enumeration
 _ENUM_RESIDUAL_TOL = 1e-6
@@ -138,39 +147,38 @@ def jordan(m: int, k: int) -> int:
     return value
 
 
-def grid_power_sum(t: int, m: int, e: int) -> int:
-    """sum over the full grid [0,e)^m of (i_1 + ... + i_m)**t.
-
-    Computed through the coefficient list of (1 + x + ... + x^(e-1))^m:
-    coefficient c_s counts the tuples with digit sum s.
-    """
-    if t < 0 or m < 1 or e < 1:
-        raise DomainError("grid_power_sum requires t >= 0, m >= 1, e >= 1")
-    coeffs = [1] * e
-    for _ in range(m - 1):
-        out = [0] * (len(coeffs) + e - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(e):
-                out[i + j] += c
-        coeffs = out
-    return sum(c * s**t for s, c in enumerate(coeffs))
+def _check_phi_work(t: int, m: int, k: int) -> None:
+    # any one argument past the cap puts the work past it, so clamping keeps
+    # the floats finite without letting a larger input through
+    t, m, k = (float(min(v, PHI_WORK_CAP)) for v in (t, m, k))
+    steps = (t + 1) * k * (1 + log(k)) + m * (t + 1) ** 2 * 2 * sqrt(k)
+    work = steps * (64 + (m * log2(k) + t * log2(m * k)) / 64)
+    if work > PHI_WORK_CAP:
+        raise ResourceError(
+            f"phi_t closed form needs {work:.3g} or more word steps, "
+            f"above cap {PHI_WORK_CAP}"
+        )
 
 
 def phi_t(t: int, m: int, k: int) -> Fraction:
     """phi_t(m; k) = sum over the selector of ((j_1+...+j_m)/k)^t, exact.
 
-    Moebius closed form: sum_{e|k} mu(k/e) * grid_power_sum(t, m, e) / e^t.
-    Returns 0 for k = 1 (empty selector).
+    Moebius closed form: sum_{e|k} mu(k/e) * G(e) / e^t, where G(e) is the
+    sum of (i_1 + ... + i_m)^t over the full grid [0, e)^m, computed by
+    `exactcore.grid_power_sum(t, e, (1,) * m)`.  A predicted cost above
+    PHI_WORK_CAP raises ResourceError before k is factorized.  Returns 0
+    for k = 1 (empty selector).
     """
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
         return Fraction(0)
+    _check_phi_work(t, m, k)
     total = Fraction(0)
     for e in divisors(k):
         mu = moebius(k // e)
         if mu:
-            total += mu * Fraction(grid_power_sum(t, m, e), e**t)
+            total += mu * Fraction(grid_power_sum(t, e, (1,) * m), e**t)
     return total
 
 

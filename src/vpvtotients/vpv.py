@@ -13,7 +13,8 @@ weights of its factors.  The floating-point rearrangements (lemma 3.2 and
 theorems 5.1, 5.2, 5.8 and 5.10) share `_regroup_rhs`, a sum of exponentials
 over each selector.  The exact grid-power and bracket identities (eq-4.1..4.3,
 eq-4.7 and corollaries 5.11, 5.12 and 5.13) share `_regroup_power`, a sum of
-rational p-th powers over each selector.
+rational p-th powers over each selector; the full-grid sums on the left of
+eq-4.1..4.3, eq-4.7 and cor-5.11 are `exactcore.grid_power_sum`.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceError
-from .exactcore import bernoulli, divisors, faulhaber_sum
+from .exactcore import bernoulli, divisors, grid_power_sum
 from .series import (
     PowerSeries,
     geometric,
@@ -434,24 +435,18 @@ def bracket_polynomial(h: int, m: int, k: int, bs_at_k) -> Fraction:
 
 def bracket_polynomial_oracle(h: int, m: int, k: int, bs_at_k) -> Fraction:
     """The bracket that actually balances the h-factor rearrangement:
-    m! times the coefficient of x^m in prod_L sum_{A=0}^{k-1} exp(b_L A x / k).
+    sum over A in [0, k)^h of ((A_1 b_1 + ... + A_h b_h) / k)^m, which is
+    m! times the coefficient of x^m in prod_L sum_{A<k} exp(b_L A x / k).
 
-    Factor L has x^j coefficient b_L^j * (sum_{A<k} A^j) / (j! k^j).
+    This is `exactcore.grid_power_sum` with weights b_L / k; at k = 1 the
+    grid is the origin alone and the bracket is 0^m = 0.
     """
     if k < 1 or m < 1 or h < 1:
         raise DomainError("h, m, k must be positive")
     bs = [Fraction(b) for b in bs_at_k]
     if len(bs) != h:
         raise DomainError("need one b value per factor")
-    if k == 1:
-        return Fraction(0)
-    power_sums = [faulhaber_sum(j, k) for j in range(m + 1)]
-    polys = [
-        [b**j * power_sums[j] / (math.factorial(j) * Fraction(k) ** j)
-         for j in range(m + 1)]
-        for b in bs
-    ]
-    return _poly_product_coeff(polys, m) * math.factorial(m)
+    return grid_power_sum(m, k, [b / k for b in bs])
 
 
 def _poly_product_coeff(polys: list, m: int) -> Fraction:
@@ -503,13 +498,14 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
                     ("xyz", x * y * z), ("z", z)):
         if abs(v) >= 1.0:
             raise DomainError(f"|{name}| must be < 1")
-    log_lhs = 0.0
-    for c in range(1, c_max + 1):
-        for a in range(c):
-            for b in range(c):
-                if math.gcd(a, b, c) != 1:
-                    continue
-                log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
+    if c_max < 1:
+        raise DomainError(f"c_max must be >= 1, got {c_max}")
+    # c = 1 contributes the point (0, 0, 1), which the empty selector of 1
+    # omits; for c >= 2 the visible (a, b, c) are the selector of c
+    log_lhs = -math.log(1.0 - z)
+    for c in range(2, c_max + 1):
+        for a, b in _selector(2, c):
+            log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
     base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
     log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))
     return math.exp(log_lhs), math.exp(log_rhs)
@@ -591,21 +587,6 @@ def cor_5_7_check(m: int, n: int, z: Fraction, as_printed: bool = True) -> tuple
 # exact grid-power identities (eq-4.1..4.4, eq-4.7, eq-4.9)
 
 
-def _grid_weighted_sum(c: int, k: int, x: Fraction, y: Fraction) -> Fraction:
-    """sum over 0 <= A, B < k, (A,B) != (0,0), of (A x + B y)^c, exact.
-
-    Expands by the binomial theorem into products of power sums; the excluded
-    origin term is 0 for c >= 1.
-    """
-    if c < 1:
-        raise DomainError("c must be >= 1")
-    power = [faulhaber_sum(j, k) for j in range(c + 1)]
-    return sum(
-        comb(c, i) * x**i * y ** (c - i) * power[i] * power[c - i]
-        for i in range(c + 1)
-    )
-
-
 def grid_power_identity_check(
     c: int, a: FiniteSequence, x: Fraction, y: Fraction
 ) -> tuple:
@@ -614,7 +595,9 @@ def grid_power_identity_check(
 
     c >= 1:  sum_k a_k k^(-c) sum_grid (A x + B y)^c
            = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c,
-             the right side being `_regroup_power` with weights (x, y), p = c.
+             the grid sum over [0, k)^2 being `exactcore.grid_power_sum`
+             with weights (x, y), and the right side `_regroup_power` with
+             weights (x, y), p = c.
     c = 0:   sum_k k^2 a_k = S_1 + sum_{v>=2} S_v J_2(v).
     """
     n = a.bound
@@ -624,7 +607,7 @@ def grid_power_identity_check(
         rhs = a.tail(1) + sum(a.tail(v) * jordan(2, v) for v in range(2, n + 1))
         return Fraction(lhs), Fraction(rhs)
     lhs = sum(
-        a(k) * _grid_weighted_sum(c, k, x, y) / Fraction(k) ** c
+        a(k) * grid_power_sum(c, k, (x, y)) / Fraction(k) ** c
         for k in range(1, n + 1)
         if a(k)
     )

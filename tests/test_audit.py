@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -70,6 +71,23 @@ def test_reports_are_byte_identical():
     b = run_audit(ids, seed=7)
     assert a.to_json() == b.to_json()
     assert a.to_text() == b.to_text()
+
+
+def test_grid_power_sum_ids_report_bytes_pinned():
+    # every id whose values pass through exactcore.grid_power_sum (phi_t's
+    # closed form, the grid-power identities, the bracket oracle) or the
+    # phi_t enumeration; the entries hold exact values only (max_residual
+    # 0.0 or None), so the bytes do not depend on the float platform
+    ids = [
+        "eq-4.2", "eq-4.3", "eq-4.7", "eq-4.9", "cor-5.11", "eq-5.16",
+        "eq-5.17", "cor-5.14a", "cor-5.14b", "cor-5.15a", "cor-5.15b",
+        "cor-5.15c", "cor-5.15d", "cor-5.16a", "cor-5.16b", "cor-5.17a",
+        "cor-5.17b", "cor-5.18a", "cor-5.18b",
+    ]
+    body = run_audit(ids, seed=0).to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "7c26d9a98bb4e5eee338b991e65cb9ba38826cf6222b84363a8a2f2567d86dd2"
+    )
 
 
 def test_report_sorted_and_schema():

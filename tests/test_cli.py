@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from vpvtotients.cli import main
-from vpvtotients.totients import jordan
+from vpvtotients.totients import jordan, phi_t
 
 
 def run(capsys, *argv):
@@ -58,6 +58,11 @@ def test_compute_work_caps_exit_2_at_once(capsys):
         ("bernoulli", "--a", "3000"),
         ("jordan", "--m", "630930", "--k", "3"),
         ("jordan", "--m", "1000000000000", "--k", "3"),
+        ("phi", "--t", "0", "--m", "99746", "--k", "6"),
+        ("phi", "--t", "3", "--m", "3", "--k", "533874"),
+        ("phi", "--t", "1020", "--m", "3", "--k", "6"),
+        ("phi", "--t", "2", "--m", "3", "--k", "1000000000000"),
+        ("phi", "--t", "1000000000000", "--m", "1000000000000", "--k", "2"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "compute", *argv)
@@ -68,6 +73,10 @@ def test_compute_work_caps_exit_2_at_once(capsys):
 def test_compute_phi(capsys):
     code, out, _ = run(capsys, "compute", "phi", "--t", "2", "--m", "2", "--k", "2")
     assert code == 0 and out.strip() == "3/2"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compute", "phi", "--t", "2", "--m", "3", "--k", "30030")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out.strip() == str(phi_t(2, 3, 30030))
 
 
 def test_compute_negative_n_uses_absolute_values(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -8,9 +9,9 @@ from vpvtotients.exactcore import (
     bernoulli,
     divisors,
     factorize,
-    faulhaber_sum,
     faulhaber_sum_direct,
     gcd_many,
+    grid_power_sum,
     moebius,
     moebius_sieve,
     stirling2,
@@ -88,7 +89,6 @@ def test_stirling2_large_n_inclusion_exclusion():
 def test_faulhaber_matches_direct():
     for m in range(0, 6):
         for k in range(1, 40):
-            assert faulhaber_sum(m, k) == faulhaber_sum_direct(m, k)
             assert faulhaber_sum_direct(m, k) == sum(a**m for a in range(k)) + (
                 1 if m == 0 else 0
             ) * 0 + (0 if m else 0)
@@ -96,7 +96,21 @@ def test_faulhaber_matches_direct():
 
 def test_faulhaber_zero_power_convention():
     # 0^0 = 1: the m = 0 sum counts the k summands
-    assert faulhaber_sum(0, 5) == 5
+    assert faulhaber_sum_direct(0, 5) == 5
+
+
+def test_grid_power_sum_vs_brute_force():
+    # integer, zero, negative and rational weights; h = 0 is the origin alone
+    pool = [1, 0, -2, 3, Fraction(-5, 6), Fraction(7, 4)]
+    for h in range(4):
+        for k in range(1, 13):
+            ws = [pool[(h + k + i) % len(pool)] for i in range(h)]
+            for c in range(6):
+                want = sum(
+                    sum(w * a for w, a in zip(ws, point)) ** c
+                    for point in product(range(k), repeat=h)
+                )
+                assert grid_power_sum(c, k, ws) == want, (h, k, c, ws)
 
 
 def test_domain_errors():

@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vpvtotients.audit import REGISTRY
 from vpvtotients.cli import main
 from vpvtotients.series import PowerSeries, ps_exp, ps_log
 from vpvtotients.totients import (
@@ -138,11 +139,31 @@ big_jordan_argv = st.tuples(st.integers(-2, 10**12), st.integers(-3, 200)).map(
     lambda mk: ["compute", "jordan", "--m", str(mk[0]), "--k", str(mk[1])]
 )
 
+# and for phi_t, whose work cap must refuse it before k is factorized
+big_phi_argv = st.tuples(
+    st.integers(-2, 10**12), st.integers(-2, 10**12), st.integers(-3, 10**12)
+).map(
+    lambda tmk: ["compute", "phi", "--t", str(tmk[0]), "--m", str(tmk[1]),
+                 "--k", str(tmk[2])]
+)
+
+# one or two registry ids, or an unknown one, under any seed; an unknown id
+# must exit 2, and every check must give its expected status (exit 0)
+UNKNOWN_ID = "no-such-id"
+audit_argv = st.tuples(
+    st.lists(st.sampled_from([*sorted(REGISTRY), UNKNOWN_ID]), min_size=1, max_size=2),
+    st.integers(-(10**12), 10**12),
+).map(
+    lambda ids_seed: ["audit", *(tok for id_ in ids_seed[0] for tok in ("--id", id_)),
+                      "--seed", str(ids_seed[1])]
+)
+
 
 @settings(DETERMINISTIC, max_examples=300, deadline=timedelta(seconds=5))
 @given(
     argv=st.one_of(
-        compute_argv, lattice_argv, series_argv, big_power_argv, big_jordan_argv
+        compute_argv, lattice_argv, series_argv, big_power_argv, big_jordan_argv,
+        big_phi_argv, audit_argv,
     )
 )
 def test_cli_argv_fuzz_exits_0_or_2(argv):
@@ -154,3 +175,5 @@ def test_cli_argv_fuzz_exits_0_or_2(argv):
             assert exc.code == 2, (argv, exc.code)
             return
     assert code in (0, 2), (argv, code, err.getvalue())
+    if UNKNOWN_ID in argv:
+        assert code == 2, argv

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -113,6 +114,16 @@ def test_phi_1_relation():
         assert phi_t(1, 2, k) == jordan(2, k) - jordan(1, k)
 
 
+def test_phi_closed_form_at_a_large_modulus():
+    # 30030 = 2*3*5*7*11*13 has 64 divisors; the closed form sums over all
+    # of them, each a full-grid power sum of e terms per power
+    start = time.perf_counter()
+    k = 30030
+    assert phi_t(0, 3, k) == jordan(3, k)
+    assert phi_t(1, 2, k) == jordan(2, k) - jordan(1, k)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_unnormalized_phi_integral():
     for t in (0, 1, 2):
         for k in range(2, 30):
@@ -176,6 +187,30 @@ def test_jordan_cap_raises_before_the_power(monkeypatch):
     for m, k in ((10**6 + 1, 2), (630930, 3), (10**12, 3), (5, 10**200001)):
         with pytest.raises(ResourceError, match="above cap 1000000"):
             jordan(m, k)
+
+
+def test_phi_work_cap_raises_before_the_power_sums(monkeypatch):
+    # at the cap in one of t, m, k (the others fixed) phi_t goes on to its
+    # first grid power sum; one past, it raises before it
+    class Reached(Exception):
+        pass
+
+    def no_sums(c, k, ws):
+        raise Reached
+
+    monkeypatch.setattr(totients, "grid_power_sum", no_sums)
+    for at_cap, past in (
+        ((0, 99745, 6), (0, 99746, 6)),
+        ((3, 3, 533873), (3, 3, 533874)),
+        ((1019, 3, 6), (1020, 3, 6)),
+    ):
+        with pytest.raises(Reached):
+            phi_t(*at_cap)
+        with pytest.raises(ResourceError, match="above cap 2000000000"):
+            phi_t(*past)
+    for big in ((10**12, 1, 2), (0, 10**12, 2), (2, 3, 10**12), (1, 1, 10**400)):
+        with pytest.raises(ResourceError, match="above cap"):
+            phi_t(*big)
 
 
 def test_domain_errors():

@@ -15,6 +15,7 @@ from vpvtotients.vpv import (
     RadialRegion,
     bracket_polynomial,
     bracket_polynomial_oracle,
+    cor_5_3_check,
     cor_5_7_check,
     cor_5_9_check,
     cor_5_11_check,
@@ -177,6 +178,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         "eq-4.16 n=3": lambda: hyperpyramid_log_check(
             (0.4, 0.3, 0.5), (Fraction(1, 3),) * 3, 10
         ),
+        "cor-5.3": lambda: cor_5_3_check(0.3, 0.2, 0.25, 20),
     }
     for p in (1, 2, 3, 4):
         checks[f"grid-power c={p}"] = lambda p=p: grid_power_identity_check(
@@ -276,6 +278,10 @@ def test_geometric_block_display_counterexample():
 def test_bracket_oracle_vs_printed_form():
     bs = [Fraction(1), Fraction(1)]
     assert bracket_polynomial(2, 1, 5, bs) != bracket_polynomial_oracle(2, 1, 5, bs)
+    # at k = 1 the grid is the origin alone, so the bracket is 0^m = 0
+    for h, m in ((1, 1), (2, 3), (3, 2)):
+        got = bracket_polynomial_oracle(h, m, 1, [Fraction(3, 2)] * h)
+        assert isinstance(got, Fraction) and got == 0
     # first-order oracle equals (k(k-1)/2)(b1+b2)
     for k in range(2, 20):
         want = Fraction(k * (k - 1), 2) * 2
