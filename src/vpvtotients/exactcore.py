@@ -1,11 +1,12 @@
 """Exact integer and rational arithmetic primitives.
 
 Everything downstream (totients, power series, identity audits) is built on
-the functions here: gcd of tuples, factorization by trial division against a
-cached smallest-prime-factor sieve, the Moebius function, divisor lists,
-Bernoulli numbers (B1 = -1/2 convention), Stirling numbers of the second
-kind, power sums, and the full-grid power sum that the phi_t closed form,
-the grid-power identities and the bracket oracle share.
+the functions here: gcd of tuples, factorization by trial division (no
+sieve table; divisors stop at FACTOR_TRIAL_CAP = 10^7), the Moebius
+function, divisor lists, Bernoulli numbers (B1 = -1/2 convention), Stirling
+numbers of the second kind, power sums, and the full-grid power sum that
+the phi_t closed form, the grid-power identities and the bracket oracle
+share.
 
 Rational values are plain ``fractions.Fraction`` instances; the stdlib type
 already maintains the normalized-form invariant (gcd(|num|, den) = 1,
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .errors import DomainError, ResourceError, UsageError
 
@@ -34,29 +35,15 @@ __all__ = [
     "grid_power_sum",
 ]
 
-# Smallest-prime-factor sieve, built lazily on first factorization request.
-_SPF_LIMIT = 10**6
-_spf: list[int] | None = None
-
-# Work caps, each a few seconds of CPU.  B_a costs O(a^2) Fraction steps
-# (B_600 takes about 2 s).  S(n, j) costs n*j - j(j-1)/2 row steps, each
-# about 256 64-bit words of interpreter overhead plus the words of one entry,
-# and S(n, j) < j^n has at most n*ceil(log2 j) bits.
+# Work caps, each a few seconds of CPU.  Trial division stops at divisor
+# 10^7, so every n <= 10^14 factors (a prime near 10^14 takes about 1 s).
+# B_a costs O(a^2) Fraction steps (B_600 takes about 2 s).  S(n, j) costs
+# n*j - j(j-1)/2 row steps, each about 256 64-bit words of interpreter
+# overhead plus the words of one entry, and S(n, j) < j^n has at most
+# n*ceil(log2 j) bits.
+FACTOR_TRIAL_CAP = 10**7
 _BERNOULLI_CAP = 600
 _STIRLING_WORK_CAP = 2 * 10**9
-
-
-def _spf_sieve() -> list[int]:
-    global _spf
-    if _spf is None:
-        spf = list(range(_SPF_LIMIT + 1))
-        for p in range(2, isqrt(_SPF_LIMIT) + 1):
-            if spf[p] == p:  # p prime
-                for q in range(p * p, _SPF_LIMIT + 1, p):
-                    if spf[q] == q:
-                        spf[q] = p
-        _spf = spf
-    return _spf
 
 
 def gcd_many(xs: list[int]) -> int:
@@ -89,31 +76,32 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer; uses the SPF sieve below 10**6, trial division above."""
+    """Factor a positive integer by trial division, one divisor at a time.
+
+    Divisors run up to FACTOR_TRIAL_CAP; an n whose unfactored part still
+    has a possible factor past the cap raises ResourceError, so every
+    n <= FACTOR_TRIAL_CAP**2 factors.
+    """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
+    bits = n.bit_length()
     pairs: list[tuple[int, int]] = []
-    if n <= _SPF_LIMIT:
-        spf = _spf_sieve()
-        while n > 1:
-            p = spf[n]
+    d = 2
+    while d * d <= n:
+        if d > FACTOR_TRIAL_CAP:
+            raise ResourceError(
+                f"factorizing a {bits}-bit n needs trial divisors "
+                f"above cap {FACTOR_TRIAL_CAP}"
+            )
+        if n % d == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while n % d == 0:
+                n //= d
                 e += 1
-            pairs.append((p, e))
-    else:
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                pairs.append((d, e))
-            d += 1 if d == 2 else 2
-        if n > 1:
-            pairs.append((n, 1))
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
     return Factorization(tuple(pairs))
 
 

@@ -135,11 +135,13 @@ def jordan(m: int, k: int) -> int:
     """Jordan totient J_m(k) = k^m * prod_{p|k} (1 - p^-m), exactly."""
     if m < 1 or k < 1:
         raise DomainError(f"jordan requires m >= 1 and k >= 1, got m={m}, k={k}")
-    bits = m * log2(k)
+    # an m past the cap puts the bits past it for every k >= 2, so clamping
+    # keeps the float finite without letting a larger input through
+    bits = min(m, JORDAN_BITS_CAP + 1) * log2(k)
     if bits > JORDAN_BITS_CAP:
         raise ResourceError(
-            f"J_{m}(k) for a {k.bit_length()}-bit k has about {bits:.3g} bits, "
-            f"above cap {JORDAN_BITS_CAP}"
+            f"J_m(k) for a {m.bit_length()}-bit m and a {k.bit_length()}-bit k has "
+            f"about {bits:.3g} bits or more, above cap {JORDAN_BITS_CAP}"
         )
     value = k**m
     for p in factorize(k).primes():

@@ -58,6 +58,7 @@ def test_compute_work_caps_exit_2_at_once(capsys):
         ("bernoulli", "--a", "3000"),
         ("jordan", "--m", "630930", "--k", "3"),
         ("jordan", "--m", "1000000000000", "--k", "3"),
+        ("jordan", "--m", str(10**400), "--k", "3"),
         ("phi", "--t", "0", "--m", "99746", "--k", "6"),
         ("phi", "--t", "3", "--m", "3", "--k", "533874"),
         ("phi", "--t", "1020", "--m", "3", "--k", "6"),
@@ -68,6 +69,20 @@ def test_compute_work_caps_exit_2_at_once(capsys):
         code, out, err = run(capsys, "compute", *argv)
         assert time.perf_counter() - start < 0.5, argv
         assert code == 2 and not out and err.startswith("usage error: "), argv
+
+
+def test_compute_factorization_cap_exit_2(capsys):
+    # 2^61 - 1 is prime, so trial division runs to the 10^7 divisor cap
+    # before it refuses: bounded work, not an at-once check
+    for argv in (
+        ("sigma", "--s", "1", "--n", "2305843009213693951"),
+        ("ramanujan", "--k", "2305843009213693951", "--n", "1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", *argv)
+        assert time.perf_counter() - start < 3.0, argv
+        assert code == 2 and not out, argv
+        assert err.startswith("usage error: ") and "above cap 10000000" in err, argv
 
 
 def test_compute_phi(capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import (
+    FACTOR_TRIAL_CAP,
     bernoulli,
     divisors,
     factorize,
@@ -24,12 +25,32 @@ def test_gcd_many():
     assert gcd_many([5]) == 5
 
 
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def test_factorize_roundtrip():
-    for n in list(range(1, 200)) + [2**10 * 3**4, 9973, 10007 * 3]:
+    # every reported p must be prime: a factorize that returned (n, 1) for a
+    # composite n would pass the product and order checks alone
+    cases = list(range(1, 3001)) + [2**10 * 3**4, 9973, 10007 * 3]
+    # around 10^6, where a sieve table used to end
+    cases += [999983, 10**6, 10**6 + 3, 2 * 999983, 1000003**2, 2**20 * 3**5]
+    # two primes just below the trial cap: the largest trial divisor needed
+    cases.append(9999973 * 9999991)
+    for n in cases:
         f = factorize(n)
-        assert all(e >= 1 for _, e in f.pairs)
-        assert list(f.primes()) == sorted(f.primes())
+        assert all(e >= 1 for _, e in f.pairs), n
+        assert list(f.primes()) == sorted(set(f.primes())), n
+        assert all(_is_prime(p) for p in f.primes()), n
         assert f.value == n
+
+
+def test_factorize_trial_cap():
+    # 10000019 and 10000079 are the two primes just above 10^7, so the
+    # smallest factor of their product is one trial divisor past the cap
+    assert FACTOR_TRIAL_CAP == 10**7
+    with pytest.raises(ResourceError, match="47-bit n .* above cap 10000000"):
+        factorize(10000019 * 10000079)
 
 
 def test_moebius_matches_sieve():

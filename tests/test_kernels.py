@@ -1,10 +1,14 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 
 import vpvtotients._kernels as kernels
+import vpvtotients.exactcore as exactcore
 
 # perfbench/run.py records BACKEND, and perfbench/tracing.py wraps these six
 # entry points by name
@@ -153,3 +157,27 @@ def test_kernel_peak_memory_per_grid_point():
         finally:
             tracemalloc.stop()
         assert peak <= bound * points, peak / points
+
+
+def test_factorize_peak_memory():
+    # factorize keeps no table: a sieve of smallest prime factors up to 10^6,
+    # built as a Python list on the first call, peaked at about 40 MB. A
+    # fresh interpreter is needed because such a table would be cached by
+    # any earlier test; its traced peak is read, not ru_maxrss, because a
+    # child's ru_maxrss starts from the forking process's high-water mark
+    code = (
+        "import tracemalloc\n"
+        "from vpvtotients.exactcore import factorize\n"
+        "tracemalloc.start()\n"
+        "factorize(999983)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(exactcore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout)
+    assert peak < 4 * 2**20, peak

@@ -147,6 +147,17 @@ big_phi_argv = st.tuples(
                  "--k", str(tmk[2])]
 )
 
+# and for the trial division behind sigma(n) and c_k(n), which factors any
+# n <= 10^14 and refuses larger ones past its divisor cap
+big_factor_argv = st.one_of(
+    st.tuples(_int(-3, 3), st.integers(-2, 10**12)).map(
+        lambda sn: ["compute", "sigma", "--s", sn[0], "--n", str(sn[1])]
+    ),
+    st.tuples(st.integers(-2, 10**12), int_lists).map(
+        lambda kn: ["compute", "ramanujan", "--k", str(kn[0]), "--n", kn[1]]
+    ),
+)
+
 # one or two registry ids, or an unknown one, under any seed; an unknown id
 # must exit 2, and every check must give its expected status (exit 0)
 UNKNOWN_ID = "no-such-id"
@@ -163,7 +174,7 @@ audit_argv = st.tuples(
 @given(
     argv=st.one_of(
         compute_argv, lattice_argv, series_argv, big_power_argv, big_jordan_argv,
-        big_phi_argv, audit_argv,
+        big_phi_argv, big_factor_argv, audit_argv,
     )
 )
 def test_cli_argv_fuzz_exits_0_or_2(argv):

@@ -184,9 +184,16 @@ def test_jordan_cap_raises_before_the_power(monkeypatch):
         raise AssertionError(f"factorized {k}")
 
     monkeypatch.setattr(totients, "factorize", no_factorize)
-    for m, k in ((10**6 + 1, 2), (630930, 3), (10**12, 3), (5, 10**200001)):
+    # an m past the float range (10^400) must raise too, not overflow
+    for m, k in ((10**6 + 1, 2), (630930, 3), (10**12, 3), (5, 10**200001),
+                 (10**400, 3)):
         with pytest.raises(ResourceError, match="above cap 1000000"):
             jordan(m, k)
+
+
+def test_jordan_of_one_for_any_m():
+    # J_m(1) = 1 has no bits to cap, however large m is
+    assert jordan(10**400, 1) == 1
 
 
 def test_phi_work_cap_raises_before_the_power_sums(monkeypatch):
