@@ -6,10 +6,18 @@ gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built. The
 fold runs in the narrowest unsigned dtype that holds k
 (`np.min_scalar_type(k)`: uint8 up to 255, uint16 up to 65535), so its
 temporaries cost 1 or 2 bytes a point, not 8. Values are `np.add.outer` folds
-of 1-D vectors, read through the mask. Tuples are
-`compress(product(range(k), repeat=m), mask.tobytes())`: C order is
-lexicographic, the mask bytes cost one byte a point, and `product` shares one
-Python int per coordinate value instead of creating one per point.
+of 1-D vectors, read through the mask.
+
+The selector itself comes in two forms, both in lexicographic order (C order
+of the mask). `selector_array` is `np.argwhere(mask)`, an (N, m) int64 array
+at 8m bytes a selected point; the `vpv` regrouping engines take it, because
+they form the dot products j . b as one matrix product. `selector_tuples` is
+`compress(product(range(k), repeat=m), mask.tobytes())`, a list of tuples of
+Python ints: the mask bytes cost one byte a point, and `product` shares one
+Python int per coordinate value instead of creating one per point. It is what
+the public `enumerate_selector` returns by default, and it serves the `vpv`
+checks that walk the points one at a time (cor-5.3 and the eq-4.16
+hyperpyramid).
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -40,6 +48,11 @@ def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
     """Selector tuples in lexicographic order, with Python-int coordinates."""
     mask = _selector_mask(m, k).tobytes()  # C order, one 0/1 byte a point
     return list(compress(product(range(k), repeat=m), mask))
+
+
+def selector_array(m: int, k: int) -> np.ndarray:
+    """Selector points as the rows of an (N, m) int64 array, lexicographic."""
+    return np.argwhere(_selector_mask(m, k))
 
 
 def selector_count(m: int, k: int) -> int:

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, log, log2, sqrt
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
 from .exactcore import divisors, factorize, gcd_many, grid_power_sum, moebius
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LatticeSelector",
@@ -79,9 +84,14 @@ def _check_cap(m: int, k: int) -> None:
         )
 
 
-def enumerate_selector(sel: LatticeSelector) -> list[tuple[int, ...]]:
-    """The selector set as a lexicographically ordered list of m-tuples."""
+def enumerate_selector(
+    sel: LatticeSelector, *, as_array: bool = False
+) -> list[tuple[int, ...]] | np.ndarray:
+    """The selector set in lexicographic order: a list of m-tuples of Python
+    ints, or with as_array=True the rows of an (N, m) int64 array."""
     _check_cap(sel.m, sel.k)
+    if as_array:
+        return _kernels.selector_array(sel.m, sel.k)
     return _kernels.selector_tuples(sel.m, sel.k)
 
 
@@ -124,10 +134,24 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     if k == 1:
         return 1
     m = len(n)
-    g = gcd_many([abs(int(v)) for v in n])
+    d = gcd(k, gcd_many([abs(int(v)) for v in n]))  # gcd(k, 0) = k
+    # one factorization of k gives both the divisors e of d and mu(k/e): for
+    # p^a || k, e takes p^b with b up to the exponent of p in d, and
+    # mu(k/e) = 0 unless b >= a - 1 for every p
+    choices = []
+    for p, a in factorize(k).pairs:
+        c = 0
+        while d % p == 0:
+            d //= p
+            c += 1
+        choices.append([(p**b, (-1) ** (a - b)) for b in range(a - 1, c + 1)])
     total = 0
-    for e in divisors(gcd(k, g) if g else k):
-        total += moebius(k // e) * e**m
+    for combo in product(*choices):
+        e = mu = 1
+        for pb, sign in combo:
+            e *= pb
+            mu *= sign
+        total += mu * e**m
     return total
 
 

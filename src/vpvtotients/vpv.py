@@ -14,7 +14,12 @@ theorems 5.1, 5.2, 5.8 and 5.10) share `_regroup_rhs`, a sum of exponentials
 over each selector.  The exact grid-power and bracket identities (eq-4.1..4.3,
 eq-4.7 and corollaries 5.11, 5.12 and 5.13) share `_regroup_power`, a sum of
 rational p-th powers over each selector; the full-grid sums on the left of
-eq-4.1..4.3, eq-4.7 and cor-5.11 are `exactcore.grid_power_sum`.
+eq-4.1..4.3, eq-4.7 and cor-5.11 are `exactcore.grid_power_sum`.  Both
+engines take each selector as an (N, h) int64 array from
+`enumerate_selector(..., as_array=True)`.  `_regroup_power` forms its integer
+dot products j . nums in int64 only when (v - 1) * sum |nums| < 2^63, which
+bounds every partial sum, and in Python ints otherwise; its p-th powers are
+always Python ints.  The other checks iterate the selector as tuples.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -26,7 +31,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb, gcd
 from operator import mul
 
@@ -54,10 +58,6 @@ from .totients import (
     phi_t,
     unnormalized_phi,
 )
-
-
-def _selector(m: int, k: int) -> list:
-    return enumerate_selector(LatticeSelector(m, k))
 
 __all__ = [
     "FiniteSequence",
@@ -278,29 +278,31 @@ def _regroup_rhs(a: FiniteSequence, weights, x, n: int, h: int):
         S_1 + sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
 
     with S_1 = a_1 + ... + a_n and b_k = weights(k), a vector of h numbers.
-    The selector of each v is enumerated once and all of v's multiples are
-    summed in one matrix product.  This stays an enumeration: factoring the
-    selector sum by Moebius inversion would make the checks circular.
+    a_k and b_k are converted to floats once, for the k >= 2 with a_k != 0;
+    each v takes the rows at its multiples.  The selector of each v is
+    enumerated once, as an int64 array (its coordinates are below v), and
+    all of v's multiples are summed in one matrix product.  This stays an
+    enumeration: factoring the selector sum by Moebius inversion would make
+    the checks circular.
     """
     rhs = float(sum(a(k) for k in range(1, n + 1)))
+    ks = [k for k in range(2, n + 1) if a(k)]
+    kv = np.array(ks, dtype=np.int64)
+    af = np.array([float(a(k)) for k in ks])
+    bf = np.array([[float(c) for c in weights(k)] for k in ks])
     for v in range(2, n + 1):
-        ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
-        if not ks:
-            continue
-        avw = np.array([float(a(k)) for k in ks])
-        bvw = np.array([[float(c) for c in weights(k)] for k in ks])
-        rhs += avw @ _selector_exp_sums(h, v, bvw, x)
+        at_v = kv % v == 0
+        if at_v.any():
+            rhs += af[at_v] @ _selector_exp_sums(h, v, bf[at_v], x)
     return rhs
 
 
 def _selector_exp_sums(h: int, v: int, bs: np.ndarray, x) -> np.ndarray:
     """For each row b of the (W, h) array bs, the sum over the h-dimensional
-    selector of v of exp((j . b) x / v)."""
-    sel = _selector(h, v)
-    # fromiter over the flattened tuples builds the array ~2.5x faster than
-    # np.array(sel), which must discover the nesting first
-    js = np.fromiter(chain.from_iterable(sel), dtype=np.int64, count=h * len(sel))
-    return np.exp((js.reshape(-1, h) @ bs.T) * (x / v)).sum(axis=0)
+    selector of v of exp((j . b) x / v), with the selector as an (N, h) int64
+    array."""
+    js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+    return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
 
 
 def _regroup_power(a: FiniteSequence, weights, n: int, h: int, p: int) -> Fraction:
@@ -309,22 +311,30 @@ def _regroup_power(a: FiniteSequence, weights, n: int, h: int, p: int) -> Fracti
         sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
 
     with b_k = weights(k), a vector of h rationals.  The selector of each v is
-    enumerated once.  For each multiple the weights are scaled to integer
-    numerators over their common denominator D, the p-th powers are summed
-    as Python ints (numpy int64 overflows at h = 3, p = 3) and the total is
-    divided once by (D v)^p.  This stays an enumeration, like `_regroup_rhs`.
+    enumerated once, as an (N, h) int64 array.  For each multiple the
+    weights are scaled to integer numerators over their common denominator
+    D.  The dot products j . nums are formed in int64 when
+    (v - 1) * sum |nums| < 2^63, which bounds every partial sum since each
+    j_i < v; otherwise they are formed as Python ints, row by row.  The p-th
+    powers are always summed as Python ints (int64 overflows at h = 3,
+    p = 3) and the total is divided once by (D v)^p.  This stays an
+    enumeration, like `_regroup_rhs`.
     """
     rhs = Fraction(0)
     for v in range(2, n + 1):
         ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
         if not ks:
             continue
-        sel = _selector(h, v)
+        js = enumerate_selector(LatticeSelector(h, v), as_array=True)
         for k in ks:
             bk = [Fraction(c) for c in weights(k)]
             den = math.lcm(*(c.denominator for c in bk))
             nums = [c.numerator * (den // c.denominator) for c in bk]
-            total = sum(sum(map(mul, js, nums)) ** p for js in sel)
+            if (v - 1) * sum(map(abs, nums)) < 2**63:
+                dots = (js @ np.array(nums, dtype=np.int64)).tolist()
+            else:
+                dots = [sum(map(mul, row, nums)) for row in js.tolist()]
+            total = sum(d**p for d in dots)
             rhs += a(k) * Fraction(total, (den * v) ** p)
     return rhs
 
@@ -504,7 +514,7 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
     # omits; for c >= 2 the visible (a, b, c) are the selector of c
     log_lhs = -math.log(1.0 - z)
     for c in range(2, c_max + 1):
-        for a, b in _selector(2, c):
+        for a, b in enumerate_selector(LatticeSelector(2, c)):
             log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
     base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
     log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))
@@ -973,6 +983,6 @@ def _hyperpyramid_visible(n: int, cutoff: int):
     return [
         js + (an,)
         for an in range(2, cutoff + 1)
-        for js in _selector(n - 1, an)
+        for js in enumerate_selector(LatticeSelector(n - 1, an))
         if all(js)
     ]

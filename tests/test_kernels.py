@@ -142,11 +142,14 @@ def test_kernel_peak_memory_per_grid_point():
     # The mask is folded in uint8 below k = 256, so counting costs about
     # 2 B/point; a tuple list costs about 61 B/point at m = 3 (a 64 B tuple
     # and its 8 B list slot per selected point, 84 % of the grid at k = 60).
+    # The int64 array costs 24 B per selected point at m = 3, and np.argwhere
+    # holds two such copies at its peak: about 41 B/point.
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 4),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
         (lambda: kernels.selector_tuples(3, 60), 60**3, 72),
+        (lambda: kernels.selector_array(3, 60), 60**3, 48),
     )
     for run, points, bound in cases:
         run()  # numpy's lazy set-up is not the kernel's cost

@@ -3,9 +3,11 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 import vpvtotients._kernels as kernels
+import vpvtotients.exactcore as exactcore
 import vpvtotients.totients as totients
 from vpvtotients.analytic import theta_vpv_check
 from vpvtotients.errors import DomainError, ResourceError
@@ -42,6 +44,27 @@ def test_enumeration_with_huge_n():
     # j * n_i would overflow int64 without reducing n_i mod k first
     for k, n, want in ((30, (2**62 + 6,), -4), (7, (10**19,), -1)):
         assert ramanujan_cohen_enum(k, n) == ramanujan_cohen(k, n) == want
+
+
+def test_closed_form_factorizes_k_once(monkeypatch):
+    # the divisors e of (k, g) and mu(k/e) both come from one factorize(k);
+    # the n grid includes 0 (e runs over every divisor of k) and n sharing
+    # only some of k's prime powers
+    calls = []
+    original = exactcore.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exactcore, "factorize", counting)
+    monkeypatch.setattr(totients, "factorize", counting)
+    for k in range(2, 61):
+        for n in ([0], [1], [4], [12], [30], [45], [0, 0], [0, 18], [8, 20], [9, 6]):
+            calls.clear()
+            got = ramanujan_cohen(k, n)
+            assert calls == [k], (k, n, calls)
+            assert got == ramanujan_cohen_enum(k, n), (k, n)
 
 
 def test_k1_convention():
@@ -156,6 +179,19 @@ def test_selector_enumeration_matches_size():
             assert len(set(sel)) == len(sel)
 
 
+def test_selector_array_matches_tuples():
+    # the int64 array form has the tuple rows in the same order, J_m(k) of
+    # them; at k = 1 the selector is empty
+    cases = [(m, k) for m in (1, 2, 3) for k in range(1, 31)] + [(2, 500), (3, 60)]
+    for m, k in cases:
+        sel = LatticeSelector(m, k)
+        arr = enumerate_selector(sel, as_array=True)
+        tuples = enumerate_selector(sel)
+        assert arr.dtype == np.int64, (m, k)
+        assert arr.shape == (jordan(m, k) if k > 1 else 0, m), (m, k)
+        assert [tuple(row) for row in arr.tolist()] == tuples, (m, k)
+
+
 def test_selector_cap_raises_before_allocating(monkeypatch):
     # 3162^2 <= 10^7 < 3163^2: one past the cap, every entry point raises
     # before the kernel builds its k^m mask
@@ -165,6 +201,7 @@ def test_selector_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "_selector_mask", no_mask)
     calls = (
         lambda: enumerate_selector(LatticeSelector(2, 3163)),
+        lambda: enumerate_selector(LatticeSelector(2, 3163), as_array=True),
         lambda: selector_size(2, 3163),
         lambda: ramanujan_cohen_enum(3163, (1, 1)),
         lambda: phi_t_enum(2, 2, 3163),

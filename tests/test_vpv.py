@@ -155,11 +155,14 @@ def test_regrouping_inner_sum_three_routes():
 def test_checks_enumerate_each_selector_once(monkeypatch):
     # perfbench's traced run wraps vpv.enumerate_selector by name and divides
     # by its call count; a repeated (m, k) within one check is wasted work
-    calls = []
+    # the engines must ask it for the int64 array; the other checks iterate
+    # tuples
+    calls, arrays = [], []
     original = vpv.enumerate_selector
 
     def counting(sel, *args, **kwargs):
         calls.append((sel.m, sel.k))
+        arrays.append(kwargs.get("as_array", False))
         return original(sel, *args, **kwargs)
 
     monkeypatch.setattr(vpv, "enumerate_selector", counting)
@@ -186,11 +189,15 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         )
     for h in (1, 2, 3):
         checks[f"cor-5.11 h={h}"] = lambda h=h: cor_5_11_check(a, [b, c, d][:h], 2)
+    tuple_checks = {"eq-4.16 n=3", "cor-5.3"}
     for name, check in checks.items():
         calls.clear()
+        arrays.clear()
         check()
         assert calls, name
         assert len(calls) == len(set(calls)), (name, calls)
+        want = name not in tuple_checks
+        assert all(flag is want for flag in arrays), (name, arrays)
 
 
 def _brute_power_sum(h, v, b, p):
@@ -217,14 +224,22 @@ def _moebius_power_sum(h, v, b, p):
 
 def test_regroup_power_three_routes():
     # the exact engine against two routes that share none of its code; the
-    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers
+    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers.
+    # In the last case the numerators are 1 and 2^62 + 1, so the int64 bound
+    # (v - 1) * sum |nums| < 2^63 holds at v = 2 and fails at every v >= 3,
+    # where the dot products would wrap in int64
     rng = random.Random(16)
     pool = [0, 1, -3, Fraction(-5, 6), Fraction(7, 4), Fraction(-1, 2**40)]
+    cases = []
     for h, n in ((1, 20), (2, 20), (3, 12)):
         a = _rand_seq(rng, n)
         slots = [pool[i % len(pool)] for i in range(n * h)]
         rng.shuffle(slots)
         weights = {k: slots[(k - 1) * h:k * h] for k in range(1, n + 1)}
+        cases.append((h, n, a, weights))
+    weights = {k: [Fraction(1, 2**62 + 1), (-1) ** k] for k in range(1, 11)}
+    cases.append((2, 10, _rand_seq(rng, 10, nonzero=True), weights))
+    for h, n, a, weights in cases:
         for p in (1, 2, 3, 4):
             got = vpv._regroup_power(a, weights.get, n, h, p)
             assert isinstance(got, Fraction)
