@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, log, log2, sqrt
 from typing import TYPE_CHECKING
 
@@ -135,23 +134,16 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
         return 1
     m = len(n)
     d = gcd(k, gcd_many([abs(int(v)) for v in n]))  # gcd(k, 0) = k
-    # one factorization of k gives both the divisors e of d and mu(k/e): for
-    # p^a || k, e takes p^b with b up to the exponent of p in d, and
-    # mu(k/e) = 0 unless b >= a - 1 for every p
-    choices = []
+    # the sum is multiplicative, so one factorization of k splits it into a
+    # factor per p^a || k: e takes p^b with b up to the exponent c of p in d,
+    # and mu(k/e) = 0 unless b >= a - 1; an empty range makes the factor 0
+    total = 1
     for p, a in factorize(k).pairs:
         c = 0
         while d % p == 0:
             d //= p
             c += 1
-        choices.append([(p**b, (-1) ** (a - b)) for b in range(a - 1, c + 1)])
-    total = 0
-    for combo in product(*choices):
-        e = mu = 1
-        for pb, sign in combo:
-            e *= pb
-            mu *= sign
-        total += mu * e**m
+        total *= sum((-1) ** (a - b) * p ** (b * m) for b in range(a - 1, c + 1))
     return total
 
 

@@ -16,10 +16,8 @@ eq-4.7 and corollaries 5.11, 5.12 and 5.13) share `_regroup_power`, a sum of
 rational p-th powers over each selector; the full-grid sums on the left of
 eq-4.1..4.3, eq-4.7 and cor-5.11 are `exactcore.grid_power_sum`.  Both
 engines take each selector as an (N, h) int64 array from
-`enumerate_selector(..., as_array=True)`.  `_regroup_power` forms its integer
-dot products j . nums in int64 only when (v - 1) * sum |nums| < 2^63, which
-bounds every partial sum, and in Python ints otherwise; its p-th powers are
-always Python ints.  The other checks iterate the selector as tuples.
+`enumerate_selector(..., as_array=True)`; `_regroup_power` reads its rows
+once as Python ints.  The other checks iterate the selector as tuples.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -311,30 +309,23 @@ def _regroup_power(a: FiniteSequence, weights, n: int, h: int, p: int) -> Fracti
         sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
 
     with b_k = weights(k), a vector of h rationals.  The selector of each v is
-    enumerated once, as an (N, h) int64 array.  For each multiple the
-    weights are scaled to integer numerators over their common denominator
-    D.  The dot products j . nums are formed in int64 when
-    (v - 1) * sum |nums| < 2^63, which bounds every partial sum since each
-    j_i < v; otherwise they are formed as Python ints, row by row.  The p-th
-    powers are always summed as Python ints (int64 overflows at h = 3,
-    p = 3) and the total is divided once by (D v)^p.  This stays an
-    enumeration, like `_regroup_rhs`.
+    enumerated once, as an (N, h) int64 array whose rows are read once as
+    Python ints.  For each multiple the weights are scaled to integer
+    numerators over their common denominator D, the p-th powers are summed
+    as Python ints (numpy int64 overflows at h = 3, p = 3) and the total is
+    divided once by (D v)^p.  This stays an enumeration, like `_regroup_rhs`.
     """
     rhs = Fraction(0)
     for v in range(2, n + 1):
         ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
         if not ks:
             continue
-        js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+        rows = enumerate_selector(LatticeSelector(h, v), as_array=True).tolist()
         for k in ks:
             bk = [Fraction(c) for c in weights(k)]
             den = math.lcm(*(c.denominator for c in bk))
             nums = [c.numerator * (den // c.denominator) for c in bk]
-            if (v - 1) * sum(map(abs, nums)) < 2**63:
-                dots = (js @ np.array(nums, dtype=np.int64)).tolist()
-            else:
-                dots = [sum(map(mul, row, nums)) for row in js.tolist()]
-            total = sum(d**p for d in dots)
+            total = sum(sum(map(mul, row, nums)) ** p for row in rows)
             rhs += a(k) * Fraction(total, (den * v) ** p)
     return rhs
 

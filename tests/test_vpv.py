@@ -224,22 +224,14 @@ def _moebius_power_sum(h, v, b, p):
 
 def test_regroup_power_three_routes():
     # the exact engine against two routes that share none of its code; the
-    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers.
-    # In the last case the numerators are 1 and 2^62 + 1, so the int64 bound
-    # (v - 1) * sum |nums| < 2^63 holds at v = 2 and fails at every v >= 3,
-    # where the dot products would wrap in int64
+    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers
     rng = random.Random(16)
     pool = [0, 1, -3, Fraction(-5, 6), Fraction(7, 4), Fraction(-1, 2**40)]
-    cases = []
     for h, n in ((1, 20), (2, 20), (3, 12)):
         a = _rand_seq(rng, n)
         slots = [pool[i % len(pool)] for i in range(n * h)]
         rng.shuffle(slots)
         weights = {k: slots[(k - 1) * h:k * h] for k in range(1, n + 1)}
-        cases.append((h, n, a, weights))
-    weights = {k: [Fraction(1, 2**62 + 1), (-1) ** k] for k in range(1, 11)}
-    cases.append((2, 10, _rand_seq(rng, 10, nonzero=True), weights))
-    for h, n, a, weights in cases:
         for p in (1, 2, 3, 4):
             got = vpv._regroup_power(a, weights.get, n, h, p)
             assert isinstance(got, Fraction)
