@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
 from .errors import DomainError
@@ -56,7 +56,7 @@ class TruncationControl:
             raise DomainError("tolerance must lie in (0, 1)")
 
 
-def zeta(s: float, tol: float = 1e-12) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s > 1 via Euler-Maclaurin.
 
     Direct summation to 10^4 plus the integral tail, the half-term, and four
@@ -65,8 +65,6 @@ def zeta(s: float, tol: float = 1e-12) -> float:
     """
     if s <= 1:
         raise DomainError(f"zeta requires s > 1, got {s}")
-    if tol < 1e-13:
-        raise DomainError("tolerance below the documented 1e-12 bound")
     N = _ZETA_CUTOFF
     total = sum(k**-s for k in range(1, N))
     total += N ** (1 - s) / (s - 1) + 0.5 * N**-s
@@ -179,17 +177,13 @@ def _theta_ratio_log(v: int, alpha: float, beta: float, q: float,
     return math.log(num / den)
 
 
-def theta_log_ratio_check(
-    alpha: float, beta: float, q: float, trunc: TruncationControl | None = None
-) -> tuple[float, float]:
+def theta_log_ratio_check(alpha: float, beta: float, q: float) -> tuple[float, float]:
     """Both sides of the Lambert-series expansion of the theta_1 log ratio.
 
     lhs = sum_{k<=K} (1/k) q^(2k)/(1-q^(2k)) sin(2k a) sin(2k b);
     rhs = (1/4) log[theta1(a+b,q) sin(a-b) / (theta1(a-b,q) sin(a+b))].
     The q^(1/4) prefactors cancel in the ratio.
     """
-    if trunc is None:
-        trunc = TruncationControl(max_index=200, tolerance=1e-15)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"requires 0 <= q < 1, got {q}")
     for name, val in (("alpha+beta", alpha + beta), ("alpha-beta", alpha - beta)):
@@ -197,6 +191,7 @@ def theta_log_ratio_check(
             raise DomainError(f"sin({name}) vanishes")
     if q == 0.0:
         return 0.0, 0.0
+    trunc = TruncationControl(max_index=200, tolerance=1e-15)
     lhs = 0.0
     for k in range(1, trunc.max_index + 1):
         q2k = q ** (2 * k)
@@ -229,7 +224,6 @@ class ThetaVpvResult:
     direct_residual: float | None
     status: str
     reason: str = ""
-    notes: list[str] = field(default_factory=list)
 
 
 THETA_IDENTITIES = ("thm-6.1", "cor-6.2", "cor-6.3", "thm-6.4", "cor-6.5", "cor-6.6")
@@ -262,7 +256,6 @@ def theta_vpv_check(
     identity: str,
     params: dict,
     K: int = 40,
-    tol: float = 1e-8,
 ) -> ThetaVpvResult:
     """Verify a theta-product identity by matched-index partial sums.
 
@@ -320,5 +313,5 @@ def theta_vpv_check(
         except DomainError:
             direct_residual = None
 
-    status = "PASS" if residual < tol else "FAIL"
+    status = "PASS" if residual < 1e-8 else "FAIL"
     return ThetaVpvResult(identity, params, lhs, rhs, residual, direct_residual, status)

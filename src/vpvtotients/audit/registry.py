@@ -21,6 +21,14 @@ Statuses:
 
 Every expectation of FAILS_AS_PRINTED ships with a machine-checked
 counterexample produced by an oracle in this package.
+
+A check keeps only its grid and its report strings; the control flow is in
+three helpers. `_first_mismatch` fails at the first case whose two sides
+differ, `_worst_residual` compares the largest residual with a tolerance,
+and `_printed_or_corrected` probes a display as printed beside a sweep of
+its corrected or oracle form. Cases are generators, so a check draws from
+its rng only up to where it stops, and the layer functions are looked up in
+this module's globals when a check runs, never bound at import.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .. import _kernels
 from ..analytic import (
@@ -133,22 +142,19 @@ def discover_linear_relation(
         [Fraction(b(k)) for b in basis] + [Fraction(target(k))] for k in pts
     ]
     ncols = len(basis)
-    # Gaussian elimination with exact pivots.
-    rank, pivot_rows = 0, []
+    # Gaussian elimination with exact pivots; column col pivots on row col.
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
             return None  # singular: no unique relation
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        pr = rows[col]
         pr[:] = [v / pr[col] for v in pr]
         for r in range(len(rows)):
-            if r != rank and rows[r][col]:
+            if r != col and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        pivot_rows.append(col)
-        rank += 1
-    if any(row[-1] for row in rows[rank:]):
+    if any(row[-1] for row in rows[ncols:]):
         return None  # overdetermined and inconsistent
     coeffs = tuple(rows[i][-1] for i in range(ncols))
     for k in range(min(pts), k_verify_max + 1):
@@ -172,11 +178,10 @@ def _rand_seq(rng: random.Random, n: int) -> FiniteSequence:
 def _rand_seq_nonzero(rng: random.Random, n: int) -> FiniteSequence:
     """Random sequence with no zero terms, for exponent positions where a
     zero would make the factor (1-e^(bx))/(1-e^(bx/k)) indeterminate."""
-    vals = []
-    for _ in range(n):
-        num = rng.choice([v for v in range(-5, 6) if v])
-        vals.append(Fraction(num, rng.randint(1, 6)))
-    return FiniteSequence.from_values(vals)
+    nonzero = [v for v in range(-5, 6) if v]
+    return FiniteSequence.from_values(
+        [Fraction(rng.choice(nonzero), rng.randint(1, 6)) for _ in range(n)]
+    )
 
 
 def _delta(k: int) -> FiniteSequence:
@@ -191,6 +196,71 @@ def _rel_residual(lhs: complex, rhs: complex) -> float:
 def _pass_if(ok: bool, residual=None, counterexample=None, notes=()) -> Outcome:
     status = "PASS" if ok else "FAILS_AS_PRINTED"
     return Outcome(status, residual, counterexample, tuple(notes))
+
+
+def _mismatch(cases) -> Optional[str]:
+    """Label of the first (lhs, rhs, label) case whose sides differ, or None.
+    A callable label is given the two sides, so it is formatted only then;
+    a generator of cases stops drawing from its rng at the first mismatch."""
+    for lhs, rhs, label in cases:
+        if lhs != rhs:
+            return label(lhs, rhs) if callable(label) else label
+    return None
+
+
+def _first_mismatch(cases, *notes: str, status: str = "PASS"):
+    """The check that runs the generator `cases(rng)` of (lhs, rhs, label):
+    FAILS_AS_PRINTED with the label of its first mismatch, otherwise
+    `status` with residual 0.0 and `notes`."""
+    def check(rng: random.Random) -> Outcome:
+        bad = _mismatch(cases(rng))
+        if bad is not None:
+            return _pass_if(False, None, bad)
+        return Outcome(status, 0.0, None, notes)
+
+    return check
+
+
+def _worst_residual(residuals, *notes: str, tol: float = 1e-9, status: str = "PASS"):
+    """The check that runs the generator `residuals(rng)`: `status` with
+    `notes` when the largest residual, from 0.0, is below `tol`, otherwise
+    FAILS_AS_PRINTED with that residual."""
+    def check(rng: random.Random) -> Outcome:
+        worst = 0.0
+        for residual in residuals(rng):
+            worst = max(worst, residual)
+        if worst >= tol:
+            return _pass_if(False, worst)
+        return Outcome(status, worst, None, notes)
+
+    return check
+
+
+def _printed_or_corrected(printed, corrected=(), notes=(), oracle=()) -> Outcome:
+    """Verdict on a display probed as printed, beside a sweep of its
+    corrected or oracle form; each is lazy cases for `_mismatch`.
+
+    The `oracle` sweep runs first, then the `printed` probe, then the
+    `corrected` sweep only if the probe failed. An imbalance in either sweep
+    gives SKIPPED with its label as the note. Otherwise the display is PASS
+    when the probe balances, else FAILS_AS_PRINTED with the probe's label
+    and `notes`, which are drawn only then.
+    """
+    skip = _mismatch(oracle)
+    if skip is None:
+        bad = _mismatch(printed)
+        if bad is None:
+            return _pass_if(True, 0.0)
+        skip = _mismatch(corrected)
+        if skip is None:
+            return Outcome("FAILS_AS_PRINTED", None, bad, tuple(notes))
+    return Outcome("SKIPPED", None, None, (skip,))
+
+
+def _first_diff(lhs: PowerSeries, rhs: PowerSeries) -> Optional[tuple]:
+    """(i, lhs_i, rhs_i) at the first coefficient where two series differ."""
+    return next(((i, a, b) for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs))
+                 if a != b), None)
 
 
 _TREND_KS = (100, 1000, 10000)
@@ -227,44 +297,36 @@ def _check_dirichlet_general(rng: random.Random) -> Outcome:
     return _pass_if(True, worst)
 
 
-def _check_cohen_product_series(rng: random.Random) -> Outcome:
+def _cohen_product_cases(rng: random.Random) -> Iterator[tuple]:
     order = 64
-    for m in (1, 2, 3):
-        for g in range(1, 13):
-            n = [g * (i + 1) for i in range(m)]
-            exps = {
-                k: Fraction(-ramanujan_cohen(k, n), k) for k in range(1, order + 1)
-            }
-            lhs = product_with_exponents(exps, order)
-            coeffs = [Fraction(0)] * (order + 1)
-            for k in range(1, order + 1):
-                if g % k == 0:
-                    coeffs[k] = Fraction(k ** (m - 1))
-            rhs = ps_exp(PowerSeries(tuple(coeffs)))
-            if lhs != rhs:
-                bad = next(i for i in range(order + 1)
-                           if lhs.coeffs[i] != rhs.coeffs[i])
-                return _pass_if(
-                    False, None,
-                    f"m={m}, g={g}: coefficient {bad} is "
-                    f"{lhs.coeffs[bad]} vs {rhs.coeffs[bad]}",
-                )
-    return _pass_if(True, 0.0)
+    for m, g in product((1, 2, 3), range(1, 13)):
+        n = [g * (i + 1) for i in range(m)]
+        exps = {
+            k: Fraction(-ramanujan_cohen(k, n), k) for k in range(1, order + 1)
+        }
+        lhs = product_with_exponents(exps, order)
+        coeffs = [Fraction(0)] * (order + 1)
+        for k in range(1, order + 1):
+            if g % k == 0:
+                coeffs[k] = Fraction(k ** (m - 1))
+        yield lhs, ps_exp(PowerSeries(tuple(coeffs))), lambda lhs, rhs: (
+            "m={}, g={}: coefficient {} is {} vs {}".format(
+                m, g, *_first_diff(lhs, rhs)))
 
 
-def _check_multiplicative(rng: random.Random) -> Outcome:
+def _multiplicative_cases(rng: random.Random) -> Iterator[tuple]:
     pairs = [(k1, k2) for k1 in range(2, 13) for k2 in range(2, 13)
              if gcd(k1, k2) == 1]
-    for m in (1, 2, 3):
-        for _ in range(5):
-            n = [rng.randint(0, 20) for _ in range(m)]
-            for k1, k2 in pairs:
-                lhs = ramanujan_cohen(k1 * k2, n)
-                rhs = ramanujan_cohen(k1, n) * ramanujan_cohen(k2, n)
-                if lhs != rhs:
-                    return _pass_if(False, None,
-                                    f"n={n}, k1={k1}, k2={k2}: {lhs} vs {rhs}")
-    return _pass_if(True, 0.0)
+
+    # one label for every case: a closure per case costs ~5% of the check
+    def label(lhs, rhs):
+        return f"n={n}, k1={k1}, k2={k2}: {lhs} vs {rhs}"
+
+    for m, _ in product((1, 2, 3), range(5)):
+        n = [rng.randint(0, 20) for _ in range(m)]
+        for k1, k2 in pairs:
+            yield (ramanujan_cohen(k1 * k2, n),
+                   ramanujan_cohen(k1, n) * ramanujan_cohen(k2, n), label)
 
 
 def _check_garbled_functional_equation(rng: random.Random) -> Outcome:
@@ -315,7 +377,7 @@ def _check_moebius_mean_zero(rng: random.Random) -> Outcome:
 # section 3: the partition lemma and its analytic restatement
 
 
-def _check_multiples_partition(rng: random.Random) -> Outcome:
+def _multiples_partition_cases(rng: random.Random) -> Iterator[tuple]:
     regions = [
         RadialRegion(2, (8, 8)),
         RadialRegion(3, (5, 5, 5)),
@@ -323,111 +385,90 @@ def _check_multiples_partition(rng: random.Random) -> Outcome:
         RadialRegion(3, (5, 5, 6), constraint="hyperpyramid"),
     ]
     for region in regions:
-        if not multiples_partition_check(region):
-            return _pass_if(False, None, f"region {region}")
-    return _pass_if(True, 0.0,
-                    notes=("every lattice point decomposes uniquely as a "
-                           "positive multiple of a visible point, on boxes in "
-                           "1-3 dimensions and a hyperpyramid",))
+        yield multiples_partition_check(region), True, f"region {region}"
 
 
-def _check_radical_rearrangement(ms: tuple, cases: int):
-    def run(rng: random.Random) -> Outcome:
-        worst = 0.0
-        for m in ms:
-            for _ in range(cases):
-                a = _rand_seq(rng, rng.randint(8, 24))
-                q = [rng.uniform(0.05, 0.9) for _ in range(m)]
-                lhs, rhs = lemma_3_2_check(a, q)
-                worst = max(worst, _rel_residual(lhs, rhs))
-        return _pass_if(worst < 1e-9, worst)
+def _check_radical_rearrangement(ms: tuple):
+    def residuals(rng: random.Random) -> Iterator[float]:
+        for m, _ in product(ms, range(10)):
+            a = _rand_seq(rng, rng.randint(8, 24))
+            q = [rng.uniform(0.05, 0.9) for _ in range(m)]
+            yield _rel_residual(*lemma_3_2_check(a, q))
 
-    return run
+    return _worst_residual(residuals)
 
 
 # --------------------------------------------------------------------------
 # section 4: grid-power identities, Jordan laws, Stirling series
 
 
-def _check_exp_grid_expansion(rng: random.Random) -> Outcome:
-    worst = 0.0
+def _exp_grid_residuals(rng: random.Random) -> Iterator[float]:
     for _ in range(10):
         a = _rand_seq(rng, rng.randint(8, 20))
         x, y, z = (rng.uniform(-1.2, -0.2), rng.uniform(-1.2, -0.2),
                    rng.uniform(0.2, 0.8))
-        lhs, rhs = lemma_3_2_check(a, [math.exp(x * z), math.exp(y * z)])
-        worst = max(worst, _rel_residual(lhs, rhs))
-    return _pass_if(worst < 1e-9, worst)
+        q = [math.exp(x * z), math.exp(y * z)]
+        yield _rel_residual(*lemma_3_2_check(a, q))
 
 
-def _check_grid_coefficients(cs: tuple, corrected_note: str = ""):
-    def run(rng: random.Random) -> Outcome:
-        for c in cs:
-            for _ in range(4):
-                a = _rand_seq(rng, rng.randint(6, 16))
-                lhs, rhs = grid_power_identity_check(
-                    c, a, _frac(rng), _frac(rng)
-                )
-                if lhs != rhs:
-                    return _pass_if(False, None, f"c={c}: {lhs} vs {rhs}")
-        notes = (corrected_note,) if corrected_note else ()
-        status = "PASS_WITH_CORRECTION" if corrected_note else "PASS"
-        return Outcome(status, 0.0, None, notes)
+def _check_grid_coefficients(cs: tuple, *corrections: str):
+    def cases(rng: random.Random) -> Iterator[tuple]:
+        for c, _ in product(cs, range(4)):
+            a = _rand_seq(rng, rng.randint(6, 16))
+            yield (*grid_power_identity_check(c, a, _frac(rng), _frac(rng)),
+                   lambda lhs, rhs: f"c={c}: {lhs} vs {rhs}")
 
-    return run
+    status = "PASS_WITH_CORRECTION" if corrections else "PASS"
+    return _first_mismatch(cases, *corrections, status=status)
 
 
-def _check_phi0_count(rng: random.Random) -> Outcome:
+def _phi0_count_cases(rng: random.Random) -> Iterator[tuple]:
     # k = 1 is excluded: the selector there is empty while the closed form
     # gives J_2(1) = 1 (same boundary convention as c_1 = 1)
     for k in range(2, 61):
-        if selector_size(2, k) != jordan(2, k):
-            return _pass_if(False, None, f"k={k}")
+        yield selector_size(2, k), jordan(2, k), f"k={k}"
     for _ in range(4):
         a = _rand_seq(rng, rng.randint(6, 16))
         lhs, rhs = grid_power_identity_check(0, a, Fraction(1), Fraction(1))
-        if lhs != rhs:
-            return _pass_if(False, None, f"a={a.support}: {lhs} vs {rhs}")
-    return _pass_if(True, 0.0)
+        yield lhs, rhs, lambda lhs, rhs: f"a={a.support}: {lhs} vs {rhs}"
 
 
 def _check_phi_weight(rng: random.Random) -> Outcome:
     # t = 0 balances; t >= 1 is refuted by the delta probe.
-    for m in (2, 3):
-        a = _rand_seq(rng, 12)
-        lhs, rhs = phi_weight_identity_check(0, m, a)
-        if lhs != rhs:
-            return Outcome("SKIPPED", None, None,
-                           (f"unexpected t=0 imbalance at m={m}",))
-    lhs, rhs = phi_weight_identity_check(1, 2, _delta(2))
-    if lhs == rhs:
-        return _pass_if(True, 0.0)
-    notes = ["the t = 0 case (Jordan weights) balances exactly",
-             "the display claims a t-independent left side; for t >= 1 the "
-             "selector weights phi_t(m;k) are not the Jordan totients"]
-    for t in (1, 2):
-        a = _rand_seq(rng, 10)
-        l2, r2 = phi_weight_identity_check(t, 2, a)
-        if l2 == r2:
-            notes.append(f"random probe unexpectedly balanced at t={t}")
-    return Outcome("FAILS_AS_PRINTED", None,
-                   f"t=1, m=2, a=delta_2: lhs={lhs}, rhs={rhs}", tuple(notes))
+    def notes():
+        yield "the t = 0 case (Jordan weights) balances exactly"
+        yield ("the display claims a t-independent left side; for t >= 1 the "
+               "selector weights phi_t(m;k) are not the Jordan totients")
+        for t in (1, 2):
+            a = _rand_seq(rng, 10)
+            l2, r2 = phi_weight_identity_check(t, 2, a)
+            if l2 == r2:
+                yield f"random probe unexpectedly balanced at t={t}"
+
+    oracle = ((*phi_weight_identity_check(0, m, _rand_seq(rng, 12)),
+               f"unexpected t=0 imbalance at m={m}") for m in (2, 3))
+    printed = ((*phi_weight_identity_check(1, 2, a),
+                lambda lhs, rhs: f"t=1, m=2, a=delta_2: lhs={lhs}, rhs={rhs}")
+               for a in [_delta(2)])
+    return _printed_or_corrected(printed, notes=notes(), oracle=oracle)
 
 
 def _jordan_divisor_law(m_max: int, k_max: int) -> Optional[str]:
-    for m in range(1, m_max + 1):
-        for k in range(1, k_max + 1):
-            if sum(jordan(m, d) for d in divisors(k)) != k**m:
-                return f"m={m}, k={k}"
-    return None
+    return _mismatch(
+        (sum(jordan(m, d) for d in divisors(k)), k**m, f"m={m}, k={k}")
+        for m in range(1, m_max + 1) for k in range(1, k_max + 1)
+    )
 
 
 def _check_jordan_weighted_sum(rng: random.Random) -> Outcome:
-    for m in (1, 2, 3):
-        a = _rand_seq(rng, rng.randint(10, 24))
-        lhs, rhs = thm_5_5_check(a, m)
-        if lhs != rhs:
-            return _pass_if(False, None, f"m={m}: {lhs} vs {rhs}")
+    def cases():
+        for m in (1, 2, 3):
+            a = _rand_seq(rng, rng.randint(10, 24))
+            yield *thm_5_5_check(a, m), lambda lhs, rhs: f"m={m}: {lhs} vs {rhs}"
+
+    bad = _mismatch(cases())
+    if bad is not None:
+        return _pass_if(False, None, bad)
     bad = _jordan_divisor_law(4, 200)
     return _pass_if(bad is None, 0.0, bad)
 
@@ -444,14 +485,9 @@ def _check_jordan_dirichlet(rng: random.Random) -> Outcome:
                            "k <= 200; float spot check at m=1, s=4",))
 
 
-def _check_jordan_enumeration(rng: random.Random) -> Outcome:
-    for m in (1, 2, 3):
-        for k in range(2, 61):
-            if selector_size(m, k) != jordan(m, k):
-                return _pass_if(False, None, f"m={m}, k={k}")
-    return _pass_if(True, 0.0,
-                    notes=("k >= 2: the k = 1 selector is empty while the "
-                           "product formula gives 1",))
+def _jordan_enumeration_cases(rng: random.Random) -> Iterator[tuple]:
+    for m, k in product((1, 2, 3), range(2, 61)):
+        yield selector_size(m, k), jordan(m, k), f"m={m}, k={k}"
 
 
 def _jordan_product_series(m: int, order: int) -> PowerSeries:
@@ -461,58 +497,35 @@ def _jordan_product_series(m: int, order: int) -> PowerSeries:
     return product_with_exponents(exps, order)
 
 
-def _check_jordan_product(rng: random.Random) -> Outcome:
+def _jordan_product_cases(rng: random.Random) -> Iterator[tuple]:
     order = 64
     for m in (1, 2, 3, 4):
         coeffs = [Fraction(0)] + [Fraction(k ** (m - 1)) for k in range(1, order + 1)]
         rhs = ps_exp(PowerSeries(tuple(coeffs)))
-        if _jordan_product_series(m, order) != rhs:
-            return _pass_if(False, None, f"m={m}")
-    return _pass_if(True, 0.0)
+        yield _jordan_product_series(m, order), rhs, f"m={m}"
 
 
-def _check_finite_stirling(rng: random.Random) -> Outcome:
+def _finite_stirling_cases(rng: random.Random) -> Iterator[tuple]:
     zs = (Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(1, 3))
-    for m in range(1, 7):
-        for n in range(1, 13):
-            for z in zs:
-                if not finite_stirling_check(m, n, z):
-                    return _pass_if(False, None, f"m={m}, n={n}, z={z}")
-    return _pass_if(True, 0.0)
+    for m, n, z in product(range(1, 7), range(1, 13), zs):
+        yield finite_stirling_check(m, n, z), True, f"m={m}, n={n}, z={z}"
 
 
-def _check_stirling_product(rng: random.Random) -> Outcome:
+def _stirling_product_cases(rng: random.Random) -> Iterator[tuple]:
     order = 32
     for m in range(2, 9):
-        if _jordan_product_series(m, order) != ps_exp(stirling_rhs_series(m, order)):
-            return _pass_if(False, None, f"m={m}")
-    return _pass_if(
-        True, 0.0,
-        notes=("m = 1 is excluded: there the falling-factorial exponent "
-               "gains the constant 0^0 = 1 term, shifting the right side by "
-               "a factor of e; for m >= 2 both exponents agree term by term",),
-    )
+        yield (_jordan_product_series(m, order),
+               ps_exp(stirling_rhs_series(m, order)), f"m={m}")
 
 
-def _check_hyperpyramid(rng: random.Random) -> Outcome:
+def _hyperpyramid_residuals(rng: random.Random) -> Iterator[float]:
     cases = [
         ((0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 24),
         ((0.5, 0.35), (Fraction(-1), Fraction(2)), 24),
         ((0.4, 0.3, 0.5), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), 14),
     ]
-    worst = 0.0
     for xs, bs, cutoff in cases:
-        lhs, rhs = hyperpyramid_log_check(xs, bs, cutoff)
-        worst = max(worst, _rel_residual(lhs, rhs))
-    if worst >= 1e-9:
-        return _pass_if(False, worst)
-    return Outcome(
-        "PASS_WITH_CORRECTION", worst, None,
-        ("the printed product allows leading coordinates a_i = 0, whose "
-         "weight a_i^(-b_i) is undefined and which no right-side term "
-         "generates; restricting to a_i >= 1 the matched-index truncations "
-         "agree",),
-    )
+        yield _rel_residual(*hyperpyramid_log_check(xs, bs, cutoff))
 
 
 # --------------------------------------------------------------------------
@@ -520,15 +533,9 @@ def _check_hyperpyramid(rng: random.Random) -> Outcome:
 
 
 def _check_one_factor(rng: random.Random) -> Outcome:
-    worst = 0.0
-    for _ in range(20):
-        n = rng.randint(8, 30)
-        a, b = _rand_seq(rng, n), _rand_seq_nonzero(rng, n)
-        x = rng.uniform(0.2, 1.2)
-        lhs, rhs = thm_5_1_check(a, b, x)
-        worst = max(worst, _rel_residual(lhs, rhs))
-    if worst >= 1e-9:
-        return _pass_if(False, worst)
+    outcome = _worst_residual(_one_factor_residuals)(rng)
+    if outcome.status != "PASS":
+        return outcome
     lhs_p, rhs_p = thm_5_1_check(_delta(2), FiniteSequence({1: 1, 2: 1}, 2),
                                  1.0, as_printed=True)
     notes = [
@@ -542,18 +549,22 @@ def _check_one_factor(rng: random.Random) -> Outcome:
             f"as printed, a = delta_2, b = 1, x = 1 gives lhs = "
             f"{lhs_p.real:.6f} (= 1 + e^(1/2)) but rhs = {rhs_p.real:.6f}"
         )
-    return Outcome("PASS_WITH_CORRECTION", worst, None, tuple(notes))
+    return Outcome("PASS_WITH_CORRECTION", outcome.max_residual, None, tuple(notes))
 
 
-def _check_two_factor(rng: random.Random) -> Outcome:
-    worst = 0.0
+def _one_factor_residuals(rng: random.Random) -> Iterator[float]:
+    for _ in range(20):
+        n = rng.randint(8, 30)
+        a, b = _rand_seq(rng, n), _rand_seq_nonzero(rng, n)
+        yield _rel_residual(*thm_5_1_check(a, b, rng.uniform(0.2, 1.2)))
+
+
+def _two_factor_residuals(rng: random.Random) -> Iterator[float]:
     for _ in range(20):
         n = rng.randint(8, 24)
         a = _rand_seq(rng, n)
         b, c = _rand_seq_nonzero(rng, n), _rand_seq_nonzero(rng, n)
-        lhs, rhs = thm_5_2_check(a, b, c, rng.uniform(0.2, 1.0))
-        worst = max(worst, _rel_residual(lhs, rhs))
-    return _pass_if(worst < 1e-9, worst)
+        yield _rel_residual(*thm_5_2_check(a, b, c, rng.uniform(0.2, 1.0)))
 
 
 def _check_companion_product(rng: random.Random) -> Outcome:
@@ -565,282 +576,221 @@ def _check_companion_product(rng: random.Random) -> Outcome:
                            "as c_max doubles",))
 
 
-def _check_jordan_weighted_m2(rng: random.Random) -> Outcome:
+def _jordan_weighted_m2_cases(rng: random.Random) -> Iterator[tuple]:
     for _ in range(10):
         a = _rand_seq(rng, rng.randint(10, 30))
-        lhs, rhs = thm_5_5_check(a, 2)
-        if lhs != rhs:
-            return _pass_if(False, None, f"{lhs} vs {rhs}")
-    return _pass_if(True, 0.0)
+        yield *thm_5_5_check(a, 2), lambda lhs, rhs: f"{lhs} vs {rhs}"
 
 
-def _check_square_pyramidal(rng: random.Random) -> Outcome:
+def _square_pyramidal_cases(rng: random.Random) -> Iterator[tuple]:
     for n in list(range(1, 101)) + [200, 333, 500]:
-        lhs, rhs = eq_5_5_check(n)
-        if lhs != rhs:
-            return _pass_if(False, None, f"n={n}")
-    return _pass_if(True, 0.0)
+        yield *eq_5_5_check(n), f"n={n}"
 
 
-def _check_jordan_weighted_general(rng: random.Random) -> Outcome:
+def _jordan_weighted_general_cases(rng: random.Random) -> Iterator[tuple]:
     for _ in range(50):
         m = rng.randint(1, 4)
         a = _rand_seq(rng, rng.randint(10, 100))
-        lhs, rhs = thm_5_5_check(a, m)
-        if lhs != rhs:
-            return _pass_if(False, None, f"m={m}: {lhs} vs {rhs}")
-    return _pass_if(True, 0.0)
+        yield *thm_5_5_check(a, m), lambda lhs, rhs: f"m={m}: {lhs} vs {rhs}"
 
 
-def _check_partial_sum_family(which: str):
-    def run(rng: random.Random) -> Outcome:
-        ns = list(range(1, 41)) + [100, 157, 200]
-        for n in ns:
-            if which == "n":
-                for m in (1, 2, 3):
-                    lhs, rhs = eq_5_7_check(m, n)
-                    if lhs != rhs:
-                        return _pass_if(False, None, f"m={m}, n={n}")
-            elif which == "power":
-                for m, a in ((2, 1), (3, 1), (3, 2)):
-                    lhs, rhs = eq_5_8_check(m, a, n)
-                    if lhs != rhs:
-                        return _pass_if(False, None, f"m={m}, a={a}, n={n}")
-            else:
-                for m in (1, 2, 3, 4):
-                    lhs, rhs = eq_5_9_check(m, n)
-                    if lhs != rhs:
-                        return _pass_if(False, None, f"m={m}, n={n}")
-        return _pass_if(True, 0.0)
+_PARTIAL_SUM_NS = list(range(1, 41)) + [100, 157, 200]
 
-    return run
+
+def _partial_sums_n_cases(rng: random.Random) -> Iterator[tuple]:
+    for n, m in product(_PARTIAL_SUM_NS, (1, 2, 3)):
+        yield *eq_5_7_check(m, n), f"m={m}, n={n}"
+
+
+def _partial_sums_power_cases(rng: random.Random) -> Iterator[tuple]:
+    for n, (m, a) in product(_PARTIAL_SUM_NS, ((2, 1), (3, 1), (3, 2))):
+        yield *eq_5_8_check(m, a, n), f"m={m}, a={a}, n={n}"
+
+
+def _partial_sums_m_cases(rng: random.Random) -> Iterator[tuple]:
+    for n, m in product(_PARTIAL_SUM_NS, (1, 2, 3, 4)):
+        yield *eq_5_9_check(m, n), f"m={m}, n={n}"
 
 
 def _check_geometric_blocks(rng: random.Random) -> Outcome:
-    lhs, rhs = cor_5_7_check(1, 2, Fraction(1, 2), as_printed=True)
-    if lhs == rhs:
-        return _pass_if(True, 0.0)
-    notes = ["the printed geometric blocks start at z^0; each needs its "
-             "leading factor (z on the first, z^j on the j-th)"]
-    for m in (1, 2, 3):
-        for z in (Fraction(1, 2), Fraction(-1, 3)):
-            for n in (2, 7, 19, 30):
-                cl, cr = cor_5_7_check(m, n, z, as_printed=False)
-                if cl != cr:
-                    notes.append(f"corrected form fails at m={m}, n={n}, z={z}")
-    notes.append("corrected form verified exactly for m <= 3, n <= 30, "
-                 "z in {1/2, -1/3}")
-    return Outcome("FAILS_AS_PRINTED", None,
-                   f"m=1, n=2, z=1/2: lhs={lhs}, rhs={rhs}", tuple(notes))
+    def notes():
+        yield ("the printed geometric blocks start at z^0; each needs its "
+               "leading factor (z on the first, z^j on the j-th)")
+        for m, z, n in product((1, 2, 3), (Fraction(1, 2), Fraction(-1, 3)),
+                               (2, 7, 19, 30)):
+            cl, cr = cor_5_7_check(m, n, z, as_printed=False)
+            if cl != cr:
+                yield f"corrected form fails at m={m}, n={n}, z={z}"
+        yield ("corrected form verified exactly for m <= 3, n <= 30, "
+               "z in {1/2, -1/3}")
+
+    return _printed_or_corrected(
+        [(*cor_5_7_check(1, 2, Fraction(1, 2), as_printed=True),
+          lambda lhs, rhs: f"m=1, n=2, z=1/2: lhs={lhs}, rhs={rhs}")],
+        notes=notes(),
+    )
 
 
-def _check_weighted_one_factor(rng: random.Random) -> Outcome:
-    worst = 0.0
+def _weighted_one_factor_residuals(rng: random.Random) -> Iterator[float]:
     for _ in range(20):
         n = rng.randint(8, 30)
         a, b = _rand_seq(rng, n), _rand_seq_nonzero(rng, n)
-        lhs, rhs = thm_5_8_check(a, b, rng.uniform(0.2, 1.0))
-        worst = max(worst, _rel_residual(lhs, rhs))
-    return _pass_if(worst < 1e-9, worst)
+        yield _rel_residual(*thm_5_8_check(a, b, rng.uniform(0.2, 1.0)))
 
 
 def _check_mixed_product(rng: random.Random) -> Outcome:
     order = 24
-    for x in (Fraction(1, 3), Fraction(-2, 5)):
-        lhs, rhs = cor_5_9_check(x, order, reading="derived")
-        if lhs != rhs:
-            return _pass_if(False, None, f"derived reading fails at x={x}")
+    bad = _mismatch((*cor_5_9_check(x, order, reading="derived"),
+                     f"derived reading fails at x={x}")
+                    for x in (Fraction(1, 3), Fraction(-2, 5)))
+    if bad is not None:
+        return _pass_if(False, None, bad)
     notes = ["derived reading: the full double product over denominators v "
              "and residues m < v, times 1/(1-z), balances exactly to "
              "order 24"]
     for reading in ("printed-halfopen", "printed-closed"):
-        lhs, rhs = cor_5_9_check(Fraction(1, 3), 8, reading=reading)
-        bad = next((i for i in range(9) if lhs.coeffs[i] != rhs.coeffs[i]), None)
-        if bad is not None:
+        diff = _first_diff(*cor_5_9_check(Fraction(1, 3), 8, reading=reading))
+        if diff is not None:
             notes.append(
-                f"single-product reading ({reading.split('-')[1]} residue "
-                f"range) already fails at z^{bad}: "
-                f"{lhs.coeffs[bad]} vs {rhs.coeffs[bad]}"
+                "single-product reading ({} residue range) already fails at "
+                "z^{}: {} vs {}".format(reading.split("-")[1], *diff)
             )
     return Outcome("PASS_WITH_CORRECTION", 0.0, None, tuple(notes))
 
 
-def _check_h_factor(rng: random.Random) -> Outcome:
-    worst = 0.0
+def _h_factor_residuals(rng: random.Random) -> Iterator[float]:
     for _ in range(20):
         n = rng.randint(8, 20)
         a = _rand_seq(rng, n)
         bs = [_rand_seq_nonzero(rng, n) for _ in range(3)]
-        lhs, rhs = thm_5_10_check(a, bs, rng.uniform(0.2, 0.8))
-        worst = max(worst, _rel_residual(lhs, rhs))
-    return _pass_if(worst < 1e-8, worst)
+        yield _rel_residual(*thm_5_10_check(a, bs, rng.uniform(0.2, 0.8)))
 
 
 def _check_bracket_corollary(rng: random.Random) -> Outcome:
-    for h in (1, 2, 3):
-        for m in (1, 2, 3):
+    def oracle():
+        for h, m in product((1, 2, 3), repeat=2):
             n = rng.randint(8, 14)
             a = _rand_seq(rng, n)
             bs = [
                 FiniteSequence.from_values([_frac(rng, -3, 3, 4) for _ in range(n)])
                 for _ in range(h)
             ]
-            lhs, rhs = cor_5_11_check(a, bs, m)
-            if lhs != rhs:
-                return Outcome("SKIPPED", None, None,
-                               (f"oracle bracket imbalance at h={h}, m={m}",))
-    printed = bracket_polynomial(2, 1, 5, [Fraction(1), Fraction(1)])
-    oracle = bracket_polynomial_oracle(2, 1, 5, [Fraction(1), Fraction(1)])
-    if printed == oracle:
-        return _pass_if(True, 0.0)
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"h=2, m=1, k=5, b=(1,1): printed bracket {printed}, oracle {oracle}",
-        ("the printed bracket generator misses the power-sum normalisation: "
-         "the factor for exponent b is sum_j b^j (sum_(A<k) A^j)/(j! k^j), "
-         "and the first-order term is k(k-1)/2, not -B_1 C(1,1)",
-         "with the oracle bracket (m! times the x^m coefficient of the "
-         "product of exponential power sums) the rearrangement balances "
-         "exactly for h, m <= 3 on random rational sequences"),
+            yield (*cor_5_11_check(a, bs, m),
+                   f"oracle bracket imbalance at h={h}, m={m}")
+
+    return _printed_or_corrected(
+        ((bracket_polynomial(2, 1, 5, b), bracket_polynomial_oracle(2, 1, 5, b),
+          lambda printed, oracle: f"h=2, m=1, k=5, b=(1,1): printed bracket "
+                                  f"{printed}, oracle {oracle}")
+         for b in [[Fraction(1), Fraction(1)]]),
+        notes=("the printed bracket generator misses the power-sum normalisation: "
+               "the factor for exponent b is sum_j b^j (sum_(A<k) A^j)/(j! k^j), "
+               "and the first-order term is k(k-1)/2, not -B_1 C(1,1)",
+               "with the oracle bracket (m! times the x^m coefficient of the "
+               "product of exponential power sums) the rearrangement balances "
+               "exactly for h, m <= 3 on random rational sequences"),
+        oracle=oracle(),
     )
 
 
+def _bracket_oracle(rng: random.Random, m: int, q) -> Iterator[tuple]:
+    """Cases pairing the two-factor order-m bracket q(k, b1, b2) with the
+    exponential-sum oracle for k <= 30, three random rational b each."""
+    order = ("first", "second")[m - 1]
+    for k, _ in product(range(2, 31), range(3)):
+        b1, b2 = _frac(rng, -3, 3, 4), _frac(rng, -3, 3, 4)
+        yield (q(k, b1, b2), bracket_polynomial_oracle(2, m, k, [b1, b2]),
+               f"{order}-order oracle mismatch at k={k}")
+
+
 def _check_first_bracket_display(rng: random.Random) -> Outcome:
-    ks = range(2, 31)
-    for k in ks:
-        for _ in range(3):
-            b1, b2 = _frac(rng, -3, 3, 4), _frac(rng, -3, 3, 4)
-            if _q1(k, b1, b2) != bracket_polynomial_oracle(2, 1, k, [b1, b2]):
-                return Outcome("SKIPPED", None, None,
-                               (f"first-order oracle mismatch at k={k}",))
-    k = 5
-    printed = 2 * printed_t(1, k) * printed_t(2, k) * 1 * 1
-    true_val = _q1(k, Fraction(1), Fraction(1))
-    if printed == true_val:
-        return _pass_if(True, 0.0)
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"k=5, b=(1,1): printed 2 T_1 T_2 b_1 b_2 = {printed}, "
-        f"true coefficient {true_val}",
-        ("the true first-order bracket is (k(k-1)/2)(b_1 + b_2), confirmed "
-         "against the exponential-sum oracle for k <= 30",),
+    return _printed_or_corrected(
+        ((2 * printed_t(1, k) * printed_t(2, k) * 1 * 1,
+          _q1(k, Fraction(1), Fraction(1)),
+          lambda printed, true_val: f"k=5, b=(1,1): printed 2 T_1 T_2 b_1 b_2 "
+                                    f"= {printed}, true coefficient {true_val}")
+         for k in [5]),
+        notes=("the true first-order bracket is (k(k-1)/2)(b_1 + b_2), confirmed "
+               "against the exponential-sum oracle for k <= 30",),
+        oracle=_bracket_oracle(rng, 1, _q1),
     )
 
 
 def _check_second_bracket_display(rng: random.Random) -> Outcome:
-    ks = range(2, 31)
-    for k in ks:
-        for _ in range(3):
-            b1, b2 = _frac(rng, -3, 3, 4), _frac(rng, -3, 3, 4)
-            if _q2(k, b1, b2) != bracket_polynomial_oracle(2, 2, k, [b1, b2]):
-                return Outcome("SKIPPED", None, None,
-                               (f"second-order oracle mismatch at k={k}",))
-    k, b1, b2 = 5, Fraction(1), Fraction(2)
-    t1, t2, t3 = (printed_t(mu, k) for mu in (1, 2, 3))
-    printed = t1 * t3 * b1 * b2 * (b1**2 + b2**2) + t2**2 * b1**2 * b2**2
-    true_val = _q2(k, b1, b2)
-    if printed == true_val:
-        return _pass_if(True, 0.0)
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"k=5, b=(1,2): printed T-form = {printed}, true coefficient "
-        f"{true_val} (= 2! times the oracle x^2 coefficient)",
-        ("the true second-order bracket is "
-         "(k^2/3 - k/2 + 1/6)(b_1^2 + b_2^2) + ((k-1)^2/2) b_1 b_2, "
-         "confirmed against the exponential-sum oracle for k <= 30",),
+    return _printed_or_corrected(
+        ((printed_t(1, k) * printed_t(3, k) * b1 * b2 * (b1**2 + b2**2)
+          + printed_t(2, k)**2 * b1**2 * b2**2, _q2(k, b1, b2),
+          lambda printed, true_val: f"k=5, b=(1,2): printed T-form = {printed}, "
+                                    f"true coefficient {true_val} (= 2! times "
+                                    f"the oracle x^2 coefficient)")
+         for k, b1, b2 in [(5, Fraction(1), Fraction(2))]),
+        notes=("the true second-order bracket is "
+               "(k^2/3 - k/2 + 1/6)(b_1^2 + b_2^2) + ((k-1)^2/2) b_1 b_2, "
+               "confirmed against the exponential-sum oracle for k <= 30",),
+        oracle=_bracket_oracle(rng, 2, _q2),
+    )
+
+
+def _bracket_identity(rng: random.Random, check, skip_note: str, note: str) -> Outcome:
+    """cor-5.12/5.13: the printed form probed at a = b_1 = b_2 = delta_2,
+    the corrected form swept over 6 random sequence triples."""
+    def corrected():
+        for _ in range(6):
+            n = rng.randint(6, 14)
+            a, b1, b2 = (_rand_seq(rng, n) for _ in range(3))
+            yield *check(a, b1, b2, as_printed=False), skip_note
+
+    return _printed_or_corrected(
+        [(*check(_delta(2), _delta(2), _delta(2), as_printed=True),
+          lambda lhs, rhs: f"a = b_1 = b_2 = delta_2 (printed): lhs={lhs}, rhs={rhs}")],
+        corrected(), (note,),
     )
 
 
 def _check_linear_bracket_identity(rng: random.Random) -> Outcome:
-    lhs, rhs = cor_5_12_check(_delta(2), _delta(2), _delta(2), as_printed=True)
-    if lhs == rhs:
-        return _pass_if(True, 0.0)
-    for _ in range(6):
-        n = rng.randint(6, 14)
-        a, b1, b2 = (_rand_seq(rng, n) for _ in range(3))
-        cl, cr = cor_5_12_check(a, b1, b2, as_printed=False)
-        if cl != cr:
-            return Outcome("SKIPPED", None, None,
-                           ("corrected first-order identity imbalance",))
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"a = b_1 = b_2 = delta_2 (printed): lhs={lhs}, rhs={rhs}",
-        ("printed left side (1/3) sum (1/k) a_k b1_k has the wrong weight "
-         "and omits b2; with left side sum a_k (k(k-1)/2)(b1_k + b2_k) the "
-         "identity is exact on random rational sequences",),
+    return _bracket_identity(
+        rng, cor_5_12_check, "corrected first-order identity imbalance",
+        "printed left side (1/3) sum (1/k) a_k b1_k has the wrong weight "
+        "and omits b2; with left side sum a_k (k(k-1)/2)(b1_k + b2_k) the "
+        "identity is exact on random rational sequences",
     )
 
 
 def _check_quadratic_bracket_identity(rng: random.Random) -> Outcome:
-    lhs, rhs = cor_5_13_check(_delta(2), _delta(2), _delta(2), as_printed=True)
-    if lhs == rhs:
-        return _pass_if(True, 0.0)
-    for _ in range(6):
-        n = rng.randint(6, 14)
-        a, b1, b2 = (_rand_seq(rng, n) for _ in range(3))
-        cl, cr = cor_5_13_check(a, b1, b2, as_printed=False)
-        if cl != cr:
-            return Outcome("SKIPPED", None, None,
-                           ("corrected second-order identity imbalance",))
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"a = b_1 = b_2 = delta_2 (printed): lhs={lhs}, rhs={rhs}",
-        ("printed left side halves the true quadratic bracket and its right "
-         "side repeats the first-power selector sums; corrected form (full "
-         "bracket against second-power sums with 1/v^2) is exact",),
+    return _bracket_identity(
+        rng, cor_5_13_check, "corrected second-order identity imbalance",
+        "printed left side halves the true quadratic bracket and its right "
+        "side repeats the first-power selector sums; corrected form (full "
+        "bracket against second-power sums with 1/v^2) is exact",
     )
 
 
-def _check_totient_weighted_linear(rng: random.Random) -> Outcome:
+def _totient_weighted_linear_cases(rng: random.Random) -> Iterator[tuple]:
     for _ in range(8):
         a = _rand_seq(rng, rng.randint(6, 20))
-        lhs, rhs = cor_5_14_check(1, a)
-        if lhs != rhs:
-            return _pass_if(False, None, f"{lhs} vs {rhs}")
-    return _pass_if(
-        True, 0.0,
-        notes=("phi_1 is read as the unnormalized selector sum of (j_1+j_2) "
-               "over modulus n; under that reading the display is exact",),
-    )
+        yield *cor_5_14_check(1, a), lambda lhs, rhs: f"{lhs} vs {rhs}"
 
 
 def _check_totient_weighted_quadratic(rng: random.Random) -> Outcome:
-    lhs, rhs = cor_5_14_check(2, _delta(3), as_printed=True)
-    if lhs == rhs:
-        return _pass_if(True, 0.0)
-    for _ in range(6):
-        a = _rand_seq(rng, rng.randint(6, 20))
-        cl, cr = cor_5_14_check(2, a, as_printed=False)
-        if cl != cr:
-            return Outcome("SKIPPED", None, None,
-                           ("corrected quadratic weighting imbalance",))
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"a = delta_3 (printed): lhs={lhs}, rhs={rhs}",
+    return _printed_or_corrected(
+        [(*cor_5_14_check(2, _delta(3), as_printed=True),
+          lambda lhs, rhs: f"a = delta_3 (printed): lhs={lhs}, rhs={rhs}")],
+        ((*cor_5_14_check(2, _rand_seq(rng, rng.randint(6, 20)), as_printed=False),
+          "corrected quadratic weighting imbalance") for _ in range(6)),
         ("printed polynomial (7/12)k^2 - k + 5/12 with 1/v weights does not "
          "balance; doubling the polynomial and using 1/v^2 weights does",),
     )
 
 
-def _check_closed_display(display: str, expected_pass: bool):
+def _check_closed_display(display: str):
     def run(rng: random.Random) -> Outcome:
-        first_bad = None
-        for n in range(2, 41):
-            lhs, rhs = cor_5_15_check(display, n, as_printed=True)
-            if lhs != rhs:
-                first_bad = (n, lhs, rhs)
-                break
-        if first_bad is None:
-            return _pass_if(True, 0.0)
-        for n in range(2, 41):
-            cl, cr = cor_5_15_check(display, n, as_printed=False)
-            if cl != cr:
-                return Outcome("SKIPPED", None, None,
-                               (f"corrected display {display} imbalance at n={n}",))
-        n, lhs, rhs = first_bad
-        return Outcome(
-            "FAILS_AS_PRINTED", None,
-            f"n={n} (printed): lhs={lhs}, rhs={rhs}",
+        return _printed_or_corrected(
+            ((*cor_5_15_check(display, n, as_printed=True),
+              lambda lhs, rhs: f"n={n} (printed): lhs={lhs}, rhs={rhs}")
+             for n in range(2, 41)),
+            ((*cor_5_15_check(display, n, as_printed=False),
+              f"corrected display {display} imbalance at n={n}")
+             for n in range(2, 41)),
             ("the corrected reading balances exactly for n <= 40",),
         )
 
@@ -865,39 +815,28 @@ def _check_dirichlet_linear(rng: random.Random) -> Outcome:
 def _check_dirichlet_quadratic(rng: random.Random) -> Outcome:
     ok_u, ce_u = cor_5_16_check("b", 20, reading="unnormalized")
     ok_n, ce_n = cor_5_16_check("b", 20, reading="normalized")
-    if ok_u or ok_n:
-        return _pass_if(True, 0.0)
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"normalized reading: n={ce_n[0]}, divisor sum {ce_n[1]} vs "
-        f"{ce_n[2]}; unnormalized: n={ce_u[0]}, {ce_u[1]} vs {ce_u[2]}",
-        ("both residue-power normalizations of phi_2 miss the divisor law "
-         "implied by the zeta quotient (the exponent shift of k is off by "
-         "one, as in the product display audited under cor-5.17b)",),
+    return _printed_or_corrected(
+        [(ok_u or ok_n, True,
+          lambda *_: f"normalized reading: n={ce_n[0]}, divisor sum {ce_n[1]} vs "
+                     f"{ce_n[2]}; unnormalized: n={ce_u[0]}, {ce_u[1]} vs {ce_u[2]}")],
+        notes=("both residue-power normalizations of phi_2 miss the divisor law "
+               "implied by the zeta quotient (the exponent shift of k is off by "
+               "one, as in the product display audited under cor-5.17b)",),
     )
 
 
 def _check_product_display(which: str):
     def run(rng: random.Random) -> Outcome:
         order = 40
-        lhs, rhs = cor_5_17_check(which, order, reading="printed")
-        bad = next(
-            (i for i in range(order + 1) if lhs.coeffs[i] != rhs.coeffs[i]),
-            None,
-        )
-        if bad is None:
-            return _pass_if(True, 0.0)
-        cl, cr = cor_5_17_check(which, order, reading="corrected")
-        if cl != cr:
-            return Outcome("SKIPPED", None, None,
-                           ("corrected product display imbalance",))
         fix = ("exponents phi1u(k)/k^2 with right side exp(z^2/(1-z)^2)"
                if which == "a" else
                "exponents phi2u(k)/k^3 with the 5/6 and 6(1-z)^2 constants")
-        return Outcome(
-            "FAILS_AS_PRINTED", None,
-            f"printed series differ first at z^{bad}: "
-            f"{lhs.coeffs[bad]} vs {rhs.coeffs[bad]}",
+        return _printed_or_corrected(
+            [(*cor_5_17_check(which, order, reading="printed"),
+              lambda lhs, rhs: "printed series differ first at z^{}: {} vs {}"
+                               .format(*_first_diff(lhs, rhs)))],
+            ((*cor_5_17_check(which, order, reading=reading),
+              "corrected product display imbalance") for reading in ("corrected",)),
             (f"the corrected form ({fix}) matches exactly to order {order}",),
         )
 
@@ -921,31 +860,26 @@ def _check_quadratic_totient_relation(rng: random.Random) -> Outcome:
          lambda k: Fraction(jordan(2, k)),
          lambda k: Fraction(jordan(1, k))]
     printed = (Fraction(7, 12), Fraction(-1), Fraction(5, 12))
-    bad = None
-    for k in range(2, 51):
-        combo = sum(c * b(k) for c, b in zip(printed, j))
-        if combo != target(k):
-            bad = (k, target(k), combo)
-            break
-    if bad is None:
-        return _pass_if(True, 0.0)
-    full = discover_linear_relation(target, j, [2, 3, 4], 200)
-    two = discover_linear_relation(target, j[:2], [2, 3], 200)
-    notes = []
-    if full is not None:
-        notes.append(f"discovery over (J_3, J_2, J_1) with fit points 2, 3, 4 "
-                     f"yields {tuple(str(c) for c in full)}, verified for "
-                     f"k <= 200")
-    if two is not None:
-        notes.append(f"discovery over (J_2, J_1) yields "
-                     f"{tuple(str(c) for c in two)}, verified for k <= 200")
-    if not notes:
-        notes.append("no substitute relation survived verification")
-    k, want, got = bad
-    return Outcome(
-        "FAILS_AS_PRINTED", None,
-        f"k={k}: phi_2(2;k) = {want} but (7/12)J_3 - J_2 + (5/12)J_1 = {got}",
-        tuple(notes),
+
+    def notes():
+        full = discover_linear_relation(target, j, [2, 3, 4], 200)
+        two = discover_linear_relation(target, j[:2], [2, 3], 200)
+        if full is not None:
+            yield (f"discovery over (J_3, J_2, J_1) with fit points 2, 3, 4 "
+                   f"yields {tuple(str(c) for c in full)}, verified for "
+                   f"k <= 200")
+        if two is not None:
+            yield (f"discovery over (J_2, J_1) yields "
+                   f"{tuple(str(c) for c in two)}, verified for k <= 200")
+        if full is None and two is None:
+            yield "no substitute relation survived verification"
+
+    return _printed_or_corrected(
+        ((sum(c * b(k) for c, b in zip(printed, j)), target(k),
+          lambda got, want: f"k={k}: phi_2(2;k) = {want} but "
+                            f"(7/12)J_3 - J_2 + (5/12)J_1 = {got}")
+         for k in range(2, 51)),
+        notes=notes(),
     )
 
 
@@ -961,44 +895,19 @@ _THETA_CORRECTIONS = (
 )
 
 
-def _check_theta_convention(rng: random.Random) -> Outcome:
-    worst = 0.0
-    for q in (0.05, 0.2, 0.5):
-        for z in (0.3, 1.1, 2.0):
-            worst = max(
-                worst,
-                abs(theta1(-z, q) + theta1(z, q)),
-                abs(theta1(z + math.pi, q) + theta1(z, q)),
-            )
+def _theta_convention_residuals(rng: random.Random) -> Iterator[float]:
+    for q, z in product((0.05, 0.2, 0.5), (0.3, 1.1, 2.0)):
+        yield abs(theta1(-z, q) + theta1(z, q))
+        yield abs(theta1(z + math.pi, q) + theta1(z, q))
     q = 1e-4
-    lead = abs(theta1(0.7, q) - 2.0 * q**0.25 * math.sin(0.7))
-    worst = max(worst, lead)
-    if worst >= 1e-8:
-        return _pass_if(False, worst)
-    return Outcome(
-        "PASS_WITH_CORRECTION", worst, None,
-        ("printed prefactor 2q^(1/2) with the sum from k = 1 omits the "
-         "leading sin z term; the standard convention 2q^(1/4) with the sum "
-         "from k = 0 is used (odd, pi-antiperiodic, leading term "
-         "2q^(1/4) sin z), and prefactors cancel in every ratio below",),
-    )
+    yield abs(theta1(0.7, q) - 2.0 * q**0.25 * math.sin(0.7))
 
 
-def _check_theta_log_ratio(rng: random.Random) -> Outcome:
-    worst = 0.0
-    for alpha in (0.4, 0.7, 1.1):
-        for beta in (0.1, 0.3, 0.55):
-            for q in (0.05, 0.1, 0.3):
-                lhs, rhs = theta_log_ratio_check(alpha, beta, q)
-                worst = max(worst, abs(lhs - rhs))
-    if worst >= 1e-10:
-        return _pass_if(False, worst)
-    return Outcome(
-        "PASS_WITH_CORRECTION", worst, None,
-        ('the summand prints "sin 2k alpha sin 2k alpha"; the second factor '
-         "must read sin 2k beta (the display is otherwise independent of "
-         "beta while its right side is not)",),
-    )
+def _theta_log_ratio_residuals(rng: random.Random) -> Iterator[float]:
+    for alpha, beta, q in product((0.4, 0.7, 1.1), (0.1, 0.3, 0.55),
+                                  (0.05, 0.1, 0.3)):
+        lhs, rhs = theta_log_ratio_check(alpha, beta, q)
+        yield abs(lhs - rhs)
 
 
 def _check_theta_identity(identity: str, params: dict, extra_notes: tuple = ()):
@@ -1081,20 +990,16 @@ def _check_selector_weight_def(rng: random.Random) -> Outcome:
 # the registry
 
 
-def _entry(id_, anchor, params, procedure, expected, provenance):
-    return IdentityCheck(id_, anchor, params, procedure, expected, provenance)
-
-
 _ENTRIES = [
     # -- section 2 ---------------------------------------------------------
-    _entry(
+    IdentityCheck(
         "eq-2.3", "powers of the divisors of",
         "s=1, n=(6,), K in {1e2, 1e3, 1e4}",
         _check_dirichlet_m1, "PASS",
         "[DERIVED: partial sums against sigma_{-s}(n)/zeta(s+1) with "
         "Euler-Maclaurin zeta]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-2.4", "is a positive integer then",
         "(s, n) in {(1,(4,6)), (2,(3,5)), (1,(2,4,6)), (1.5,(12,18))}, "
         "K in {1e2, 1e3, 1e4}",
@@ -1102,79 +1007,85 @@ _ENTRIES = [
         "[DERIVED: monotone truncation-error decay to "
         "sigma_{m-1-s}(g)/zeta(s+1)]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-2.5", "many results similar to",
         "m in 1..3, gcd g in 1..12, order 64",
-        _check_cohen_product_series, "PASS",
+        _first_mismatch(_cohen_product_cases), "PASS",
         "[DERIVED: exact coefficient comparison, both sides expanded over "
         "Fraction]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-2.3", "multiplicativity generalize in the new versions",
         "coprime k1, k2 with k1 k2 <= 144; m in 1..3, random n_i in 0..20",
-        _check_multiplicative, "PASS",
+        _first_mismatch(_multiplicative_cases), "PASS",
         "[DERIVED: closed-form evaluation on both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-2.6", "common arithmetical functions satisfy",
         "none (not executable)",
         _check_garbled_functional_equation, "FLAGGED",
         "[TRIVIAL: unparseable as printed]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-2.7", "sum of powers of divisors",
         "n in {(4,6), (9,), (2,4,8)}, K in {1e2, 1e3, 1e4, 1e5}",
         _check_mean_zero, "PASS",
         "[DERIVED: rearranged Mertens-type sum cross-checked against direct "
         "summation]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-2.8", "the well known convergence of",
         "n=(1,), K in {1e2, 1e3, 1e4}",
         _check_moebius_mean_zero, "PASS",
         "[DERIVED: Moebius partial sums shrink monotonically on the K grid]",
     ),
     # -- section 3 ---------------------------------------------------------
-    _entry(
+    IdentityCheck(
         "lem-3.1", "positive integer multiples of the visible",
         "boxes 8x8, 5x5x5, length-10 segment; hyperpyramid (5,5,6) "
         "(the 8x8 box is the depicted grid)",
-        _check_multiples_partition, "PASS",
+        _first_mismatch(
+            _multiples_partition_cases,
+            "every lattice point decomposes uniquely as a positive multiple "
+            "of a visible point, on boxes in 1-3 dimensions and a "
+            "hyperpyramid",
+        ),
+        "PASS",
         "[DERIVED: exhaustive decomposition check on finite regions]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-3.1", "is an arbitrary sequence and",
         "m in {1,2,3}, 10 random sequences each, q_h in (0.05, 0.9)",
-        _check_radical_rearrangement((1, 2, 3), 10), "PASS",
+        _check_radical_rearrangement((1, 2, 3)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-3.2", "cases of (3.1) with",
         "m=1, 10 random sequences",
-        _check_radical_rearrangement((1,), 10), "PASS",
+        _check_radical_rearrangement((1,)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-3.3", "The proof of each of",
         "m=2, 10 random sequences",
-        _check_radical_rearrangement((2,), 10), "PASS",
+        _check_radical_rearrangement((2,)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-3.4", "seen as interpreting lemma 3.1",
         "m=3, 10 random sequences",
-        _check_radical_rearrangement((3,), 10), "PASS",
+        _check_radical_rearrangement((3,)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
     # -- section 4 ---------------------------------------------------------
-    _entry(
+    IdentityCheck(
         "eq-4.1", "We have therefore the analysis",
         "10 random sequences; q = (e^(xz), e^(yz)) with x, y < 0 < z",
-        _check_exp_grid_expansion, "PASS",
+        _worst_residual(_exp_grid_residuals), "PASS",
         "[DERIVED: instance of the radical rearrangement at exponential "
         "variables]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.2", "gives us the summation formulae",
         "c in {1,2,3}, random rational sequences and x, y",
         _check_grid_coefficients(
@@ -1185,7 +1096,7 @@ _ENTRIES = [
         "PASS_WITH_CORRECTION",
         "[DERIVED: exact coefficient identities after unifying the index]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.3", "equating coefficients of like powers",
         "c in {0,2,4}, random rational sequences and x, y",
         _check_grid_coefficients(
@@ -1196,151 +1107,170 @@ _ENTRIES = [
         "PASS_WITH_CORRECTION",
         "[DERIVED: exact coefficient identities after unifying the index]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.4", "number of non-negative integer solutions",
         "selector count vs J_2 for k <= 60; c = 0 grid identity on random "
         "sequences",
-        _check_phi0_count, "PASS",
+        _first_mismatch(_phi0_count_cases), "PASS",
         "[DERIVED: direct enumeration against the Jordan product formula]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.7", "analogous manner for the general",
         "n-th powers c in {1,2,3,4}, random rational sequences and x, y",
         _check_grid_coefficients((1, 2, 3, 4)), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.9", "and suitably chosen functions",
         "t in {0,1,2}, m in {2,3}; delta probe a = delta_2",
         _check_phi_weight, "FAILS_AS_PRINTED",
         "[DERIVED: brute-force probe at t=1, m=2, k <= 6: lhs 4, rhs 3]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.10", "whilst for $t=0$ we have",
         "m in {1,2,3} random sequences; divisor law m <= 4, k <= 200",
         _check_jordan_weighted_sum, "PASS",
         "[DERIVED: equivalent to the Jordan divisor-sum law]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.11", "Therefore if $a^k=k^{-z}$ we have",
         "divisor law m <= 4, k <= 200; float spot m=1, s=4, K=4000",
         _check_jordan_dirichlet, "PASS",
         "[DERIVED: coefficient-level divisor law plus zeta-quotient spot "
         "check]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.12", "as a product over primes",
         "m in {1,2,3}, k <= 60",
-        _check_jordan_enumeration, "PASS",
+        _first_mismatch(
+            _jordan_enumeration_cases,
+            "k >= 2: the k = 1 selector is empty while the product formula "
+            "gives 1",
+        ),
+        "PASS",
         "[DERIVED: selector enumeration against the product formula]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.13", "This is new, and related",
         "m in 1..4, order 64",
-        _check_jordan_product, "PASS",
+        _first_mismatch(_jordan_product_cases), "PASS",
         "[DERIVED: exact series identity, product vs exp of power sums]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.14", "easily reduced by using the",
         "m <= 6, n <= 12, z in {2, 1/2, -1, 1/3}",
-        _check_finite_stirling, "PASS",
+        _first_mismatch(_finite_stirling_cases), "PASS",
         "[DERIVED: finite falling-factorial expansion evaluated exactly]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.15", "Hence we have the",
         "m in 2..8, order 32",
-        _check_stirling_product, "PASS",
+        _first_mismatch(
+            _stirling_product_cases,
+            "m = 1 is excluded: there the falling-factorial exponent gains "
+            "the constant 0^0 = 1 term, shifting the right side by a factor "
+            "of e; for m >= 2 both exponents agree term by term",
+        ),
+        "PASS",
         "[DERIVED: exact series identity via Stirling-number exponent]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-4.16", "limiting case of the hyperpyramid",
         "n in {2,3}; b rational (including a negative exponent), "
         "cutoffs 24 and 14",
-        _check_hyperpyramid, "PASS_WITH_CORRECTION",
+        _worst_residual(
+            _hyperpyramid_residuals,
+            "the printed product allows leading coordinates a_i = 0, whose "
+            "weight a_i^(-b_i) is undefined and which no right-side term "
+            "generates; restricting to a_i >= 1 the matched-index "
+            "truncations agree",
+            status="PASS_WITH_CORRECTION",
+        ),
+        "PASS_WITH_CORRECTION",
         "[DERIVED: matched-index truncation with the a_i >= 1 restriction]",
     ),
     # -- section 5 ---------------------------------------------------------
-    _entry(
+    IdentityCheck(
         "thm-5.1", "led to many new results",
         "20 random sequences, n <= 30, x in (0.2, 1.2)",
         _check_one_factor, "PASS_WITH_CORRECTION",
         "[DERIVED: resolved index set balances; printed set refuted at "
         "a=delta_2, b=1, x=1]",
     ),
-    _entry(
+    IdentityCheck(
         "thm-5.2", "the 3-D version of theorem",
         "20 random sequences, n <= 24",
-        _check_two_factor, "PASS",
+        _worst_residual(_two_factor_residuals), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.3", "dividing up the first hyperquadrant",
         "x=0.3, y=0.2, z=0.25, c_max in {20, 40}",
         _check_companion_product, "PASS",
         "[DERIVED: truncated product against the closed form, shrinking "
         "residual]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.4", "we get the new result",
         "10 random sequences, m=2",
-        _check_jordan_weighted_m2, "PASS",
+        _first_mismatch(_jordan_weighted_m2_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.5", "An obvious example is",
         "n <= 100 exhaustive, plus n in {200, 333, 500}",
-        _check_square_pyramidal, "PASS",
+        _first_mismatch(_square_pyramidal_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.6", "we rate here as a",
         "50 random rational sequences, m <= 4, n <= 100",
-        _check_jordan_weighted_general, "PASS",
+        _first_mismatch(_jordan_weighted_general_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.7", "Partial sums of this generating",
         "m in {1,2,3}, n <= 40 exhaustive plus {100, 157, 200}",
-        _check_partial_sum_family("n"), "PASS",
+        _first_mismatch(_partial_sums_n_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.8", "appropriate convergence restrictions are in",
         "(m, a) in {(2,1), (3,1), (3,2)}, n <= 40 plus {100, 157, 200}",
-        _check_partial_sum_family("power"), "PASS",
+        _first_mismatch(_partial_sums_power_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.9", "as $z$ approaches unity in",
         "m in 1..4, n <= 40 plus {100, 157, 200}",
-        _check_partial_sum_family("m"), "PASS",
+        _first_mismatch(_partial_sums_m_cases), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.10", "essentially the logarithmic derivative of",
         "printed probe m=1, n=2, z=1/2; corrected sweep m <= 3, n <= 30",
         _check_geometric_blocks, "FAILS_AS_PRINTED",
         "[DERIVED: hand case m=1, n=2, z=1/2 gives lhs 5/2, printed rhs 1]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.11", "Another related yet distinct summation",
         "20 random sequences, n <= 30",
-        _check_weighted_one_factor, "PASS",
+        _worst_residual(_weighted_one_factor_residuals), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.9", "number of solutions in integers",
         "x in {1/3, -2/5}, order 24; printed readings probed to order 8",
         _check_mixed_product, "PASS_WITH_CORRECTION",
         "[DERIVED: exact z-series; single-product readings refuted at z^1]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.14", "write down the generalized version",
         "h=3, 20 random sequences, n <= 20",
-        _check_h_factor, "PASS",
+        _worst_residual(_h_factor_residuals, tol=1e-8), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.11", "general derivative with respect to",
         "h, m in {1,2,3}, random rational sequences; printed probe "
         "h=2, m=1, k=5",
@@ -1348,109 +1278,114 @@ _ENTRIES = [
         "[DERIVED: exponential-sum oracle bracket balances; printed bracket "
         "gives 29/30 where the oracle gives 20]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.16", "simplest cases of corollary 5.11",
         "oracle sweep k <= 30 with random rational b; printed probe k=5, "
         "b=(1,1)",
         _check_first_bracket_display, "FAILS_AS_PRINTED",
         "[DERIVED: first-order bracket oracle (k(k-1)/2)(b1+b2)]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-5.17", "applying (5.16) and then (5.17)",
         "oracle sweep k <= 30 with random rational b; printed probe k=5, "
         "b=(1,2)",
         _check_second_bracket_display, "FAILS_AS_PRINTED",
         "[DERIVED: second-order bracket oracle value 46 at k=5, b=(1,2)]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.12", "positive integers greater than",
         "printed probe a=b1=b2=delta_2; corrected sweep on 6 random "
         "sequence triples",
         _check_linear_bracket_identity, "FAILS_AS_PRINTED",
         "[DERIVED: delta-sequence probe against the selector sums]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.13", "the same conditions as corollary",
         "printed probe a=b1=b2=delta_2; corrected sweep on 6 random "
         "sequence triples",
         _check_quadratic_bracket_identity, "FAILS_AS_PRINTED",
         "[DERIVED: delta-sequence probe against the selector sums]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.14a", "natural occurrence in the right sides",
         "8 random rational sequences, n <= 20",
-        _check_totient_weighted_linear, "PASS",
+        _first_mismatch(
+            _totient_weighted_linear_cases,
+            "phi_1 is read as the unnormalized selector sum of (j_1+j_2) "
+            "over modulus n; under that reading the display is exact",
+        ),
+        "PASS",
         "[DERIVED: exact under the unnormalized selector-sum reading of "
         "phi_1]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.14b", "power of the sum of",
         "printed probe a=delta_3; corrected sweep on 6 random sequences",
         _check_totient_weighted_quadratic, "FAILS_AS_PRINTED",
         "[DERIVED: delta-sequence probe, lhs 8/3 vs rhs 16]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.15a", "We next state some examples",
         "n in 2..40",
-        _check_closed_display("a", True), "PASS",
+        _check_closed_display("a"), "PASS",
         "[DERIVED: exact rational evaluation of both sides]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.15b", "cases are fairly obvious given",
         "n in 2..40, printed and corrected readings",
-        _check_closed_display("b", False), "FAILS_AS_PRINTED",
+        _check_closed_display("b"), "FAILS_AS_PRINTED",
         "[DERIVED: first failing n recorded; corrected polynomial/weights "
         "balance]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.15c", "given the previous analysis",
         "n in 2..40, printed and corrected readings",
-        _check_closed_display("c", False), "FAILS_AS_PRINTED",
+        _check_closed_display("c"), "FAILS_AS_PRINTED",
         "[DERIVED: first failing n recorded; corrected cubic left side "
         "balances]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.15d", "akin to those in Campbell",
         "n in 2..40, printed and corrected readings",
-        _check_closed_display("d", False), "FAILS_AS_PRINTED",
+        _check_closed_display("d"), "FAILS_AS_PRINTED",
         "[DERIVED: first failing n recorded; corrected quartic left side "
         "balances]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.16a", "permit $n$ to increase indefinitely",
         "divisor law for n <= 120 (unnormalized); normalized probe n <= 20",
         _check_dirichlet_linear, "PASS",
         "[DERIVED: coefficient extraction reduces the display to "
         "sum_(d|n) phi1u(d)/d = n^2 - n]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.16b", "the Dirichlet generating functions given",
         "divisor-law probes n <= 20 under both normalizations",
         _check_dirichlet_quadratic, "FAILS_AS_PRINTED",
         "[DERIVED: coefficient extraction; both normalizations refuted at "
         "small n]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.17a", "we have the infinite products",
         "order 40, printed and corrected readings",
         _check_product_display("a"), "FAILS_AS_PRINTED",
         "[DERIVED: printed series differ at z^1 (0 vs 1); corrected form "
         "exact]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.17b", "if $n$ too increases indefinitely",
         "order 40, printed and corrected readings",
         _check_product_display("b"), "FAILS_AS_PRINTED",
         "[DERIVED: printed series differ at z^2 (3/2 vs 3/8); corrected "
         "form exact]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.18a", "and its ensuing paragraph",
         "fit points {2, 3}, verification k <= 200",
         _check_linear_totient_relation, "PASS",
         "[DERIVED: selector enumeration oracle for phi_1(2;k)]",
     ),
-    _entry(
+    IdentityCheck(
         "cor-5.18b", "sum when compared to corollary",
         "printed combination probed for k <= 50; discovery fits {2,3,4} "
         "and {2,3}, verification k <= 200",
@@ -1458,22 +1393,37 @@ _ENTRIES = [
         "[DERIVED: phi_2(2;3) = 16/3 but the printed combination gives 8]",
     ),
     # -- section 6 ---------------------------------------------------------
-    _entry(
+    IdentityCheck(
         "eq-6.1", "terminology for the theta function",
         "q in {1e-4, 0.05, 0.2, 0.5}, z in {0.3, 1.1, 2.0}",
-        _check_theta_convention, "PASS_WITH_CORRECTION",
+        _worst_residual(
+            _theta_convention_residuals,
+            "printed prefactor 2q^(1/2) with the sum from k = 1 omits the "
+            "leading sin z term; the standard convention 2q^(1/4) with the "
+            "sum from k = 0 is used (odd, pi-antiperiodic, leading term "
+            "2q^(1/4) sin z), and prefactors cancel in every ratio below",
+            tol=1e-8, status="PASS_WITH_CORRECTION",
+        ),
+        "PASS_WITH_CORRECTION",
         "[DERIVED: oddness, pi-antiperiodicity, and the small-q leading "
         "term under the standard convention]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.2", "Application of (6.2) to (3.2)",
         "27-point grid: alpha in {0.4,0.7,1.1}, beta in {0.1,0.3,0.55}, "
         "q in {0.05,0.1,0.3}",
-        _check_theta_log_ratio, "PASS_WITH_CORRECTION",
+        _worst_residual(
+            _theta_log_ratio_residuals,
+            'the summand prints "sin 2k alpha sin 2k alpha"; the second '
+            "factor must read sin 2k beta (the display is otherwise "
+            "independent of beta while its right side is not)",
+            tol=1e-10, status="PASS_WITH_CORRECTION",
+        ),
+        "PASS_WITH_CORRECTION",
         "[DERIVED: Lambert expansion against direct theta evaluation; "
         "second sine factor read as sin 2k beta]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.3", "gives us the result",
         "x=0.5, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity("thm-6.1",
@@ -1482,7 +1432,7 @@ _ENTRIES = [
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.4", "is Ramanujan's trigonometrical function",
         "n=2, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity("cor-6.2",
@@ -1491,7 +1441,7 @@ _ENTRIES = [
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.5", "allow $x$ to approach unity",
         "q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity(
@@ -1504,7 +1454,7 @@ _ENTRIES = [
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.6", "but from starting with lemma",
         "xs=(0.5, 0.25), q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity(
@@ -1514,14 +1464,14 @@ _ENTRIES = [
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.7", "We state two relevant corollaries",
         "rotation, unit, real and mixed factor tuples, v <= 20",
         _check_selector_weight_def, "PASS",
         "[DERIVED: brute-force selector sums against the Moebius closed "
         "form]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.8", "bearing in mind our work",
         "m=2, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity("cor-6.5",
@@ -1530,7 +1480,7 @@ _ENTRIES = [
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
     ),
-    _entry(
+    IdentityCheck(
         "eq-6.9", "new generalized Ramanujan totient function",
         "n=(2,3), q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity(

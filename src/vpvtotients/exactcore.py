@@ -64,13 +64,6 @@ class Factorization:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 

@@ -4,7 +4,7 @@ The carrier for every infinite-product identity checked coefficientwise.
 All arithmetic is exact; there is deliberately no floating-point shortcut,
 so a wrong printed coefficient cannot hide inside a tolerance.  Coefficients
 are fractions.Fraction.  The exp and log recurrences (and so products
-prod (1 - z^k)^{r_k} and rational powers) run on integers scaled by the lcm
+prod (1 - z^k)^{r_k}) run on integers scaled by the lcm
 of the input denominators, with one exact division per output coefficient,
 and refuse with ResourceError inputs whose predicted work is above a cap.
 """
@@ -22,12 +22,10 @@ __all__ = [
     "PowerSeries",
     "DEFAULT_ORDER",
     "geometric",
-    "one",
     "zero",
     "ps_mul",
     "ps_exp",
     "ps_log",
-    "ps_pow_rational",
     "product_with_exponents",
     "check_power_sum_work",
     "stirling_rhs_series",
@@ -60,14 +58,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(
@@ -90,10 +80,6 @@ class PowerSeries:
 
 def zero(order: int = DEFAULT_ORDER) -> PowerSeries:
     return PowerSeries((Fraction(0),) * (order + 1))
-
-
-def one(order: int = DEFAULT_ORDER) -> PowerSeries:
-    return PowerSeries((Fraction(1),) + (Fraction(0),) * order)
 
 
 def monomial(coeff, power: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -241,11 +227,6 @@ def ps_log(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(l))
 
 
-def ps_pow_rational(a: PowerSeries, r) -> PowerSeries:
-    """a**r for rational r, as exp(r * log(a)); requires constant term 1."""
-    return ps_exp(ps_log(a).scale(_as_fraction(r)))
-
-
 def log_one_minus_z_pow(k: int, order: int) -> PowerSeries:
     """log(1 - z^k) = -sum_{j>=1, jk<=order} z^(jk)/j."""
     if k < 1:
@@ -281,23 +262,12 @@ def product_with_exponents(exps: dict, order: int = DEFAULT_ORDER) -> PowerSerie
     return _exp_from_derivative(c)
 
 
-def power_sum_series(m: int, order: int) -> PowerSeries:
-    """sum_{k>=1} k^(m-1) z^k truncated; for m = 1 the k = 0 term (0^0 = 1)
-    is included so the series is 1/(1-z)."""
-    c = [Fraction(k ** (m - 1)) for k in range(order + 1)]
-    if m == 1:
-        c[0] = Fraction(1)  # 0^0 = 1
-    else:
-        c[0] = Fraction(0)
-    return PowerSeries(tuple(c))
-
-
 def stirling_rhs_series(m: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """sum_{j=0}^{m-1} S(m-1, j) j! z^j / (1-z)^(j+1) as a truncated series.
 
     Coefficient of z^n is sum_j S(m-1, j) j! C(n, j), the falling-factorial
-    expansion of n^(m-1); equals power_sum_series(m, order) including the
-    n = 0 term under the 0^0 = 1 convention.
+    expansion of n^(m-1), so the series is sum_{n>=0} n^(m-1) z^n with
+    0^0 = 1.
     """
     if m < 1:
         raise DomainError("stirling_rhs_series requires m >= 1")

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from vpvtotients.audit import (
     REGISTRY,
     STATUSES,
+    Outcome,
     discover_linear_relation,
+    registry,
     run_audit,
 )
 from vpvtotients.errors import UsageError
@@ -137,3 +141,266 @@ def test_discover_linear_relation_verification_failure():
     target = lambda k: phi_t(2, 2, k)  # noqa: E731
     j2 = lambda k: Fraction(jordan(2, k))  # noqa: E731
     assert discover_linear_relation(target, [j2], [2], 20) is None
+
+
+# Failure paths that no seeded run reaches. Each case rebinds layer names in
+# the registry module (the checks look them up when they run) so that one
+# call returns a changed result, and pins the whole Outcome the check then
+# returns: its status, residual, counterexample and notes.
+
+
+def _off_at(real, call, off):
+    """`real`, except that call number `call` (every call when None) returns
+    off(result) instead of its result."""
+    count = 0
+
+    def wrapped(*args, **kwargs):
+        nonlocal count
+        count += 1
+        result = real(*args, **kwargs)
+        return off(result) if call in (None, count) else result
+
+    return wrapped
+
+
+# what the changed call returns in place of its result
+
+
+def _split(sides):
+    return 0, 1
+
+
+def _balance(sides):
+    return sides[0], sides[0]
+
+
+def _plus_one(value):
+    return value + 1
+
+
+def _negate(ok):
+    return not ok
+
+
+def _off(series):
+    return "OFF"  # equal to no series
+
+
+def _half(sides):
+    return 1.0, 2.0  # relative residual 0.5
+
+
+def _bump_z3(series):
+    c = series.coeffs
+    return type(series)(c[:3] + (c[3] + 1,) + c[4:])
+
+
+def _nothing(result):
+    return None
+
+
+def _inf(value):
+    return math.inf
+
+
+FAILURE_PATHS = [
+    # (id, ((layer name, call number, change), ...), the Outcome it returns)
+    ("cor-2.3", (("ramanujan_cohen", 50, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", None, "n=[10], k1=4, k2=11: 2 vs 1")),
+    ("eq-2.5", (("ps_exp", 5, _bump_z3),),
+     Outcome("FAILS_AS_PRINTED", None,
+             "m=1, g=5: coefficient 3 is 1/6 vs 7/6")),
+    ("lem-3.1", (("multiples_partition_check", 3, _negate),),
+     Outcome("FAILS_AS_PRINTED", None,
+             "region RadialRegion(dims=1, bounds=(10,), constraint='box')")),
+    ("eq-3.1", (("lemma_3_2_check", 7, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("eq-3.4", (("lemma_3_2_check", 4, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("eq-4.1", (("lemma_3_2_check", 5, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("eq-4.2", (("grid_power_identity_check", 6, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "c=2: 0 vs 1")),
+    ("eq-4.3", (("grid_power_identity_check", 6, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "c=4: 0 vs 1")),
+    ("eq-4.4", (("selector_size", 7, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", None, "k=8")),
+    ("eq-4.4", (("grid_power_identity_check", 3, _split),),
+     Outcome(
+         "FAILS_AS_PRINTED",
+         None,
+         "a={1: Fraction(3, 5), 2: Fraction(1, 1), 3: Fraction(1, 1), "
+         "4: Fraction(-3, 5), 5: Fraction(-2, 1), 6: Fraction(1, 1), "
+         "7: Fraction(-1, 1), 8: Fraction(5, 3), 9: Fraction(2, 1), "
+         "10: Fraction(-5, 2), 11: Fraction(-1, 1), 12: Fraction(1, 1), "
+         "13: Fraction(4, 5), 14: Fraction(1, 1), 16: Fraction(-1, 5)}: "
+         "0 vs 1",
+     )),
+    ("eq-4.7", (("grid_power_identity_check", 10, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "c=3: 0 vs 1")),
+    ("eq-4.9", (("phi_weight_identity_check", 2, _split),),
+     Outcome("SKIPPED", None, None, ("unexpected t=0 imbalance at m=3",))),
+    ("eq-4.9", (("phi_weight_identity_check", 3, _balance),),
+     Outcome("PASS", 0.0)),
+    ("eq-4.9", (("phi_weight_identity_check", 4, _balance),),
+     Outcome(
+         "FAILS_AS_PRINTED",
+         None,
+         "t=1, m=2, a=delta_2: lhs=4, rhs=3",
+         (
+             "the t = 0 case (Jordan weights) balances exactly",
+             ("the display claims a t-independent left side; for t >= 1 the "
+              "selector weights phi_t(m;k) are not the Jordan totients"),
+             "random probe unexpectedly balanced at t=1",
+         ),
+     )),
+    ("eq-4.10", (("thm_5_5_check", 2, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "m=2: 0 vs 1")),
+    ("eq-4.10", (("jordan", 100, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", 0.0, "m=1, k=28")),
+    ("eq-4.11", (("jordan", 100, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", None, "m=1, k=28")),
+    ("eq-4.12", (("selector_size", 70, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", None, "m=2, k=12")),
+    ("eq-4.13", (("ps_exp", 2, _off),),
+     Outcome("FAILS_AS_PRINTED", None, "m=2")),
+    ("eq-4.14", (("finite_stirling_check", 100, _negate),),
+     Outcome("FAILS_AS_PRINTED", None, "m=3, n=1, z=1/3")),
+    ("eq-4.15", (("ps_exp", 3, _off),),
+     Outcome("FAILS_AS_PRINTED", None, "m=4")),
+    ("eq-4.16", (("hyperpyramid_log_check", 2, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("thm-5.1", (("thm_5_1_check", 3, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("thm-5.2", (("thm_5_2_check", 3, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("eq-5.4", (("thm_5_5_check", 4, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),
+    ("eq-5.5", (("eq_5_5_check", 42, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "n=42")),
+    ("eq-5.6", (("thm_5_5_check", 17, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "m=4: 0 vs 1")),
+    ("eq-5.7", (("eq_5_7_check", 50, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "m=2, n=17")),
+    ("eq-5.8", (("eq_5_8_check", 50, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "m=3, a=1, n=17")),
+    ("eq-5.9", (("eq_5_9_check", 50, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "m=2, n=13")),
+    ("eq-5.10", (("cor_5_7_check", 1, _balance),),
+     Outcome("PASS", 0.0)),
+    ("eq-5.10", (("cor_5_7_check", 5, _split),),
+     Outcome(
+         "FAILS_AS_PRINTED",
+         None,
+         "m=1, n=2, z=1/2: lhs=1, rhs=5/2",
+         (
+             ("the printed geometric blocks start at z^0; each needs its "
+              "leading factor (z on the first, z^j on the j-th)"),
+             "corrected form fails at m=1, n=30, z=1/2",
+             ("corrected form verified exactly for m <= 3, n <= 30, "
+              "z in {1/2, -1/3}"),
+         ),
+     )),
+    ("eq-5.11", (("thm_5_8_check", 3, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("cor-5.9", (("cor_5_9_check", 2, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "derived reading fails at x=-2/5")),
+    ("eq-5.14", (("thm_5_10_check", 3, _half),),
+     Outcome("FAILS_AS_PRINTED", 0.5)),
+    ("cor-5.11", (("cor_5_11_check", 4, _split),),
+     Outcome("SKIPPED", None, None,
+             ("oracle bracket imbalance at h=2, m=1",))),
+    ("cor-5.11", (("bracket_polynomial", None, _off),
+                  ("bracket_polynomial_oracle", None, _off),),
+     Outcome("PASS", 0.0)),
+    ("eq-5.16", (("bracket_polynomial_oracle", 10, _plus_one),),
+     Outcome("SKIPPED", None, None, ("first-order oracle mismatch at k=5",))),
+    ("eq-5.17", (("bracket_polynomial_oracle", 10, _plus_one),),
+     Outcome("SKIPPED", None, None, ("second-order oracle mismatch at k=5",))),
+    ("cor-5.12", (("cor_5_12_check", 1, _balance),),
+     Outcome("PASS", 0.0)),
+    ("cor-5.12", (("cor_5_12_check", 3, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected first-order identity imbalance",))),
+    ("cor-5.13", (("cor_5_13_check", 3, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected second-order identity imbalance",))),
+    ("cor-5.14a", (("cor_5_14_check", 5, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),
+    ("cor-5.14b", (("cor_5_14_check", 2, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected quadratic weighting imbalance",))),
+    ("cor-5.15a", (("cor_5_15_check", 5, _split),),
+     Outcome("FAILS_AS_PRINTED", None, "n=6 (printed): lhs=0, rhs=1",
+             ("the corrected reading balances exactly for n <= 40",))),
+    ("cor-5.15b", (("cor_5_15_check", 10, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected display b imbalance at n=10",))),
+    ("cor-5.15c", (("cor_5_15_check", 20, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected display c imbalance at n=20",))),
+    ("cor-5.15d", (("cor_5_15_check", 30, _split),),
+     Outcome("SKIPPED", None, None,
+             ("corrected display d imbalance at n=30",))),
+    ("cor-5.16b", (("cor_5_16_check", 1, lambda r: (True, None)),),
+     Outcome("PASS", 0.0)),
+    ("cor-5.17a", (("cor_5_17_check", 1, _balance),),
+     Outcome("PASS", 0.0)),
+    ("cor-5.17a", (("cor_5_17_check", 2, _split),),
+     Outcome("SKIPPED", None, None, ("corrected product display imbalance",))),
+    ("cor-5.17b", (("cor_5_17_check", 2, _split),),
+     Outcome("SKIPPED", None, None, ("corrected product display imbalance",))),
+    ("cor-5.18a", (("discover_linear_relation", None, _nothing),),
+     Outcome("FAILS_AS_PRINTED", None, "discovered coefficients None")),
+    ("eq-6.1", (("theta1", 5, _inf),),
+     Outcome("FAILS_AS_PRINTED", math.inf)),
+    ("eq-6.2", (("theta_log_ratio_check", 5, _split),),
+     Outcome("FAILS_AS_PRINTED", 1)),
+    ("eq-6.7", (("_selector_weight", 7, _inf),),
+     Outcome(
+         "FAILS_AS_PRINTED",
+         math.inf,
+         None,
+         ("the defining selector sum matches the Moebius-inverted closed "
+          "form for rotation, unit, and real factors, v <= 20; at integer "
+          "rotations it reproduces c_v(n) and at unit factors the Jordan "
+          "totient",),
+     )),
+    ("cor-5.18b", (("discover_linear_relation", None, _nothing),),
+     Outcome(
+         "FAILS_AS_PRINTED",
+         None,
+         "k=3: phi_2(2;k) = 16/3 but (7/12)J_3 - J_2 + (5/12)J_1 = 8",
+         ("no substitute relation survived verification",),
+     )),
+]
+
+
+@pytest.mark.parametrize(
+    "id_, patches, expected", FAILURE_PATHS,
+    ids=[f"{id_}-{patches[0][0]}-{patches[0][1]}"
+         for id_, patches, _ in FAILURE_PATHS],
+)
+def test_check_failure_paths(monkeypatch, id_, patches, expected):
+    for name, call, off in patches:
+        real = getattr(registry, name)
+        monkeypatch.setattr(registry, name, _off_at(real, call, off))
+    assert REGISTRY[id_].procedure(random.Random(f"0:{id_}")) == expected
+
+
+def test_exact_ids_report_bytes_pinned():
+    # every id whose entry carries no float (max_residual 0.0 or None and no
+    # float in a note), so the bytes do not depend on the float platform
+    ids = [
+        "cor-2.3", "cor-5.9", "cor-5.11", "cor-5.12", "cor-5.13", "cor-5.14a",
+        "cor-5.14b", "cor-5.15a", "cor-5.15b", "cor-5.15c", "cor-5.15d",
+        "cor-5.16a", "cor-5.16b", "cor-5.17a", "cor-5.17b", "cor-5.18a",
+        "cor-5.18b", "eq-2.5", "eq-2.6", "eq-4.2", "eq-4.3", "eq-4.4",
+        "eq-4.7", "eq-4.9", "eq-4.10", "eq-4.12", "eq-4.13", "eq-4.14",
+        "eq-4.15", "eq-5.4", "eq-5.5", "eq-5.6", "eq-5.7", "eq-5.8", "eq-5.9",
+        "eq-5.10", "eq-5.16", "eq-5.17", "lem-3.1",
+    ]
+    body = run_audit(ids, seed=0).to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "e687ef7c838211c94d2c7f6cd65530fe04a154a6c50dcdbe9cff20254a737aac"
+    )

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import pytest
 
@@ -41,7 +41,7 @@ def test_factorize_roundtrip():
         assert all(e >= 1 for _, e in f.pairs), n
         assert list(f.primes()) == sorted(set(f.primes())), n
         assert all(_is_prime(p) for p in f.primes()), n
-        assert f.value == n
+        assert prod(p**e for p, e in f.pairs) == n
 
 
 def test_factorize_trial_cap():
