@@ -19,6 +19,14 @@ engines take each selector as an (N, h) int64 array from
 `enumerate_selector(..., as_array=True)`; `_regroup_power` reads its rows
 once as Python ints.  The other checks iterate the selector as tuples.
 
+The exact displays that need no selector, only the tails S_v and a weight
+w(v), are one function, `weighted_regroup_check(a, f, w)`: the Jordan- and
+phi_t-weighted sums of eq-4.4, eq-4.9, eq-4.10, eq-5.4..5.10 and
+cor-5.14..5.15 are each a sequence a, a left factor f and a weight w, passed
+in by the audit registry, printed and corrected forms alike.  Such a display
+balances for every a exactly when f(k) = sum_{d|k} w(d), the divisor law that
+the registry checks for eq-4.10, eq-4.11 and cor-5.16.
+
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
 """
@@ -36,7 +44,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceError
-from .exactcore import bernoulli, divisors, grid_power_sum
+from .exactcore import bernoulli, grid_power_sum
 from .series import (
     PowerSeries,
     geometric,
@@ -51,9 +59,7 @@ from .totients import (
     DEFAULT_SELECTOR_CAP,
     LatticeSelector,
     enumerate_selector,
-    jordan,
     m_phi,
-    phi_t,
     unnormalized_phi,
 )
 
@@ -72,19 +78,10 @@ __all__ = [
     "bracket_polynomial_oracle",
     "cor_5_11_check",
     "cor_5_3_check",
-    "thm_5_5_check",
-    "eq_5_5_check",
-    "eq_5_7_check",
-    "eq_5_8_check",
-    "eq_5_9_check",
-    "cor_5_7_check",
+    "weighted_regroup_check",
     "grid_power_identity_check",
-    "phi_weight_identity_check",
     "cor_5_12_check",
     "cor_5_13_check",
-    "cor_5_14_check",
-    "cor_5_15_check",
-    "cor_5_16_check",
     "cor_5_17_check",
     "cor_5_9_check",
     "hyperpyramid_log_check",
@@ -118,14 +115,12 @@ class FiniteSequence:
     def __call__(self, k: int):
         return self.support.get(k, 0)
 
-    def tail(self, k: int):
-        """S_k = sum of a_{jk} over j >= 1 (finite because the support is)."""
-        if k < 1:
-            raise DomainError("index must be a positive integer")
-        return sum(self(j) for j in range(k, self.bound + 1, k))
-
 
 _REGION_CONSTRAINTS = ("box", "hyperpyramid")
+
+# the visible points of a box are read from one numpy gcd array with an axis
+# per dimension, and numpy arrays have at most 64 axes
+MAX_BOX_DIMS = 64
 
 
 @dataclass(frozen=True)
@@ -201,6 +196,8 @@ class RadialRegion:
 def visible_points(region: RadialRegion) -> list:
     """Lattice points of the region with coordinate gcd 1, lexicographic."""
     if region.constraint == "box":
+        if region.dims > MAX_BOX_DIMS:
+            raise ResourceError(f"a box of {region.dims} axes exceeds {MAX_BOX_DIMS}")
         region._check_size()
         return _kernels.visible_points_box(region.bounds)
     return [p for p in region.points() if math.gcd(*p) == 1]
@@ -513,100 +510,54 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# exact rational identities: Jordan-weighted partial sums
+# exact rational identities: weighted regrouping
 
 
-def thm_5_5_check(a: FiniteSequence, m: int, n: int | None = None) -> tuple:
-    """sum_{k<=n} a_k k^m versus sum_j J_m(j) (sum_{k<=n/j} a_{jk}), exact
-    rationals (audit ids eq-5.4 and eq-5.6; J_m(1) = 1 absorbs the lead term)."""
-    n = a.bound if n is None else n
-    lhs = sum(a(k) * Fraction(k) ** m for k in range(1, n + 1))
-    rhs = sum(
-        jordan(m, j) * sum(a(j * k) for k in range(1, n // j + 1))
-        for j in range(1, n + 1)
-    )
-    return Fraction(lhs), Fraction(rhs)
+def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
+    """Both sides of sum_k a_k f(k) = sum_v w(v) S_v, exact, with the tails
+    S_v = a_v + a_{2v} + ... (audit ids eq-4.4, eq-4.9, eq-4.10, eq-5.4..5.10,
+    cor-5.14a/b and cor-5.15a..d).
 
-
-def eq_5_5_check(n: int) -> tuple:
-    """n(n+1)(2n+1)/6 versus n + sum_{j>=2} [n/j] J_2(j) (audit id eq-5.5)."""
-    lhs = Fraction(n * (n + 1) * (2 * n + 1), 6)
-    rhs = n + sum((n // j) * jordan(2, j) for j in range(2, n + 1))
-    return lhs, Fraction(rhs)
-
-
-def eq_5_7_check(m: int, n: int) -> tuple:
-    """n versus sum_j (J_m(j)/j^m) sum_{k<=n/j} k^(-m), exact (audit id eq-5.7)."""
-    lhs = Fraction(n)
-    rhs = sum(
-        Fraction(jordan(m, j), j**m)
-        * sum(Fraction(1, k**m) for k in range(1, n // j + 1))
-        for j in range(1, n + 1)
-    )
-    return lhs, rhs
-
-
-def eq_5_8_check(m: int, a: int, n: int) -> tuple:
-    """sum k^a versus sum_j (J_m(j)/j^(m-a)) sum_{k<=n/j} k^(a-m) (eq-5.8)."""
-    lhs = Fraction(sum(k**a for k in range(1, n + 1)))
-    rhs = sum(
-        jordan(m, j) * Fraction(j) ** (a - m)
-        * sum(Fraction(k) ** (a - m) for k in range(1, n // j + 1))
-        for j in range(1, n + 1)
-    )
-    return lhs, rhs
-
-
-def eq_5_9_check(m: int, n: int) -> tuple:
-    """sum_{k<=n} k^m versus n + sum_{j>=2} [n/j] J_m(j) (audit id eq-5.9)."""
-    lhs = Fraction(sum(k**m for k in range(1, n + 1)))
-    rhs = n + sum((n // j) * jordan(m, j) for j in range(2, n + 1))
-    return lhs, Fraction(rhs)
-
-
-def cor_5_7_check(m: int, n: int, z: Fraction, as_printed: bool = True) -> tuple:
-    """sum_{k<=n} z^k k^m against the Jordan-weighted geometric sums
-    (audit id cor-5.7/eq-5.10).
-
-    As printed the right side is (1-z^n)/(1-z) + sum_j J_m(j)
-    (1-z^(j[n/j]))/(1-z^j), whose geometric blocks start at z^0; the
-    corrected form carries the missing leading factors z and z^j.
+    Every k <= a.bound is j v for one pair per divisor v of k, so the sides
+    agree for every finitely supported a exactly when f(k) = sum_{d|k} w(d):
+    w = J_m with f(k) = k^m, or a phi_t weight with its polynomial.  f is
+    evaluated only where a_k != 0 and w only where S_v != 0; returns
+    (lhs, rhs) as Fractions.
     """
-    z = Fraction(z)
-    if z == 1:
-        raise DomainError("z = 1 makes the geometric denominators vanish")
-    lhs = sum(z**k * Fraction(k) ** m for k in range(1, n + 1))
-    lead = (1 - z**n) / (1 - z)
-    rhs = lead if as_printed else z * lead
-    for j in range(2, n + 1):
-        block = (1 - z ** (j * (n // j))) / (1 - z**j)
-        rhs += jordan(m, j) * (block if as_printed else z**j * block)
+    n = a.bound
+    vals = [0] * (n + 1)
+    for k, ak in a.support.items():
+        vals[k] = ak
+    lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
+    rhs = 0
+    for v in range(1, n + 1):
+        s = sum(vals[v::v])
+        if s:
+            rhs += w(v) * s
     return Fraction(lhs), Fraction(rhs)
 
 
 # --------------------------------------------------------------------------
-# exact grid-power identities (eq-4.1..4.4, eq-4.7, eq-4.9)
+# exact grid-power identities (eq-4.1..4.3, eq-4.7)
 
 
 def grid_power_identity_check(
     c: int, a: FiniteSequence, x: Fraction, y: Fraction
 ) -> tuple:
     """Exact check of the grid-power rearrangement (audit ids eq-4.1..4.3,
-    eq-4.7; c = 0 is eq-4.4).
+    eq-4.7; its c = 0 case, eq-4.4, is `weighted_regroup_check` with
+    f(k) = k^2 and w = J_2):
 
-    c >= 1:  sum_k a_k k^(-c) sum_grid (A x + B y)^c
-           = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c,
-             the grid sum over [0, k)^2 being `exactcore.grid_power_sum`
-             with weights (x, y), and the right side `_regroup_power` with
-             weights (x, y), p = c.
-    c = 0:   sum_k k^2 a_k = S_1 + sum_{v>=2} S_v J_2(v).
+        sum_k a_k k^(-c) sum_grid (A x + B y)^c
+        = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c,
+
+    the grid sum over [0, k)^2 being `exactcore.grid_power_sum` with weights
+    (x, y), and the right side `_regroup_power` with weights (x, y), p = c.
     """
+    if c < 1:
+        raise DomainError(f"c must be >= 1, got {c}")
     n = a.bound
     x, y = Fraction(x), Fraction(y)
-    if c == 0:
-        lhs = sum(a(k) * k * k for k in range(1, n + 1))
-        rhs = a.tail(1) + sum(a.tail(v) * jordan(2, v) for v in range(2, n + 1))
-        return Fraction(lhs), Fraction(rhs)
     lhs = sum(
         a(k) * grid_power_sum(c, k, (x, y)) / Fraction(k) ** c
         for k in range(1, n + 1)
@@ -615,20 +566,8 @@ def grid_power_identity_check(
     return Fraction(lhs), _regroup_power(a, lambda k: (x, y), n, 2, c)
 
 
-def phi_weight_identity_check(t: int, m: int, a: FiniteSequence) -> tuple:
-    """sum_k k^m a_k versus S_1 + sum_v S_v phi_t(m; v) (audit id eq-4.9).
-
-    True for t = 0 (Jordan weights); audited for t >= 1, where the printed
-    claim of t-independence fails.
-    """
-    n = a.bound
-    lhs = sum(a(k) * Fraction(k) ** m for k in range(1, n + 1))
-    rhs = a.tail(1) + sum(a.tail(v) * phi_t(t, m, v) for v in range(2, n + 1))
-    return Fraction(lhs), Fraction(rhs)
-
-
 # --------------------------------------------------------------------------
-# the h = 2 bracket corollaries (cor-5.12..cor-5.15)
+# the h = 2 bracket corollaries (cor-5.12, cor-5.13) and the phi_t weights
 
 
 def _q1(k: int, b1: Fraction, b2: Fraction) -> Fraction:
@@ -695,126 +634,6 @@ def cor_5_13_check(
 def _phi_u(t: int, v: int) -> Fraction:
     """Selector sum of (j1 + j2)^t for modulus v (0 for v = 1)."""
     return Fraction(0) if v == 1 else Fraction(unnormalized_phi(t, 2, v))
-
-
-def cor_5_14_check(t: int, a: FiniteSequence, as_printed: bool = True) -> tuple:
-    """Totient-weighted partial-sum identities (audit ids cor-5.14a, t=1,
-    and cor-5.14b, t=2).
-
-    t=1 (printed, balances): sum a_k k(k-1) = sum_v (1/v) phi1u(v) sum_w a_{vw}
-    with phi1u(v) = selector sum of (j1+j2).
-    t=2 printed: sum a_k ((7/12)k^2 - k + 5/12) = sum_v (1/v) phi2u(v) ... ;
-    corrected: sum a_k ((7/6)k^2 - 2k + 5/6) = sum_v (1/v^2) phi2u(v) ... .
-    """
-    if t not in (1, 2):
-        raise DomainError("t must be 1 or 2")
-    n = a.bound
-    if t == 1:
-        lhs = sum(a(k) * Fraction(k * (k - 1)) for k in range(1, n + 1))
-        rhs = sum(
-            _phi_u(1, v) / v * sum(a(v * w) for w in range(1, n // v + 1))
-            for v in range(2, n + 1)
-        )
-        return Fraction(lhs), Fraction(rhs)
-    if as_printed:
-        lhs = sum(
-            a(k) * (Fraction(7, 12) * k * k - k + Fraction(5, 12))
-            for k in range(1, n + 1)
-        )
-        rhs = sum(
-            _phi_u(2, v) / v * sum(a(v * w) for w in range(1, n // v + 1))
-            for v in range(2, n + 1)
-        )
-    else:
-        lhs = sum(
-            a(k) * (Fraction(7, 6) * k * k - 2 * k + Fraction(5, 6))
-            for k in range(1, n + 1)
-        )
-        rhs = sum(
-            _phi_u(2, v) / v**2 * sum(a(v * w) for w in range(1, n // v + 1))
-            for v in range(2, n + 1)
-        )
-    return Fraction(lhs), Fraction(rhs)
-
-
-def cor_5_15_check(display: str, n: int, as_printed: bool = True) -> tuple:
-    """The four closed partial-sum displays (audit ids cor-5.15a..d).
-
-    a: sum k(k-1) = sum (1/v) phi1u(v) [n/v]  (balances as printed).
-    b: printed with (7/12)k^2 - k + 5/12 and 1/v weights; corrected uses
-       (7/6)k^2 - 2k + 5/6 and 1/v^2.
-    c: printed repeats display a's left side against triangular-number
-       weights; corrected left side is sum k^2 (k-1) with weights
-       phi1u(v) [n/v]([n/v]+1)/2.
-    d: cubic analogue of c for t = 2.
-    """
-    if display not in "abcd" or len(display) != 1:
-        raise DomainError("display must be one of 'a', 'b', 'c', 'd'")
-    ks = range(1, n + 1)
-    vs = range(2, n + 1)
-    if display == "a":
-        lhs = Fraction(sum(k * (k - 1) for k in ks))
-        rhs = sum(_phi_u(1, v) / v * (n // v) for v in vs)
-        return lhs, Fraction(rhs)
-    if display == "b":
-        if as_printed:
-            lhs = sum(Fraction(7, 12) * k * k - k + Fraction(5, 12) for k in ks)
-            rhs = sum(_phi_u(2, v) / v * (n // v) for v in vs)
-        else:
-            lhs = sum(Fraction(7, 6) * k * k - 2 * k + Fraction(5, 6) for k in ks)
-            rhs = sum(_phi_u(2, v) / v**2 * (n // v) for v in vs)
-        return Fraction(lhs), Fraction(rhs)
-
-    def tri(v: int) -> Fraction:
-        q = n // v
-        return Fraction(q * (q + 1), 2)
-
-    if display == "c":
-        if as_printed:
-            lhs = Fraction(sum(k * (k - 1) for k in ks))
-            rhs = sum(_phi_u(1, v) / v * 2 * tri(v) for v in vs)
-        else:
-            lhs = Fraction(sum(k * k * (k - 1) for k in ks))
-            rhs = sum(_phi_u(1, v) * tri(v) for v in vs)
-        return Fraction(lhs), Fraction(rhs)
-    if as_printed:
-        lhs = sum(k * (Fraction(7, 12) * k * k - k + Fraction(5, 12)) for k in ks)
-        rhs = sum(_phi_u(2, v) / v * 2 * tri(v) for v in vs)
-    else:
-        lhs = sum(k * (Fraction(7, 6) * k * k - 2 * k + Fraction(5, 6)) for k in ks)
-        rhs = sum(_phi_u(2, v) / v * tri(v) for v in vs)
-    return Fraction(lhs), Fraction(rhs)
-
-
-def cor_5_16_check(which: str, n_max: int, reading: str = "unnormalized"):
-    """Coefficient-level audit of the Dirichlet displays (cor-5.16a/b).
-
-    Multiplying both sides by the zeta factor reduces each display to a
-    divisor-sum law; this returns (ok, counterexample) where the
-    counterexample is (n, lhs_coeff, rhs_coeff) at the first mismatch.
-
-    which='a': needs sum_{d|n} w(d) = n^2 - n with w(d) = phi1u(d)/d under
-    the unnormalized reading (true: w = J2 - J1) or phi1u(d)/d^2 under the
-    normalized one (fails).
-    which='b': needs sum_{d|n} 12 w(d) = 7n^3 - 12n^2 + 5n with
-    w(d) = phi2u(d)/d^2 (normalized) or phi2u(d)/d (unnormalized); both fail.
-    """
-    if which not in ("a", "b"):
-        raise DomainError("which must be 'a' or 'b'")
-    if reading not in ("unnormalized", "normalized"):
-        raise DomainError("reading must be 'unnormalized' or 'normalized'")
-    for n in range(1, n_max + 1):
-        if which == "a":
-            shift = 1 if reading == "unnormalized" else 2
-            got = sum(_phi_u(1, d) / Fraction(d) ** shift for d in divisors(n))
-            want = Fraction(n * n - n)
-        else:
-            shift = 1 if reading == "unnormalized" else 2
-            got = sum(12 * _phi_u(2, d) / Fraction(d) ** shift for d in divisors(n))
-            want = Fraction(7 * n**3 - 12 * n**2 + 5 * n)
-        if got != want:
-            return False, (n, got, want)
-    return True, None
 
 
 def cor_5_17_check(which: str, order: int, reading: str = "printed") -> tuple:

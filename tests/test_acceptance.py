@@ -29,15 +29,11 @@ from vpvtotients.totients import (
 from vpvtotients.vpv import (
     FiniteSequence,
     cor_5_3_check,
-    eq_5_5_check,
-    eq_5_7_check,
-    eq_5_8_check,
-    eq_5_9_check,
     lemma_3_2_check,
     thm_5_1_check,
     thm_5_2_check,
-    thm_5_5_check,
     thm_5_10_check,
+    weighted_regroup_check,
 )
 
 
@@ -136,22 +132,30 @@ def test_criterion_05_stirling_identities():
 
 
 def test_criterion_06_section5_exact_identities():
-    for n in range(1, 501):
-        lhs, rhs = eq_5_5_check(n)
-        assert lhs == rhs
+    # every display is sum_k a_k k^m = sum_v J_m(v) S_v for its own a
+    def sides(a, m):
+        return weighted_regroup_check(a, lambda k: k**m, lambda v: jordan(m, v))
+
+    def powers(n, e):  # a_k = k^e for k <= n, ints where they can be
+        return FiniteSequence.from_values(
+            [k**e if e >= 0 else Fraction(1, k**-e) for k in range(1, n + 1)]
+        )
+
+    for n in range(1, 501):  # eq-5.5
+        assert sides(powers(n, 0), 2) == (n * (n + 1) * (2 * n + 1) // 6,) * 2
     rng = random.Random(106)
-    for _ in range(50):
+    for _ in range(50):  # eq-5.6
         m = rng.randint(1, 4)
         a = _rand_seq(rng, rng.randint(10, 100))
-        lhs, rhs = thm_5_5_check(a, m)
+        lhs, rhs = sides(a, m)
         assert lhs == rhs
     for n in list(range(1, 41)) + [100, 157, 200]:
-        for m in (1, 2, 3):
-            assert eq_5_7_check(m, n)[0] == eq_5_7_check(m, n)[1]
-        for m, a in ((2, 1), (3, 1), (3, 2)):
-            assert eq_5_8_check(m, a, n)[0] == eq_5_8_check(m, a, n)[1]
-        for m in (1, 2, 3, 4):
-            assert eq_5_9_check(m, n)[0] == eq_5_9_check(m, n)[1]
+        for m in (1, 2, 3):  # eq-5.7
+            assert sides(powers(n, -m), m) == (n, n)
+        for m, a in ((2, 1), (3, 1), (3, 2)):  # eq-5.8
+            assert sides(powers(n, a - m), m) == (sum(k**a for k in range(1, n + 1)),) * 2
+        for m in (1, 2, 3, 4):  # eq-5.9
+            assert sides(powers(n, 0), m) == (sum(k**m for k in range(1, n + 1)),) * 2
     print("criterion 6: PASS")
 
 

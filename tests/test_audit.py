@@ -225,7 +225,7 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", None, "c=4: 0 vs 1")),
     ("eq-4.4", (("selector_size", 7, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "k=8")),
-    ("eq-4.4", (("grid_power_identity_check", 3, _split),),
+    ("eq-4.4", (("weighted_regroup_check", 3, _split),),
      Outcome(
          "FAILS_AS_PRINTED",
          None,
@@ -238,11 +238,11 @@ FAILURE_PATHS = [
      )),
     ("eq-4.7", (("grid_power_identity_check", 10, _split),),
      Outcome("FAILS_AS_PRINTED", None, "c=3: 0 vs 1")),
-    ("eq-4.9", (("phi_weight_identity_check", 2, _split),),
+    ("eq-4.9", (("weighted_regroup_check", 2, _split),),
      Outcome("SKIPPED", None, None, ("unexpected t=0 imbalance at m=3",))),
-    ("eq-4.9", (("phi_weight_identity_check", 3, _balance),),
+    ("eq-4.9", (("weighted_regroup_check", 3, _balance),),
      Outcome("PASS", 0.0)),
-    ("eq-4.9", (("phi_weight_identity_check", 4, _balance),),
+    ("eq-4.9", (("weighted_regroup_check", 4, _balance),),
      Outcome(
          "FAILS_AS_PRINTED",
          None,
@@ -254,10 +254,10 @@ FAILURE_PATHS = [
              "random probe unexpectedly balanced at t=1",
          ),
      )),
-    ("eq-4.10", (("thm_5_5_check", 2, _split),),
+    ("eq-4.10", (("weighted_regroup_check", 2, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=2: 0 vs 1")),
-    ("eq-4.10", (("jordan", 100, _plus_one),),
-     Outcome("FAILS_AS_PRINTED", 0.0, "m=1, k=28")),
+    ("eq-4.10", (("jordan", 150, _plus_one),),
+     Outcome("FAILS_AS_PRINTED", None, "m=1, k=28")),
     ("eq-4.11", (("jordan", 100, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "m=1, k=28")),
     ("eq-4.12", (("selector_size", 70, _plus_one),),
@@ -274,21 +274,21 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", 0.5)),
     ("thm-5.2", (("thm_5_2_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
-    ("eq-5.4", (("thm_5_5_check", 4, _split),),
+    ("eq-5.4", (("weighted_regroup_check", 4, _split),),
      Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),
-    ("eq-5.5", (("eq_5_5_check", 42, _split),),
+    ("eq-5.5", (("weighted_regroup_check", 42, _split),),
      Outcome("FAILS_AS_PRINTED", None, "n=42")),
-    ("eq-5.6", (("thm_5_5_check", 17, _split),),
+    ("eq-5.6", (("weighted_regroup_check", 17, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=4: 0 vs 1")),
-    ("eq-5.7", (("eq_5_7_check", 50, _split),),
+    ("eq-5.7", (("weighted_regroup_check", 50, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=2, n=17")),
-    ("eq-5.8", (("eq_5_8_check", 50, _split),),
+    ("eq-5.8", (("weighted_regroup_check", 50, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=3, a=1, n=17")),
-    ("eq-5.9", (("eq_5_9_check", 50, _split),),
+    ("eq-5.9", (("weighted_regroup_check", 50, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=2, n=13")),
-    ("eq-5.10", (("cor_5_7_check", 1, _balance),),
+    ("eq-5.10", (("weighted_regroup_check", 1, _balance),),
      Outcome("PASS", 0.0)),
-    ("eq-5.10", (("cor_5_7_check", 5, _split),),
+    ("eq-5.10", (("weighted_regroup_check", 5, _split),),
      Outcome(
          "FAILS_AS_PRINTED",
          None,
@@ -325,24 +325,24 @@ FAILURE_PATHS = [
     ("cor-5.13", (("cor_5_13_check", 3, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected second-order identity imbalance",))),
-    ("cor-5.14a", (("cor_5_14_check", 5, _split),),
+    ("cor-5.14a", (("weighted_regroup_check", 5, _split),),
      Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),
-    ("cor-5.14b", (("cor_5_14_check", 2, _split),),
+    ("cor-5.14b", (("weighted_regroup_check", 2, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected quadratic weighting imbalance",))),
-    ("cor-5.15a", (("cor_5_15_check", 5, _split),),
+    ("cor-5.15a", (("weighted_regroup_check", 5, _split),),
      Outcome("FAILS_AS_PRINTED", None, "n=6 (printed): lhs=0, rhs=1",
              ("the corrected reading balances exactly for n <= 40",))),
-    ("cor-5.15b", (("cor_5_15_check", 10, _split),),
+    ("cor-5.15b", (("weighted_regroup_check", 10, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected display b imbalance at n=10",))),
-    ("cor-5.15c", (("cor_5_15_check", 20, _split),),
+    ("cor-5.15c", (("weighted_regroup_check", 20, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected display c imbalance at n=20",))),
-    ("cor-5.15d", (("cor_5_15_check", 30, _split),),
+    ("cor-5.15d", (("weighted_regroup_check", 30, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected display d imbalance at n=30",))),
-    ("cor-5.16b", (("cor_5_16_check", 1, lambda r: (True, None)),),
+    ("cor-5.16b", (("_divisor_law", 1, lambda r: (True, None)),),
      Outcome("PASS", 0.0)),
     ("cor-5.17a", (("cor_5_17_check", 1, _balance),),
      Outcome("PASS", 0.0)),
@@ -357,15 +357,7 @@ FAILURE_PATHS = [
     ("eq-6.2", (("theta_log_ratio_check", 5, _split),),
      Outcome("FAILS_AS_PRINTED", 1)),
     ("eq-6.7", (("_selector_weight", 7, _inf),),
-     Outcome(
-         "FAILS_AS_PRINTED",
-         math.inf,
-         None,
-         ("the defining selector sum matches the Moebius-inverted closed "
-          "form for rotation, unit, and real factors, v <= 20; at integer "
-          "rotations it reproduces c_v(n) and at unit factors the Jordan "
-          "totient",),
-     )),
+     Outcome("FAILS_AS_PRINTED", math.inf)),
     ("cor-5.18b", (("discover_linear_relation", None, _nothing),),
      Outcome(
          "FAILS_AS_PRINTED",

@@ -152,6 +152,26 @@ def test_lattice_oversize_exit_2(capsys):
     assert err == "usage error: lattice size 10077696 exceeds cap 10000000\n"
 
 
+@pytest.mark.parametrize("dims, bound", [
+    ("65", "1"),  # one axis past what numpy arrays hold
+    ("1000000000000", "1"),  # the bounds tuple alone would not fit in memory
+    ("1000000", "2"),  # the lattice size alone has 301030 digits
+])
+def test_lattice_oversize_dims_exit_2(capsys, dims, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "--dims", dims, "--max", bound)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert err == f"usage error: --dims {dims} exceeds 64, the most axes of a grid\n"
+
+
+def test_lattice_oversize_bound_exit_2(capsys):
+    # any one axis longer than the cap puts the lattice past it
+    code, out, err = run(capsys, "lattice", "--dims", "1", "--max", str(10**7 + 1))
+    assert code == 2 and not out
+    assert err == "usage error: --max 10000001 exceeds the lattice cap 10000000\n"
+
+
 def test_series_partition_numbers(capsys):
     code, out, _ = run(capsys, "series", "--product", "partition", "--order", "5")
     assert code == 0

@@ -10,35 +10,28 @@ import pytest
 from vpvtotients import vpv
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, moebius
+from vpvtotients.totients import jordan, unnormalized_phi
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
     bracket_polynomial,
     bracket_polynomial_oracle,
     cor_5_3_check,
-    cor_5_7_check,
     cor_5_9_check,
     cor_5_11_check,
     cor_5_12_check,
     cor_5_13_check,
-    cor_5_14_check,
-    cor_5_15_check,
-    cor_5_16_check,
     cor_5_17_check,
-    eq_5_5_check,
-    eq_5_7_check,
-    eq_5_8_check,
-    eq_5_9_check,
     grid_power_identity_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
     thm_5_1_check,
     thm_5_2_check,
-    thm_5_5_check,
     thm_5_8_check,
     thm_5_10_check,
     visible_points,
+    weighted_regroup_check,
 )
 
 
@@ -50,6 +43,35 @@ def _rand_seq(rng, n, nonzero=False):
             num = rng.choice([v for v in range(-5, 6) if v])
         vals.append(Fraction(num, rng.randint(1, 6)))
     return FiniteSequence.from_values(vals)
+
+
+def _delta(k):
+    return FiniteSequence({k: Fraction(1)}, k)
+
+
+def _powers(n, e):
+    """a_k = k^e for k <= n, ints where they can be."""
+    return FiniteSequence.from_values(
+        [k**e if e >= 0 else Fraction(1, k**-e) for k in range(1, n + 1)]
+    )
+
+
+def _jordan_sides(a, m):
+    """sum_k a_k k^m against sum_v J_m(v) S_v."""
+    return weighted_regroup_check(a, lambda k: k**m, lambda v: jordan(m, v))
+
+
+def _phi_u(t, s, scale=1):
+    """The weight v -> scale * (selector sum of (j1 + j2)^t) / v^s."""
+    return lambda v: Fraction(scale * unnormalized_phi(t, 2, v), v**s)
+
+
+def _printed_quadratic(k):
+    return Fraction(7, 12) * k * k - k + Fraction(5, 12)
+
+
+def _corrected_quadratic(k):
+    return Fraction(7, 6) * k * k - 2 * k + Fraction(5, 6)
 
 
 def test_finite_sequence_drops_zeros():
@@ -84,6 +106,13 @@ def test_region_size_cap():
         for enumerate_region in (visible_points, RadialRegion.points):
             with pytest.raises(ResourceError, match="exceeds cap 10000000"):
                 enumerate_region(region)
+
+
+def test_box_axes_cap():
+    # the box's gcd array has one axis per dimension, and numpy allows 64
+    assert visible_points(RadialRegion(64, (1,) * 64)) == [(1,) * 64]
+    with pytest.raises(ResourceError, match="a box of 65 axes exceeds 64"):
+        visible_points(RadialRegion(65, (1,) * 65))
 
 
 def test_lemma_3_2_randomized():
@@ -250,36 +279,71 @@ def test_grid_power_identities_exact():
         a = _rand_seq(rng, 12)
         x = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
         y = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-        lhs, rhs = grid_power_identity_check(c, a, x, y)
+        if c == 0:  # the grid count is k^2, regrouped by J_2 (eq-4.4)
+            lhs, rhs = _jordan_sides(a, 2)
+        else:
+            lhs, rhs = grid_power_identity_check(c, a, x, y)
         assert lhs == rhs
+    with pytest.raises(DomainError):
+        grid_power_identity_check(0, a, x, y)
 
 
 def test_square_pyramidal_identity():
     for n in range(1, 101):
-        lhs, rhs = eq_5_5_check(n)
-        assert lhs == rhs
+        lhs, rhs = _jordan_sides(_powers(n, 0), 2)
+        assert lhs == rhs == n * (n + 1) * (2 * n + 1) // 6
 
 
 def test_jordan_weighted_partial_sums():
     rng = random.Random(8)
     for m in (1, 2, 3, 4):
         a = _rand_seq(rng, 40)
-        lhs, rhs = thm_5_5_check(a, m)
+        lhs, rhs = _jordan_sides(a, m)
         assert lhs == rhs
     for n in (1, 7, 50, 120):
         for m in (1, 2, 3):
-            assert eq_5_7_check(m, n)[0] == eq_5_7_check(m, n)[1]
-            assert eq_5_9_check(m, n)[0] == eq_5_9_check(m, n)[1]
-        assert eq_5_8_check(3, 2, n)[0] == eq_5_8_check(3, 2, n)[1]
+            assert _jordan_sides(_powers(n, -m), m) == (n, n)  # eq-5.7
+            lhs, rhs = _jordan_sides(_powers(n, 0), m)  # eq-5.9
+            assert lhs == rhs == sum(k**m for k in range(1, n + 1))
+        lhs, rhs = _jordan_sides(_powers(n, -1), 3)  # eq-5.8: a_k = k^(a-m), a = 2
+        assert lhs == rhs == sum(k**2 for k in range(1, n + 1))
+
+
+def test_weighted_regroup_moebius_oracle():
+    # an arbitrary integer f and its Moebius inverse w = mu * f, so that
+    # f(k) = sum_{d|k} w(d) holds by construction, not by a totient law
+    rng = random.Random(17)
+    n = 40
+    f = {k: rng.randint(-50, 50) for k in range(1, n + 1)}
+    w = {v: sum(moebius(v // d) * f[d] for d in divisors(v)) for v in f}
+    for _ in range(20):
+        lhs, rhs = weighted_regroup_check(_rand_seq(rng, rng.randint(1, n)), f.get, w.get)
+        assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+        assert lhs == rhs
+    # a change of w at v shows at a = delta_v, whose tails are nonzero at
+    # the divisors of v only, and w is evaluated nowhere else
+    for v in range(1, n + 1):
+        off = dict(w)
+        off[v] += 1
+        seen = []
+        lhs, rhs = weighted_regroup_check(_delta(v), f.get, lambda d: seen.append(d) or off[d])
+        assert lhs != rhs and seen == divisors(v)
 
 
 def test_geometric_block_display_counterexample():
-    lhs, rhs = cor_5_7_check(1, 2, Fraction(1, 2), as_printed=True)
-    assert lhs != rhs
+    # eq-5.10 over a_k = z^k: the tails are the geometric blocks, which the
+    # printed display divides by z^v
+    z = Fraction(1, 2)
+
+    def geometric(n):
+        return FiniteSequence.from_values([z**k for k in range(1, n + 1)])
+
+    lhs, rhs = weighted_regroup_check(geometric(2), lambda k: k, lambda v: jordan(1, v) / z**v)
+    assert (lhs, rhs) == (1, Fraction(5, 2))
     for m in (1, 2):
         for n in (2, 9, 20):
-            cl, cr = cor_5_7_check(m, n, Fraction(1, 2), as_printed=False)
-            assert cl == cr
+            cl, cr = _jordan_sides(geometric(n), m)
+            assert cl == cr == sum(z**k * k**m for k in range(1, n + 1))
 
 
 def test_bracket_oracle_vs_printed_form():
@@ -313,35 +377,46 @@ def test_linear_bracket_identity_printed_vs_corrected():
 
 
 def test_totient_weighted_displays():
+    # cor-5.14a, and cor-5.14b printed and corrected
     rng = random.Random(12)
     a = _rand_seq(rng, 14)
-    lhs, rhs = cor_5_14_check(1, a)
+    lhs, rhs = weighted_regroup_check(a, lambda k: k * (k - 1), _phi_u(1, 1))
     assert lhs == rhs
-    d3 = FiniteSequence({3: Fraction(1)}, 3)
-    lp, rp = cor_5_14_check(2, d3, as_printed=True)
+    lp, rp = weighted_regroup_check(_delta(3), _printed_quadratic, _phi_u(2, 1))
     assert lp != rp
-    lc, rc = cor_5_14_check(2, a, as_printed=False)
+    lc, rc = weighted_regroup_check(a, _corrected_quadratic, _phi_u(2, 2))
     assert lc == rc
 
 
 def test_closed_displays():
+    # cor-5.15a..d over a_k = k^e, k <= n, as (e, f, w); b, c and d corrected
     for n in (2, 5, 17, 30):
-        lhs, rhs = cor_5_15_check("a", n, as_printed=True)
+        lhs, rhs = weighted_regroup_check(_powers(n, 0), lambda k: k * (k - 1), _phi_u(1, 1))
         assert lhs == rhs
-    assert cor_5_15_check("b", 3, as_printed=True)[0] != cor_5_15_check(
-        "b", 3, as_printed=True
-    )[1]
-    for display in ("b", "c", "d"):
+    lp, rp = weighted_regroup_check(_powers(3, 0), _printed_quadratic, _phi_u(2, 1))
+    assert lp != rp
+    corrected = (
+        (0, _corrected_quadratic, _phi_u(2, 2)),
+        (1, lambda k: k * (k - 1), _phi_u(1, 1)),
+        (1, _corrected_quadratic, _phi_u(2, 2)),
+    )
+    for e, f, w in corrected:
         for n in (2, 5, 17):
-            cl, cr = cor_5_15_check(display, n, as_printed=False)
+            cl, cr = weighted_regroup_check(_powers(n, e), f, w)
             assert cl == cr
 
 
 def test_dirichlet_divisor_law_displays():
-    ok, ce = cor_5_16_check("a", 100, reading="unnormalized")
-    assert ok and ce is None
-    ok_b, ce_b = cor_5_16_check("b", 20, reading="unnormalized")
-    assert not ok_b and ce_b is not None
+    # cor-5.16a/b: at a = delta_n the sides are f(n) and sum_{d|n} w(d)
+    for n in range(1, 101):
+        lhs, rhs = weighted_regroup_check(_delta(n), lambda k: k * k - k, _phi_u(1, 1))
+        assert lhs == rhs
+    quadratic = [
+        weighted_regroup_check(_delta(n), lambda k: 7 * k**3 - 12 * k**2 + 5 * k,
+                               _phi_u(2, 1, scale=12))
+        for n in range(1, 21)
+    ]
+    assert any(lhs != rhs for lhs, rhs in quadratic)
 
 
 def test_product_displays():
