@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -199,6 +200,10 @@ def _nothing(result):
     return None
 
 
+def _inflate_residual(result):
+    return dataclasses.replace(result, residual=1.0)
+
+
 def _inf(value):
     return math.inf
 
@@ -356,8 +361,16 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", math.inf)),
     ("eq-6.2", (("theta_log_ratio_check", 5, _split),),
      Outcome("FAILS_AS_PRINTED", 1)),
+    ("eq-6.3", (("theta_vpv_check", 2, _inflate_residual),),
+     Outcome("FAILS_AS_PRINTED", 1.0,
+             "residuals over K=20,40,80: [3.469446951953614e-18, 1.0, "
+             "3.469446951953614e-18], direct 1.0998146837692957e-15")),
     ("eq-6.7", (("_selector_weight", 7, _inf),),
      Outcome("FAILS_AS_PRINTED", math.inf)),
+    ("eq-6.9", (("theta_vpv_check", 2, _inflate_residual),),
+     Outcome("FAILS_AS_PRINTED", 1.0,
+             "residuals over K=20,40,80: [3.469447534549392e-18, 1.0, "
+             "3.469447534549392e-18], direct 4.85722573273506e-17")),
     ("cor-5.18b", (("discover_linear_relation", None, _nothing),),
      Outcome(
          "FAILS_AS_PRINTED",
