@@ -86,9 +86,18 @@ def selector_power_sum(t: int, m: int, k: int) -> int:
     return sum(int(c) * s**t for s, c in enumerate(counts) if c)
 
 
+def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
+    """The box prod [1, b_i] as a boolean array: coordinate gcd 1."""
+    dtype = np.min_scalar_type(max(bounds))
+    return reduce(np.gcd.outer, [np.arange(1, b + 1, dtype=dtype) for b in bounds]) == 1
+
+
 def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex order."""
-    dtype = np.min_scalar_type(max(bounds))
-    g = reduce(np.gcd.outer, [np.arange(1, b + 1, dtype=dtype) for b in bounds])
-    mask = (g == 1).tobytes()
+    mask = _visible_box_mask(bounds).tobytes()
     return list(compress(product(*(range(1, b + 1) for b in bounds)), mask))
+
+
+def visible_count_box(bounds: tuple[int, ...]) -> int:
+    """Number of lattice points in the box prod [1, b_i] with coordinate gcd 1."""
+    return int(np.count_nonzero(_visible_box_mask(bounds)))

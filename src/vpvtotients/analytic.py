@@ -3,9 +3,10 @@
 The power-series identities elsewhere in the package are exact; this module
 handles the statements that are genuinely analytic — Dirichlet generating
 functions checked as partial-sum trends, and the theta-function product
-identities checked by matched-index rearrangement.  Each theta factor is
-its rotation number theta (x = e^(2 pi i theta)), and the selector weights of
-the rearranged side are enumerated by the shared kernel
+identities checked by matched-index rearrangement.  `theta_vpv_check` takes
+each theta factor as its rotation number theta (x = e^(2 pi i theta)): n for
+a rotation, 0 for x -> 1, `real_rotation(x)` for a real 0 < x < 1.  The
+selector weights of the rearranged side are enumerated by the shared kernel
 `_kernels.selector_char_sum`; their Moebius closed form is only the oracle of
 the eq-6.7 audit check.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import _kernels
 from .errors import DomainError
@@ -26,34 +26,19 @@ from .exactcore import bernoulli, divisors, gcd_many, moebius_sieve
 from .totients import _check_cap
 
 __all__ = [
-    "TruncationControl",
     "zeta",
     "dirichlet_partial_cohen",
     "ramanujan_mean_zero",
     "ramanujan_mean_zero_direct",
     "theta1",
     "theta_log_ratio_check",
-    "ThetaVpvResult",
+    "real_rotation",
     "theta_vpv_check",
-    "THETA_IDENTITIES",
 ]
 
 _ZETA_CUTOFF = 10**4
 _ZETA_CORRECTION_TERMS = 4
-
-
-@dataclass(frozen=True)
-class TruncationControl:
-    """Series cutoff K and stopping tolerance for theta evaluations."""
-
-    max_index: int = 10**4
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_index < 2:
-            raise DomainError("max_index must be >= 2")
-        if not 0.0 < self.tolerance < 1.0:
-            raise DomainError("tolerance must lie in (0, 1)")
+_THETA_MAX_TERMS = 10**4
 
 
 def zeta(s: float) -> float:
@@ -149,29 +134,26 @@ def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
     return sum(c / k for k, c in enumerate(cs, start=1))
 
 
-def theta1(z: float, q: float, trunc: TruncationControl | None = None) -> float:
+def theta1(z: float, q: float, tol: float = 1e-12) -> float:
     """Jacobi theta_1(z, q) = 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1)) sin((2k+1)z)."""
     if not 0.0 <= q < 1.0:
         raise DomainError(f"theta1 requires 0 <= q < 1, got {q}")
-    if trunc is None:
-        trunc = TruncationControl()
     if q == 0.0:
         return 0.0
     pref = 2.0 * q**0.25
     total = 0.0
-    for k in range(trunc.max_index):
+    for k in range(_THETA_MAX_TERMS):
         term = (-1.0) ** k * q ** (k * (k + 1)) * math.sin((2 * k + 1) * z)
         total += term
-        if q ** ((k + 1) * (k + 2)) < trunc.tolerance:
+        if q ** ((k + 1) * (k + 2)) < tol:
             break
     return pref * total
 
 
-def _theta_ratio_log(v: int, alpha: float, beta: float, q: float,
-                     trunc: TruncationControl) -> float:
+def _theta_ratio_log(v: int, alpha: float, beta: float, q: float, tol: float) -> float:
     """log of theta1(v(a+b), q^v) sin(v(a-b)) / (theta1(v(a-b), q^v) sin(v(a+b)))."""
-    num = theta1(v * (alpha + beta), q**v, trunc) * math.sin(v * (alpha - beta))
-    den = theta1(v * (alpha - beta), q**v, trunc) * math.sin(v * (alpha + beta))
+    num = theta1(v * (alpha + beta), q**v, tol) * math.sin(v * (alpha - beta))
+    den = theta1(v * (alpha - beta), q**v, tol) * math.sin(v * (alpha + beta))
     if den == 0.0 or num / den <= 0.0:
         raise DomainError(f"theta ratio not positive at v={v}")
     return math.log(num / den)
@@ -191,18 +173,25 @@ def theta_log_ratio_check(alpha: float, beta: float, q: float) -> tuple[float, f
             raise DomainError(f"sin({name}) vanishes")
     if q == 0.0:
         return 0.0, 0.0
-    trunc = TruncationControl(max_index=200, tolerance=1e-15)
+    tol = 1e-15
     lhs = 0.0
-    for k in range(1, trunc.max_index + 1):
+    for k in range(1, _THETA_MAX_TERMS + 1):
         q2k = q ** (2 * k)
         lhs += q2k / (1.0 - q2k) / k * math.sin(2 * k * alpha) * math.sin(2 * k * beta)
-        if q2k < trunc.tolerance:
+        if q2k < tol:
             break
-    rhs = 0.25 * _theta_ratio_log(1, alpha, beta, q, trunc)
+    rhs = 0.25 * _theta_ratio_log(1, alpha, beta, q, tol)
     return lhs, rhs
 
 
 # --- matched-index verification of the theta-product identities ------------
+
+
+def real_rotation(x: float) -> complex:
+    """The rotation number theta of a real factor x = e^(2 pi i theta), 0 < x < 1."""
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"real factor requires 0 < x < 1, got {x}")
+    return cmath.log(x) / (2j * math.pi)
 
 
 def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
@@ -214,50 +203,12 @@ def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
     return total
 
 
-@dataclass
-class ThetaVpvResult:
-    identity: str
-    params: dict
-    lhs: complex
-    rhs: complex
-    residual: float
-    direct_residual: float | None
-    status: str
-    reason: str = ""
-
-
-THETA_IDENTITIES = ("thm-6.1", "cor-6.2", "cor-6.3", "thm-6.4", "cor-6.5", "cor-6.6")
-
-
-def _factors_for(identity: str, params: dict) -> tuple[complex, ...]:
-    """The rotation number theta of each left-side factor, x = e^(2 pi i theta):
-    n for a rotation, 0 for the limit x -> 1, log(x)/(2 pi i) for real x."""
-    if identity == "thm-6.1":
-        xs = (float(params["x"]),)
-    elif identity == "thm-6.4":
-        xs = tuple(float(x) for x in params["xs"])
-    elif identity == "cor-6.2":
-        return (complex(int(params["n"])),)
-    elif identity == "cor-6.3":
-        return (0j,)
-    elif identity == "cor-6.5":
-        return (0j,) * int(params["m"])
-    elif identity == "cor-6.6":
-        return tuple(complex(int(v)) for v in params["n"])
-    else:
-        raise DomainError(f"unknown theta identity {identity!r}")
-    for x in xs:
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"real factor requires 0 < x < 1, got {x}")
-    return tuple(cmath.log(x) / (2j * math.pi) for x in xs)
-
-
 def theta_vpv_check(
-    identity: str,
-    params: dict,
-    K: int = 40,
-) -> ThetaVpvResult:
-    """Verify a theta-product identity by matched-index partial sums.
+    thetas: tuple[complex, ...], q: float, alpha: float, beta: float, K: int
+) -> tuple[float, float | None]:
+    """(residual, direct_residual) of a theta-product identity, verified by
+    matched-index partial sums; thetas are the rotation numbers of its
+    left-side factors.
 
     Both sides are reduced to double sums over (k, j) via the Lambert
     expansion of the theta log ratio and the visible-point bijection; the
@@ -268,17 +219,13 @@ def theta_vpv_check(
 
     When every exponent is real, the corrected printed form of the right
     side (theta1 ratios at scaled arguments, product read over k >= 2) is
-    also evaluated directly and reported as direct_residual.
+    also evaluated directly and its distance is direct_residual; otherwise
+    direct_residual is None.
     """
-    q = float(params.get("q", 0.1))
-    alpha = float(params.get("alpha", 0.7))
-    beta = float(params.get("beta", 0.3))
     if not 0.0 <= q < 1.0:
-        return ThetaVpvResult(identity, params, 0, 0, math.inf, None,
-                              "SKIPPED", reason=f"|q| >= 1 (q={q}): not convergent")
-    thetas = _factors_for(identity, params)
+        raise DomainError(f"theta_vpv_check requires 0 <= q < 1, got {q}")
     _check_cap(len(thetas), K)
-    trunc = TruncationControl(max_index=400, tolerance=1e-16)
+    tol = 1e-16
 
     def a(k: int) -> float:
         q2k = q ** (2 * k)
@@ -305,13 +252,12 @@ def theta_vpv_check(
     direct_residual = None
     if all(abs(w.imag) < 1e-9 for w in weights):
         try:
-            direct = _theta_ratio_log(1, alpha, beta, q, trunc)
+            direct = _theta_ratio_log(1, alpha, beta, q, tol)
             for v, w in zip(range(2, K + 1), weights):
                 if abs(w.real) > 1e-15:
-                    direct += w.real / v * _theta_ratio_log(v, alpha, beta, q, trunc)
+                    direct += w.real / v * _theta_ratio_log(v, alpha, beta, q, tol)
             direct_residual = abs(lhs.real - direct)
-        except DomainError:
-            direct_residual = None
+        except DomainError:  # a theta ratio is not positive: no direct route
+            pass
 
-    status = "PASS" if residual < 1e-8 else "FAIL"
-    return ThetaVpvResult(identity, params, lhs, rhs, residual, direct_residual, status)
+    return residual, direct_residual

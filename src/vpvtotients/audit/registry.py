@@ -47,6 +47,7 @@ from ..analytic import (
     dirichlet_partial_cohen,
     ramanujan_mean_zero,
     ramanujan_mean_zero_direct,
+    real_rotation,
     theta1,
     theta_log_ratio_check,
     theta_vpv_check,
@@ -976,17 +977,15 @@ def _theta_log_ratio_residuals(rng: random.Random) -> Iterator[float]:
         yield abs(lhs - rhs)
 
 
-def _check_theta_identity(identity: str, params: dict, extra_notes: tuple = ()):
+def _check_theta_identity(thetas: tuple, extra_notes: tuple = ()):
     def run(rng: random.Random) -> Outcome:
         residuals = []
         direct = None
         for K in (20, 40, 80):
-            res = theta_vpv_check(identity, params, K=K)
-            if res.status == "SKIPPED":
-                return Outcome("SKIPPED", None, None, (res.reason,))
-            residuals.append(res.residual)
-            if res.direct_residual is not None:
-                direct = res.direct_residual
+            residual, direct_K = theta_vpv_check(thetas, 0.1, 0.7, 0.3, K)
+            residuals.append(residual)
+            if direct_K is not None:
+                direct = direct_K
         shrinking = residuals[0] >= residuals[-1]
         ok = residuals[1] < 1e-8 and shrinking
         if direct is not None:
@@ -1036,7 +1035,7 @@ def _selector_weight(thetas: tuple, v: int) -> complex:
 
 
 def _selector_weight_residuals(rng: random.Random) -> Iterator[float]:
-    half = cmath.log(0.5) / (2j * math.pi)  # the real factor x = 1/2
+    half = real_rotation(0.5)
     for thetas in [(2.0, 3.0), (0.0, 0.0), (half,), (half, 0.0)]:
         for v in range(2, 21):
             enumerated = _kernels.selector_char_sum(v, thetas)
@@ -1307,7 +1306,7 @@ _ENTRIES = [
         "eq-5.10", "essentially the logarithmic derivative of",
         "printed probe m=1, n=2, z=1/2; corrected sweep m <= 3, n <= 30",
         _check_geometric_blocks, "FAILS_AS_PRINTED",
-        "[DERIVED: hand case m=1, n=2, z=1/2 gives lhs 5/2, printed rhs 1]",
+        "[DERIVED: hand case m=1, n=2, z=1/2 gives lhs 1, printed rhs 5/2]",
     ),
     IdentityCheck(
         "eq-5.11", "Another related yet distinct summation",
@@ -1483,8 +1482,7 @@ _ENTRIES = [
     IdentityCheck(
         "eq-6.3", "gives us the result",
         "x=0.5, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
-        _check_theta_identity("thm-6.1",
-                              {"x": 0.5, "q": 0.1, "alpha": 0.7, "beta": 0.3}),
+        _check_theta_identity((real_rotation(0.5),)),
         "PASS_WITH_CORRECTION",
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
@@ -1492,8 +1490,7 @@ _ENTRIES = [
     IdentityCheck(
         "eq-6.4", "is Ramanujan's trigonometrical function",
         "n=2, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
-        _check_theta_identity("cor-6.2",
-                              {"n": 2, "q": 0.1, "alpha": 0.7, "beta": 0.3}),
+        _check_theta_identity((2 + 0j,)),
         "PASS_WITH_CORRECTION",
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
@@ -1502,7 +1499,7 @@ _ENTRIES = [
         "eq-6.5", "allow $x$ to approach unity",
         "q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity(
-            "cor-6.3", {"q": 0.1, "alpha": 0.7, "beta": 0.3},
+            (0j,),
             extra_notes=("printed exponent phi(n)/k names a variable not in "
                          "scope after x -> 1; the Euler-totient exponent is "
                          "phi(k)/k",),
@@ -1514,9 +1511,7 @@ _ENTRIES = [
     IdentityCheck(
         "eq-6.6", "but from starting with lemma",
         "xs=(0.5, 0.25), q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
-        _check_theta_identity(
-            "thm-6.4", {"xs": (0.5, 0.25), "q": 0.1, "alpha": 0.7, "beta": 0.3}
-        ),
+        _check_theta_identity((real_rotation(0.5), real_rotation(0.25))),
         "PASS_WITH_CORRECTION",
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
@@ -1539,8 +1534,7 @@ _ENTRIES = [
     IdentityCheck(
         "eq-6.8", "bearing in mind our work",
         "m=2, q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
-        _check_theta_identity("cor-6.5",
-                              {"m": 2, "q": 0.1, "alpha": 0.7, "beta": 0.3}),
+        _check_theta_identity((0j, 0j)),
         "PASS_WITH_CORRECTION",
         "[DERIVED: matched-index truncation plus direct theta-quotient "
         "route]",
@@ -1549,7 +1543,7 @@ _ENTRIES = [
         "eq-6.9", "new generalized Ramanujan totient function",
         "n=(2,3), q=0.1, alpha=0.7, beta=0.3, K in {20,40,80}",
         _check_theta_identity(
-            "cor-6.6", {"n": (2, 3), "q": 0.1, "alpha": 0.7, "beta": 0.3},
+            (2 + 0j, 3 + 0j),
             extra_notes=("for m >= 2 the printed left side also needs the "
                          "weight k^(m-1) inside the divisor-restricted sum",),
         ),

@@ -23,7 +23,7 @@ from .errors import DomainError, ResourceError, UsageError
 from .exactcore import bernoulli, stirling2
 from .series import PowerSeries, check_power_sum_work, product_with_exponents, ps_exp
 from .totients import DEFAULT_SELECTOR_CAP, jordan, m_phi, phi_t, ramanujan_cohen, sigma
-from .vpv import MAX_BOX_DIMS, RadialRegion, visible_points
+from .vpv import MAX_BOX_DIMS, RadialRegion, visible_count, visible_points
 
 _RENDER_MAX = 64
 
@@ -124,7 +124,7 @@ def _cmd_lattice(args) -> int:
         print(f"{len(visible)} visible of {bound * bound} points")
         return 0
     total = region.lattice_size()
-    count = len(visible_points(region))
+    count = visible_count(region)
     print(f"dims={dims} max={bound}: {count} visible of {total} points")
     return 0
 

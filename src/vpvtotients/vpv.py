@@ -37,6 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 from operator import mul
 
@@ -67,6 +68,7 @@ __all__ = [
     "FiniteSequence",
     "RadialRegion",
     "visible_points",
+    "visible_count",
     "multiples_partition_check",
     "lemma_3_2_check",
     "thm_5_1_check",
@@ -146,10 +148,7 @@ class RadialRegion:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
     def lattice_size(self) -> int:
-        size = 1
-        for b in self.bounds:
-            size *= b
-        return size
+        return math.prod(self.bounds)
 
     def _check_size(self) -> None:
         """Raise ResourceError when the region has more points than the cap."""
@@ -162,45 +161,34 @@ class RadialRegion:
         """All lattice points of the region, lexicographic order."""
         self._check_size()
         if self.constraint == "box":
-            out = []
-            pt = [1] * self.dims
-            while True:
-                out.append(tuple(pt))
-                i = self.dims - 1
-                while i >= 0:
-                    if pt[i] < self.bounds[i]:
-                        pt[i] += 1
-                        break
-                    pt[i] = 1
-                    i -= 1
-                if i < 0:
-                    return out
+            return list(product(*(range(1, b + 1) for b in self.bounds)))
         # hyperpyramid: leading coordinates in [0, a_d), apex coordinate >= 1
-        out = []
+        *lead, apex = self.bounds
+        ranges = [range(min(b + 1, apex)) for b in lead] + [range(1, apex + 1)]
+        return [p for p in product(*ranges) if all(c < p[-1] for c in p[:-1])]
 
-        def rec(prefix, i):
-            last_max = self.bounds[-1]
-            if i == self.dims - 1:
-                lo = max(prefix) + 1 if prefix else 1
-                for ad in range(lo, last_max + 1):
-                    out.append(prefix + (ad,))
-                return
-            for v in range(0, min(self.bounds[i], last_max - 1) + 1):
-                rec(prefix + (v,), i + 1)
 
-        rec((), 0)
-        out.sort()
-        return out
+def _box_bounds(region: RadialRegion) -> tuple:
+    """The bounds of a box region, refused past the axis and size caps."""
+    if region.dims > MAX_BOX_DIMS:
+        raise ResourceError(f"a box of {region.dims} axes exceeds {MAX_BOX_DIMS}")
+    region._check_size()
+    return region.bounds
 
 
 def visible_points(region: RadialRegion) -> list:
     """Lattice points of the region with coordinate gcd 1, lexicographic."""
     if region.constraint == "box":
-        if region.dims > MAX_BOX_DIMS:
-            raise ResourceError(f"a box of {region.dims} axes exceeds {MAX_BOX_DIMS}")
-        region._check_size()
-        return _kernels.visible_points_box(region.bounds)
+        return _kernels.visible_points_box(_box_bounds(region))
     return [p for p in region.points() if math.gcd(*p) == 1]
+
+
+def visible_count(region: RadialRegion) -> int:
+    """len(visible_points(region)); a box is counted on its gcd mask, with
+    no point built."""
+    if region.constraint == "box":
+        return _kernels.visible_count_box(_box_bounds(region))
+    return len(visible_points(region))
 
 
 def multiples_partition_check(region: RadialRegion) -> bool:

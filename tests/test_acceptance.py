@@ -220,10 +220,10 @@ def test_criterion_10_theta_checks():
                 lhs, rhs = theta_log_ratio_check(alpha, beta, q)
                 worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
-    params = {"n": 2, "q": 0.1, "alpha": 0.7, "beta": 0.3}
-    r20 = theta_vpv_check("cor-6.2", params, K=20).residual
-    r40 = theta_vpv_check("cor-6.2", params, K=40).residual
-    r80 = theta_vpv_check("cor-6.2", params, K=80).residual
+    # cor-6.2 at n = 2: one factor of rotation number 2
+    r20 = theta_vpv_check((2 + 0j,), 0.1, 0.7, 0.3, K=20)[0]
+    r40 = theta_vpv_check((2 + 0j,), 0.1, 0.7, 0.3, K=40)[0]
+    r80 = theta_vpv_check((2 + 0j,), 0.1, 0.7, 0.3, K=80)[0]
     assert r40 < 1e-8 and r80 <= r20
     print("criterion 10: PASS")
 

@@ -8,10 +8,10 @@ import pytest
 import vpvtotients._kernels as kernels
 import vpvtotients.analytic as analytic
 from vpvtotients.analytic import (
-    THETA_IDENTITIES,
     dirichlet_partial_cohen,
     ramanujan_mean_zero,
     ramanujan_mean_zero_direct,
+    real_rotation,
     theta1,
     theta_log_ratio_check,
     theta_vpv_check,
@@ -69,29 +69,30 @@ def test_theta_log_ratio_grid():
     assert worst < 1e-10
 
 
-_PARAMS = {
-    "thm-6.1": {"x": 0.5, "q": 0.1, "alpha": 0.7, "beta": 0.3},
-    "cor-6.2": {"n": 2, "q": 0.1, "alpha": 0.7, "beta": 0.3},
-    "cor-6.3": {"q": 0.1, "alpha": 0.7, "beta": 0.3},
-    "thm-6.4": {"xs": (0.5, 0.25), "q": 0.1, "alpha": 0.7, "beta": 0.3},
-    "cor-6.5": {"m": 2, "q": 0.1, "alpha": 0.7, "beta": 0.3},
-    "cor-6.6": {"n": (2, 3), "q": 0.1, "alpha": 0.7, "beta": 0.3},
+# the rotation numbers of the left-side factors of each section-6 display,
+# all at q = 0.1, alpha = 0.7, beta = 0.3
+THETAS = {
+    "thm-6.1": (real_rotation(0.5),),
+    "cor-6.2": (2 + 0j,),
+    "cor-6.3": (0j,),
+    "thm-6.4": (real_rotation(0.5), real_rotation(0.25)),
+    "cor-6.5": (0j, 0j),
+    "cor-6.6": (2 + 0j, 3 + 0j),
 }
 
 
-@pytest.mark.parametrize("identity", THETA_IDENTITIES)
+@pytest.mark.parametrize("identity", THETAS)
 def test_theta_identities_matched_index(identity):
-    res = theta_vpv_check(identity, _PARAMS[identity], K=40)
-    assert res.status == "PASS", res.reason
-    assert res.residual < 1e-8
-    if res.direct_residual is not None:
-        assert res.direct_residual < 1e-6
+    residual, direct_residual = theta_vpv_check(THETAS[identity], 0.1, 0.7, 0.3, K=40)
+    assert residual < 1e-8
+    if direct_residual is not None:
+        assert direct_residual < 1e-6
 
 
-@pytest.mark.parametrize("identity", THETA_IDENTITIES)
+@pytest.mark.parametrize("identity", THETAS)
 def test_theta_residual_shrinks_with_truncation(identity):
-    r20 = theta_vpv_check(identity, _PARAMS[identity], K=20).residual
-    r80 = theta_vpv_check(identity, _PARAMS[identity], K=80).residual
+    r20 = theta_vpv_check(THETAS[identity], 0.1, 0.7, 0.3, K=20)[0]
+    r80 = theta_vpv_check(THETAS[identity], 0.1, 0.7, 0.3, K=80)[0]
     assert r80 <= r20
 
 
@@ -105,25 +106,21 @@ def test_theta_weights_enumerated_once_per_v(monkeypatch):
         return kernel(k, thetas)
 
     monkeypatch.setattr(kernels, "selector_char_sum", counted)
-    for identity in THETA_IDENTITIES:
+    for identity, thetas in THETAS.items():
         seen.clear()
-        theta_vpv_check(identity, _PARAMS[identity], K=20)
+        theta_vpv_check(thetas, 0.1, 0.7, 0.3, K=20)
         assert seen == list(range(2, 21)), identity
-
-
-def _real(x):
-    """The rotation number theta of a real factor x = e^(2 pi i theta)."""
-    return cmath.log(x) / (2j * math.pi)
 
 
 def test_selector_weight_kernel_vs_moebius_oracle():
     # rotation, unit and real factors, alone and mixed; every term has
     # modulus <= 1, so the error is measured against the term count J_h(v)
+    r = real_rotation
     cases = (
-        (2 + 0j,), (0j,), (_real(0.5),),
-        (2 + 0j, 3 + 0j), (0j, 0j), (_real(0.5), _real(0.25)),
-        (2 + 0j, _real(0.3)), (0j, _real(0.7)),
-        (1 + 0j, 0j, _real(0.5)),
+        (2 + 0j,), (0j,), (r(0.5),),
+        (2 + 0j, 3 + 0j), (0j, 0j), (r(0.5), r(0.25)),
+        (2 + 0j, r(0.3)), (0j, r(0.7)),
+        (1 + 0j, 0j, r(0.5)),
     )
     for thetas in cases:
         h = len(thetas)
@@ -134,14 +131,16 @@ def test_selector_weight_kernel_vs_moebius_oracle():
 
 
 def test_theta_real_factor_domain():
+    for x in (0.5, 0.25, 1e-9, 0.999):
+        assert abs(cmath.exp(2j * math.pi * real_rotation(x)) - x) <= 1e-15
     for x in (0.0, 1.0, 1.5):
         with pytest.raises(DomainError, match="0 < x < 1"):
-            theta_vpv_check("thm-6.1", {"x": x})
+            real_rotation(x)
 
 
-def test_theta_q_out_of_range_skips():
-    res = theta_vpv_check("cor-6.2", {"n": 2, "q": 1.2, "alpha": 0.7, "beta": 0.3})
-    assert res.status == "SKIPPED"
+def test_theta_q_out_of_range_raises():
+    with pytest.raises(DomainError, match="0 <= q < 1"):
+        theta_vpv_check((2 + 0j,), 1.2, 0.7, 0.3, K=40)
 
 
 def test_dirichlet_domain_errors():

@@ -205,7 +205,7 @@ def test_selector_cap_raises_before_allocating(monkeypatch):
         lambda: selector_size(2, 3163),
         lambda: ramanujan_cohen_enum(3163, (1, 1)),
         lambda: phi_t_enum(2, 2, 3163),
-        lambda: theta_vpv_check("cor-6.5", {"m": 2}, K=3163),
+        lambda: theta_vpv_check((0j, 0j), 0.1, 0.7, 0.3, K=3163),
         lambda: m_phi(1, 10**7 + 1),
     )
     for call in calls:

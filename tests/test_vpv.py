@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import vpvtotients._kernels as kernels
 from vpvtotients import vpv
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, moebius
@@ -30,6 +31,7 @@ from vpvtotients.vpv import (
     thm_5_2_check,
     thm_5_8_check,
     thm_5_10_check,
+    visible_count,
     visible_points,
     weighted_regroup_check,
 )
@@ -113,6 +115,28 @@ def test_box_axes_cap():
     assert visible_points(RadialRegion(64, (1,) * 64)) == [(1,) * 64]
     with pytest.raises(ResourceError, match="a box of 65 axes exceeds 64"):
         visible_points(RadialRegion(65, (1,) * 65))
+
+
+def test_visible_count_builds_no_point(monkeypatch):
+    regions = [RadialRegion(d, b) for d, b in (
+        (1, (1,)), (1, (9,)), (2, (6, 10)), (3, (4, 7, 5)), (4, (3, 3, 4, 2)),
+        (64, (1,) * 64),
+    )] + [RadialRegion(3, (4, 5, 6), constraint="hyperpyramid")]
+    want = [len(visible_points(region)) for region in regions]
+
+    def no_points(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(kernels, "visible_points_box", no_points)
+    monkeypatch.setattr(kernels, "product", no_points)
+    monkeypatch.setattr(RadialRegion, "points", no_points)
+    assert [visible_count(region) for region in regions[:-1]] == want[:-1]
+    for region in (RadialRegion(2, (10**4, 10**4 + 1)), RadialRegion(65, (1,) * 65)):
+        with pytest.raises(ResourceError, match="exceeds"):
+            visible_count(region)
+    monkeypatch.undo()
+    # a hyperpyramid has no mask, and is counted from its points
+    assert visible_count(regions[-1]) == want[-1]
 
 
 def test_lemma_3_2_randomized():
