@@ -54,7 +54,7 @@ from ..analytic import (
     zeta,
 )
 from ..errors import UsageError
-from ..exactcore import divisors, moebius
+from ..exactcore import divisors, grid_power_sum, moebius
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
     jordan,
@@ -62,25 +62,20 @@ from ..totients import (
     phi_t_enum,
     ramanujan_cohen,
     selector_size,
+    unnormalized_phi,
 )
 from ..vpv import (
     FiniteSequence,
     RadialRegion,
-    _phi_u,
-    _q1,
-    _q2,
     bracket_polynomial,
     bracket_polynomial_oracle,
     cor_5_3_check,
     cor_5_9_check,
-    cor_5_11_check,
-    cor_5_12_check,
-    cor_5_13_check,
     cor_5_17_check,
-    grid_power_identity_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
+    power_regroup_check,
     printed_t,
     thm_5_1_check,
     thm_5_2_check,
@@ -409,7 +404,11 @@ def _check_grid_coefficients(cs: tuple, *corrections: str):
     def cases(rng: random.Random) -> Iterator[tuple]:
         for c, _ in product(cs, range(4)):
             a = _rand_seq(rng, rng.randint(6, 16))
-            yield (*grid_power_identity_check(c, a, _frac(rng), _frac(rng)),
+            x, y = _frac(rng), _frac(rng)
+            # sum_k a_k k^(-c) sum_{A in [0, k)^2} (A_1 x + A_2 y)^c
+            yield (*power_regroup_check(
+                       a, lambda k: grid_power_sum(c, k, (x, y)) / Fraction(k) ** c,
+                       lambda k: (x, y), 2, c),
                    lambda lhs, rhs: f"c={c}: {lhs} vs {rhs}")
 
     status = "PASS_WITH_CORRECTION" if corrections else "PASS"
@@ -692,6 +691,16 @@ def _h_factor_residuals(rng: random.Random) -> Iterator[float]:
         yield _rel_residual(*thm_5_10_check(a, bs, rng.uniform(0.2, 0.8)))
 
 
+def _bracket_sides(a: FiniteSequence, bs: list, bracket, p: int) -> tuple:
+    """Both sides of an h-factor bracket identity of order p, h = len(bs):
+    the left factor is bracket(k, b_1(k), ..., b_h(k)) and the weights are
+    the b_L(k), as Fractions."""
+    def b(k: int) -> list:
+        return [Fraction(seq(k)) for seq in bs]
+
+    return power_regroup_check(a, lambda k: bracket(k, *b(k)), b, len(bs), p)
+
+
 def _check_bracket_corollary(rng: random.Random) -> Outcome:
     def oracle():
         for h, m in product((1, 2, 3), repeat=2):
@@ -701,7 +710,8 @@ def _check_bracket_corollary(rng: random.Random) -> Outcome:
                 FiniteSequence.from_values([_frac(rng, -3, 3, 4) for _ in range(n)])
                 for _ in range(h)
             ]
-            yield (*cor_5_11_check(a, bs, m),
+            yield (*_bracket_sides(
+                       a, bs, lambda k, *b: bracket_polynomial_oracle(h, m, k, b), m),
                    f"oracle bracket imbalance at h={h}, m={m}")
 
     return _printed_or_corrected(
@@ -717,6 +727,15 @@ def _check_bracket_corollary(rng: random.Random) -> Outcome:
                "exactly for h, m <= 3 on random rational sequences"),
         oracle=oracle(),
     )
+
+
+def _q1(k: int, b1: Fraction, b2: Fraction) -> Fraction:
+    return Fraction(k * (k - 1), 2) * (b1 + b2)
+
+
+def _q2(k: int, b1: Fraction, b2: Fraction) -> Fraction:
+    quad = Fraction(k * k, 3) - Fraction(k, 2) + Fraction(1, 6)
+    return quad * (b1 * b1 + b2 * b2) + Fraction((k - 1) ** 2, 2) * b1 * b2
 
 
 def _bracket_oracle(rng: random.Random, m: int, q) -> Iterator[tuple]:
@@ -757,38 +776,24 @@ def _check_second_bracket_display(rng: random.Random) -> Outcome:
     )
 
 
-def _bracket_identity(rng: random.Random, check, skip_note: str, note: str) -> Outcome:
+def _bracket_identity(printed: tuple, corrected: tuple, skip_note: str, note: str):
     """cor-5.12/5.13: the printed form probed at a = b_1 = b_2 = delta_2,
-    the corrected form swept over 6 random sequence triples."""
-    def corrected():
-        for _ in range(6):
-            n = rng.randint(6, 14)
-            a, b1, b2 = (_rand_seq(rng, n) for _ in range(3))
-            yield *check(a, b1, b2, as_printed=False), skip_note
+    the corrected form swept over 6 random sequence triples; each form is
+    a (bracket, p) pair for `_bracket_sides`."""
+    def run(rng: random.Random) -> Outcome:
+        def corrected_cases():
+            for _ in range(6):
+                n = rng.randint(6, 14)
+                a, b1, b2 = (_rand_seq(rng, n) for _ in range(3))
+                yield *_bracket_sides(a, [b1, b2], *corrected), skip_note
 
-    return _printed_or_corrected(
-        [(*check(_delta(2), _delta(2), _delta(2), as_printed=True),
-          lambda lhs, rhs: f"a = b_1 = b_2 = delta_2 (printed): lhs={lhs}, rhs={rhs}")],
-        corrected(), (note,),
-    )
+        return _printed_or_corrected(
+            [(*_bracket_sides(_delta(2), [_delta(2), _delta(2)], *printed),
+              lambda lhs, rhs: f"a = b_1 = b_2 = delta_2 (printed): lhs={lhs}, rhs={rhs}")],
+            corrected_cases(), (note,),
+        )
 
-
-def _check_linear_bracket_identity(rng: random.Random) -> Outcome:
-    return _bracket_identity(
-        rng, cor_5_12_check, "corrected first-order identity imbalance",
-        "printed left side (1/3) sum (1/k) a_k b1_k has the wrong weight "
-        "and omits b2; with left side sum a_k (k(k-1)/2)(b1_k + b2_k) the "
-        "identity is exact on random rational sequences",
-    )
-
-
-def _check_quadratic_bracket_identity(rng: random.Random) -> Outcome:
-    return _bracket_identity(
-        rng, cor_5_13_check, "corrected second-order identity imbalance",
-        "printed left side halves the true quadratic bracket and its right "
-        "side repeats the first-power selector sums; corrected form (full "
-        "bracket against second-power sums with 1/v^2) is exact",
-    )
+    return run
 
 
 def _printed_quadratic(k: int) -> Fraction:
@@ -806,7 +811,7 @@ def _corrected_quadratic(k: int) -> Fraction:
 def _phi_u_weight(t: int, s: int, scale: int = 1):
     """v -> scale phi_tu(v) / v^s, with phi_tu(v) the selector sum of
     (j1 + j2)^t (0 at v = 1)."""
-    return lambda v: scale * _phi_u(t, v) / Fraction(v) ** s
+    return lambda v: Fraction(scale * unnormalized_phi(t, 2, v), v**s)
 
 
 def _totient_weighted_linear_cases(rng: random.Random) -> Iterator[tuple]:
@@ -1352,14 +1357,28 @@ _ENTRIES = [
         "cor-5.12", "positive integers greater than",
         "printed probe a=b1=b2=delta_2; corrected sweep on 6 random "
         "sequence triples",
-        _check_linear_bracket_identity, "FAILS_AS_PRINTED",
+        _bracket_identity(
+            (lambda k, b1, b2: b1 / (3 * k), 1), (_q1, 1),
+            "corrected first-order identity imbalance",
+            "printed left side (1/3) sum (1/k) a_k b1_k has the wrong weight "
+            "and omits b2; with left side sum a_k (k(k-1)/2)(b1_k + b2_k) the "
+            "identity is exact on random rational sequences",
+        ),
+        "FAILS_AS_PRINTED",
         "[DERIVED: delta-sequence probe against the selector sums]",
     ),
     IdentityCheck(
         "cor-5.13", "the same conditions as corollary",
         "printed probe a=b1=b2=delta_2; corrected sweep on 6 random "
         "sequence triples",
-        _check_quadratic_bracket_identity, "FAILS_AS_PRINTED",
+        _bracket_identity(
+            (lambda k, b1, b2: _q2(k, b1, b2) / 4, 1), (_q2, 2),
+            "corrected second-order identity imbalance",
+            "printed left side halves the true quadratic bracket and its right "
+            "side repeats the first-power selector sums; corrected form (full "
+            "bracket against second-power sums with 1/v^2) is exact",
+        ),
+        "FAILS_AS_PRINTED",
         "[DERIVED: delta-sequence probe against the selector sums]",
     ),
     IdentityCheck(

@@ -123,9 +123,8 @@ def _cmd_lattice(args) -> int:
             print(row)
         print(f"{len(visible)} visible of {bound * bound} points")
         return 0
-    total = region.lattice_size()
     count = visible_count(region)
-    print(f"dims={dims} max={bound}: {count} visible of {total} points")
+    print(f"dims={dims} max={bound}: {count} visible of {bound**dims} points")
     return 0
 
 

@@ -235,4 +235,11 @@ def sigma(s: int, n: int) -> Fraction:
     """sum of d^s over the divisors d of n; rational for negative s."""
     if n < 1:
         raise DomainError(f"sigma requires n >= 1, got {n}")
+    # n^|s| has |s| log2(n) bits; checked before n is factorized, as in jordan
+    bits = min(abs(s), JORDAN_BITS_CAP + 1) * log2(n)
+    if bits > JORDAN_BITS_CAP:
+        raise ResourceError(
+            f"sigma_s(n) for a {abs(s).bit_length()}-bit |s| and a {n.bit_length()}-bit n "
+            f"has terms of about {bits:.3g} bits or more, above cap {JORDAN_BITS_CAP}"
+        )
     return sum((Fraction(d) ** s for d in divisors(n)), Fraction(0))

@@ -8,16 +8,17 @@ S_v = sum_{j>=1} a_{jv}, and every check in this module is an instance of it
 evaluated with finitely supported sequences, so both sides are finite and
 (where the inputs are rational) exact.
 
-Two engines compute the regrouped right sides; each check passes only the
-weights of its factors.  The floating-point rearrangements (lemma 3.2 and
-theorems 5.1, 5.2, 5.8 and 5.10) share `_regroup_rhs`, a sum of exponentials
-over each selector.  The exact grid-power and bracket identities (eq-4.1..4.3,
-eq-4.7 and corollaries 5.11, 5.12 and 5.13) share `_regroup_power`, a sum of
-rational p-th powers over each selector; the full-grid sums on the left of
-eq-4.1..4.3, eq-4.7 and cor-5.11 are `exactcore.grid_power_sum`.  Both
-engines take each selector as an (N, h) int64 array from
-`enumerate_selector(..., as_array=True)`; `_regroup_power` reads its rows
-once as Python ints.  The other checks iterate the selector as tuples.
+Two engines compute the regrouped right sides.  The floating-point
+rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) share
+`_regroup_rhs`, a sum of exponentials over each selector; each check passes
+only the weights of its factors.  The exact grid-power identities (eq-4.2,
+eq-4.3, eq-4.7) and bracket corollaries (cor-5.11..5.13) are one function,
+`power_regroup_check(a, f, weights, h, p)`, a left factor f against a sum of
+rational p-th powers over each selector; the audit registry passes each
+display's f, weights and p, printed and corrected forms alike.  Both engines
+take each selector as an (N, h) int64 array from
+`enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
+rows once as Python ints.  The other checks iterate the selector as tuples.
 
 The exact displays that need no selector, only the tails S_v and a weight
 w(v), are one function, `weighted_regroup_check(a, f, w)`: the Jordan- and
@@ -78,12 +79,9 @@ __all__ = [
     "printed_t",
     "bracket_polynomial",
     "bracket_polynomial_oracle",
-    "cor_5_11_check",
     "cor_5_3_check",
     "weighted_regroup_check",
-    "grid_power_identity_check",
-    "cor_5_12_check",
-    "cor_5_13_check",
+    "power_regroup_check",
     "cor_5_17_check",
     "cor_5_9_check",
     "hyperpyramid_log_check",
@@ -147,25 +145,30 @@ class RadialRegion:
         if self.constraint not in _REGION_CONSTRAINTS:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
-    def lattice_size(self) -> int:
-        return math.prod(self.bounds)
+    def _ranges(self) -> list:
+        """The coordinate ranges whose product points() iterates: 1..b_i on
+        each axis of a box; on a hyperpyramid 0..min(b_i, a_d - 1) on each
+        leading axis and 1..b_d on the apex axis a_d."""
+        if self.constraint == "box":
+            return [range(1, b + 1) for b in self.bounds]
+        *lead, apex = self.bounds
+        return [range(min(b + 1, apex)) for b in lead] + [range(1, apex + 1)]
 
     def _check_size(self) -> None:
-        """Raise ResourceError when the region has more points than the cap."""
-        if self.lattice_size() > DEFAULT_SELECTOR_CAP:
-            raise ResourceError(
-                f"lattice size {self.lattice_size()} exceeds cap {DEFAULT_SELECTOR_CAP}"
-            )
+        """Raise ResourceError when points() would iterate more tuples than
+        the cap; for a box that is the product of its bounds."""
+        size = math.prod(r.stop - r.start for r in self._ranges())
+        if size > DEFAULT_SELECTOR_CAP:
+            raise ResourceError(f"lattice size {size} exceeds cap {DEFAULT_SELECTOR_CAP}")
 
     def points(self):
         """All lattice points of the region, lexicographic order."""
         self._check_size()
+        tuples = product(*self._ranges())
         if self.constraint == "box":
-            return list(product(*(range(1, b + 1) for b in self.bounds)))
-        # hyperpyramid: leading coordinates in [0, a_d), apex coordinate >= 1
-        *lead, apex = self.bounds
-        ranges = [range(min(b + 1, apex)) for b in lead] + [range(1, apex + 1)]
-        return [p for p in product(*ranges) if all(c < p[-1] for c in p[:-1])]
+            return list(tuples)
+        # hyperpyramid: each leading coordinate below the apex coordinate
+        return [p for p in tuples if all(c < p[-1] for c in p[:-1])]
 
 
 def _box_bounds(region: RadialRegion) -> tuple:
@@ -286,33 +289,6 @@ def _selector_exp_sums(h: int, v: int, bs: np.ndarray, x) -> np.ndarray:
     array."""
     js = enumerate_selector(LatticeSelector(h, v), as_array=True)
     return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
-
-
-def _regroup_power(a: FiniteSequence, weights, n: int, h: int, p: int) -> Fraction:
-    """The exact right side shared by the grid-power and bracket identities:
-
-        sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
-
-    with b_k = weights(k), a vector of h rationals.  The selector of each v is
-    enumerated once, as an (N, h) int64 array whose rows are read once as
-    Python ints.  For each multiple the weights are scaled to integer
-    numerators over their common denominator D, the p-th powers are summed
-    as Python ints (numpy int64 overflows at h = 3, p = 3) and the total is
-    divided once by (D v)^p.  This stays an enumeration, like `_regroup_rhs`.
-    """
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
-        if not ks:
-            continue
-        rows = enumerate_selector(LatticeSelector(h, v), as_array=True).tolist()
-        for k in ks:
-            bk = [Fraction(c) for c in weights(k)]
-            den = math.lcm(*(c.denominator for c in bk))
-            nums = [c.numerator * (den // c.denominator) for c in bk]
-            total = sum(sum(map(mul, row, nums)) ** p for row in rows)
-            rhs += a(k) * Fraction(total, (den * v) ** p)
-    return rhs
 
 
 def thm_5_1_check(
@@ -449,26 +425,6 @@ def _poly_product_coeff(polys: list, m: int) -> Fraction:
     return acc[m]
 
 
-def cor_5_11_check(a: FiniteSequence, bs: list, m: int) -> tuple:
-    """The m-th order bracket identity of the h-factor rearrangement (audit
-    id cor-5.11), exact, with the bracket that balances it:
-
-        sum_k a_k bracket_polynomial_oracle(h, m, k, b(k))
-        = sum_{v>=2} sum_w a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^m,
-
-    where bs lists the h exponent sequences; the right side is
-    `_regroup_power` with weights (b_1(k), ..., b_h(k)) and p = m.
-    """
-    h, n = len(bs), a.bound
-    lhs = sum(
-        a(k) * bracket_polynomial_oracle(h, m, k, [b(k) for b in bs])
-        for k in range(1, n + 1)
-        if a(k)
-    )
-    rhs = _regroup_power(a, lambda k: [b(k) for b in bs], n, h, m)
-    return Fraction(lhs), rhs
-
-
 # --------------------------------------------------------------------------
 # the trivariate visible-point product (cor-5.3)
 
@@ -498,7 +454,7 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# exact rational identities: weighted regrouping
+# exact rational identities: weighted and selector-power regrouping
 
 
 def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
@@ -525,103 +481,46 @@ def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
     return Fraction(lhs), Fraction(rhs)
 
 
-# --------------------------------------------------------------------------
-# exact grid-power identities (eq-4.1..4.3, eq-4.7)
+def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
+    """Both sides of the exact selector-power rearrangement (audit ids
+    eq-4.2, eq-4.3, eq-4.7 and cor-5.11..5.13):
 
+        sum_k a_k f(k)
+        = sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
 
-def grid_power_identity_check(
-    c: int, a: FiniteSequence, x: Fraction, y: Fraction
-) -> tuple:
-    """Exact check of the grid-power rearrangement (audit ids eq-4.1..4.3,
-    eq-4.7; its c = 0 case, eq-4.4, is `weighted_regroup_check` with
-    f(k) = k^2 and w = J_2):
+    with b_k = weights(k), a vector of h rationals.  f is evaluated only
+    where a_k != 0; returns (lhs, rhs) as Fractions.  p >= 1: at p = 0 the
+    origin of each grid adds 0^0 = 1, which no selector of v >= 2 holds (that
+    count, eq-4.4, is `weighted_regroup_check` with w = J_h).
 
-        sum_k a_k k^(-c) sum_grid (A x + B y)^c
-        = sum_{v>=2} (S_v / v^c) sum_selector (j1 x + j2 y)^c,
-
-    the grid sum over [0, k)^2 being `exactcore.grid_power_sum` with weights
-    (x, y), and the right side `_regroup_power` with weights (x, y), p = c.
+    The selector of each v is enumerated once, as an (N, h) int64 array
+    whose rows are read once as Python ints.  For each multiple the weights
+    are scaled to integer numerators over their common denominator D, the
+    p-th powers are summed as Python ints (numpy int64 overflows at h = 3,
+    p = 3) and the total is divided once by (D v)^p.  This stays an
+    enumeration, like `_regroup_rhs`.
     """
-    if c < 1:
-        raise DomainError(f"c must be >= 1, got {c}")
+    if p < 1:
+        raise DomainError(f"p must be >= 1, got {p}")
     n = a.bound
-    x, y = Fraction(x), Fraction(y)
-    lhs = sum(
-        a(k) * grid_power_sum(c, k, (x, y)) / Fraction(k) ** c
-        for k in range(1, n + 1)
-        if a(k)
-    )
-    return Fraction(lhs), _regroup_power(a, lambda k: (x, y), n, 2, c)
-
-
-# --------------------------------------------------------------------------
-# the h = 2 bracket corollaries (cor-5.12, cor-5.13) and the phi_t weights
-
-
-def _q1(k: int, b1: Fraction, b2: Fraction) -> Fraction:
-    return Fraction(k * (k - 1), 2) * (b1 + b2)
-
-
-def _q2(k: int, b1: Fraction, b2: Fraction) -> Fraction:
-    quad = Fraction(k * k, 3) - Fraction(k, 2) + Fraction(1, 6)
-    return quad * (b1 * b1 + b2 * b2) + Fraction((k - 1) ** 2, 2) * b1 * b2
-
-
-def cor_5_12_check(
-    a: FiniteSequence, b1: FiniteSequence, b2: FiniteSequence,
-    as_printed: bool = True,
-) -> tuple:
-    """First-order two-factor bracket identity (audit id cor-5.12).
-
-    rhs = sum_v (1/v) sum_w a_{vw} sum_selector (b1 j1 + b2 j2), which is
-    `_regroup_power` with weights (b1_k, b2_k) and p = 1.  The printed left
-    side (1/3) sum (1/k) a_k b1_k does not balance it; the corrected left
-    side is sum a_k (k(k-1)/2)(b1_k + b2_k).
-    """
-    n = a.bound
-    if as_printed:
-        lhs = Fraction(1, 3) * sum(
-            Fraction(a(k), 1) * Fraction(b1(k)) / k for k in range(1, n + 1)
-        )
-    else:
-        lhs = sum(a(k) * _q1(k, Fraction(b1(k)), Fraction(b2(k)))
-                  for k in range(1, n + 1))
-    return Fraction(lhs), _regroup_power(a, lambda k: (b1(k), b2(k)), n, 2, 1)
-
-
-def cor_5_13_check(
-    a: FiniteSequence, b1: FiniteSequence, b2: FiniteSequence,
-    as_printed: bool = True,
-) -> tuple:
-    """Second-order two-factor bracket identity (audit id cor-5.13).
-
-    Corrected: sum a_k Q2(k) = sum_v (1/v^2) sum_w a_{vw}
-    sum_selector (b1 j1 + b2 j2)^2.  As printed the left side is Q2/4 and the
-    right side repeats cor-5.12's first-power sum with weight 1/v.  Either
-    right side is `_regroup_power` with weights (b1_k, b2_k), p = 1 as
-    printed and p = 2 corrected.
-    """
-    n = a.bound
-    rhs = _regroup_power(a, lambda k: (b1(k), b2(k)), n, 2, 1 if as_printed else 2)
-    if as_printed:
-        lhs = Fraction(1, 2) * sum(
-            a(k)
-            * (
-                (Fraction(k * k, 6) - Fraction(k, 4) + Fraction(1, 12))
-                * (Fraction(b1(k)) ** 2 + Fraction(b2(k)) ** 2)
-                + Fraction((k - 1) ** 2, 4) * Fraction(b1(k)) * Fraction(b2(k))
-            )
-            for k in range(1, n + 1)
-        )
-    else:
-        lhs = sum(a(k) * _q2(k, Fraction(b1(k)), Fraction(b2(k)))
-                  for k in range(1, n + 1))
+    lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
+    rhs = Fraction(0)
+    for v in range(2, n + 1):
+        ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
+        if not ks:
+            continue
+        rows = enumerate_selector(LatticeSelector(h, v), as_array=True).tolist()
+        for k in ks:
+            bk = [Fraction(c) for c in weights(k)]
+            den = math.lcm(*(c.denominator for c in bk))
+            nums = [c.numerator * (den // c.denominator) for c in bk]
+            total = sum(sum(map(mul, row, nums)) ** p for row in rows)
+            rhs += a(k) * Fraction(total, (den * v) ** p)
     return Fraction(lhs), rhs
 
 
-def _phi_u(t: int, v: int) -> Fraction:
-    """Selector sum of (j1 + j2)^t for modulus v (0 for v = 1)."""
-    return Fraction(0) if v == 1 else Fraction(unnormalized_phi(t, 2, v))
+# --------------------------------------------------------------------------
+# exact z-series product displays (cor-5.17, cor-5.9)
 
 
 def cor_5_17_check(which: str, order: int, reading: str = "printed") -> tuple:
@@ -642,7 +541,7 @@ def cor_5_17_check(which: str, order: int, reading: str = "printed") -> tuple:
     shift = 2 if (which == "a" or reading == "printed") else 3
     t = 1 if which == "a" else 2
     lhs = product_with_exponents(
-        {k: -_phi_u(t, k) / Fraction(k) ** shift for k in range(2, order + 1)},
+        {k: Fraction(-unnormalized_phi(t, 2, k), k**shift) for k in range(2, order + 1)},
         order,
     )
 

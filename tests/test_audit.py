@@ -186,6 +186,10 @@ def _off(series):
     return "OFF"  # equal to no series
 
 
+def _oracle_bracket(printed):
+    return 20  # the oracle bracket at h=2, m=1, k=5, b=(1,1)
+
+
 def _half(sides):
     return 1.0, 2.0  # relative residual 0.5
 
@@ -223,9 +227,9 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", 0.5)),
     ("eq-4.1", (("lemma_3_2_check", 5, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
-    ("eq-4.2", (("grid_power_identity_check", 6, _split),),
+    ("eq-4.2", (("power_regroup_check", 6, _split),),
      Outcome("FAILS_AS_PRINTED", None, "c=2: 0 vs 1")),
-    ("eq-4.3", (("grid_power_identity_check", 6, _split),),
+    ("eq-4.3", (("power_regroup_check", 6, _split),),
      Outcome("FAILS_AS_PRINTED", None, "c=4: 0 vs 1")),
     ("eq-4.4", (("selector_size", 7, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "k=8")),
@@ -240,7 +244,7 @@ FAILURE_PATHS = [
          "13: Fraction(4, 5), 14: Fraction(1, 1), 16: Fraction(-1, 5)}: "
          "0 vs 1",
      )),
-    ("eq-4.7", (("grid_power_identity_check", 10, _split),),
+    ("eq-4.7", (("power_regroup_check", 10, _split),),
      Outcome("FAILS_AS_PRINTED", None, "c=3: 0 vs 1")),
     ("eq-4.9", (("weighted_regroup_check", 2, _split),),
      Outcome("SKIPPED", None, None, ("unexpected t=0 imbalance at m=3",))),
@@ -311,22 +315,21 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", None, "derived reading fails at x=-2/5")),
     ("eq-5.14", (("thm_5_10_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
-    ("cor-5.11", (("cor_5_11_check", 4, _split),),
+    ("cor-5.11", (("power_regroup_check", 4, _split),),
      Outcome("SKIPPED", None, None,
              ("oracle bracket imbalance at h=2, m=1",))),
-    ("cor-5.11", (("bracket_polynomial", None, _off),
-                  ("bracket_polynomial_oracle", None, _off),),
+    ("cor-5.11", (("bracket_polynomial", 1, _oracle_bracket),),
      Outcome("PASS", 0.0)),
     ("eq-5.16", (("bracket_polynomial_oracle", 10, _plus_one),),
      Outcome("SKIPPED", None, None, ("first-order oracle mismatch at k=5",))),
     ("eq-5.17", (("bracket_polynomial_oracle", 10, _plus_one),),
      Outcome("SKIPPED", None, None, ("second-order oracle mismatch at k=5",))),
-    ("cor-5.12", (("cor_5_12_check", 1, _balance),),
+    ("cor-5.12", (("power_regroup_check", 1, _balance),),
      Outcome("PASS", 0.0)),
-    ("cor-5.12", (("cor_5_12_check", 3, _split),),
+    ("cor-5.12", (("power_regroup_check", 3, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected first-order identity imbalance",))),
-    ("cor-5.13", (("cor_5_13_check", 3, _split),),
+    ("cor-5.13", (("power_regroup_check", 3, _split),),
      Outcome("SKIPPED", None, None,
              ("corrected second-order identity imbalance",))),
     ("cor-5.14a", (("weighted_regroup_check", 5, _split),),

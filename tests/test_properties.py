@@ -100,7 +100,7 @@ compute_argv = st.tuples(
             "--k": _int(-3, 10**12),
             "--m": _int(-3, 10**12),
             "--t": _int(-3, 5),
-            "--s": _int(-3, 3),
+            "--s": _int(-(10**12), 10**12),
             "--n": int_lists,
             "--n-arg": _int(-3, 10**12),
             "--j": _int(-3, 10**12),
@@ -150,9 +150,10 @@ big_phi_argv = st.tuples(
 )
 
 # and for the trial division behind sigma(n) and c_k(n), which factors any
-# n <= 10^14 and refuses larger ones past its divisor cap
+# n <= 10^14 and refuses larger ones past its divisor cap, and for the size
+# cap on sigma_s(n), which must refuse n^|s| before n is factorized
 big_factor_argv = st.one_of(
-    st.tuples(_int(-3, 3), st.integers(-2, 10**12)).map(
+    st.tuples(_int(-(10**12), 10**12), st.integers(-2, 10**12)).map(
         lambda sn: ["compute", "sigma", "--s", sn[0], "--n", str(sn[1])]
     ),
     st.tuples(st.integers(-2, 10**12), int_lists).map(

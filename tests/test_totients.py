@@ -233,6 +233,25 @@ def test_jordan_of_one_for_any_m():
     assert jordan(10**400, 1) == 1
 
 
+def test_sigma_cap_raises_before_factorizing(monkeypatch):
+    # sigma_s(n) holds the term n^|s|, of about |s| log2(n) bits; past the
+    # Jordan cap it raises before divisors(n) factorizes n, for either sign
+    # of s and for an |s| past the float range
+    def no_divisors(n):
+        raise AssertionError(f"factorized {n}")
+
+    monkeypatch.setattr(totients, "divisors", no_divisors)
+    for s, n in ((10**6 + 1, 2), (386853, 6), (-386853, 6), (3 * 10**6, 6),
+                 (-(10**12), 3), (10**400, 2), (1, 2**(10**6 + 1))):
+        with pytest.raises(ResourceError, match="above cap 1000000"):
+            sigma(s, n)
+    monkeypatch.undo()
+    # n = 1 has no bits to cap, and sigma runs at 999998 bits (s = 386852,
+    # n = 6), one step of s below the cap
+    assert sigma(10**400, 1) == sigma(-(10**400), 1) == 1
+    assert sigma(386852, 6) == 1 + 2**386852 + 3**386852 + 6**386852
+
+
 def test_phi_work_cap_raises_before_the_power_sums(monkeypatch):
     # at the cap in one of t, m, k (the others fixed) phi_t goes on to its
     # first grid power sum; one past, it raises before it

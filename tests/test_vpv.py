@@ -9,8 +9,9 @@ import pytest
 
 import vpvtotients._kernels as kernels
 from vpvtotients import vpv
+from vpvtotients.audit.registry import _bracket_sides, _q1, _q2
 from vpvtotients.errors import DomainError, ResourceError
-from vpvtotients.exactcore import divisors, moebius
+from vpvtotients.exactcore import divisors, grid_power_sum, moebius
 from vpvtotients.totients import jordan, unnormalized_phi
 from vpvtotients.vpv import (
     FiniteSequence,
@@ -19,14 +20,11 @@ from vpvtotients.vpv import (
     bracket_polynomial_oracle,
     cor_5_3_check,
     cor_5_9_check,
-    cor_5_11_check,
-    cor_5_12_check,
-    cor_5_13_check,
     cor_5_17_check,
-    grid_power_identity_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
+    power_regroup_check,
     thm_5_1_check,
     thm_5_2_check,
     thm_5_8_check,
@@ -68,6 +66,25 @@ def _phi_u(t, s, scale=1):
     return lambda v: Fraction(scale * unnormalized_phi(t, 2, v), v**s)
 
 
+def _grid_sides(c, a, x, y):
+    """eq-4.2/4.3/4.7: sum_k a_k k^(-c) sum_grid (A x + B y)^c against the
+    c-th powers over each selector, weights (x, y)."""
+    return power_regroup_check(
+        a, lambda k: grid_power_sum(c, k, (x, y)) / Fraction(k) ** c, lambda k: (x, y), 2, c
+    )
+
+
+def _oracle_bracket(h, m):
+    return lambda k, *b: bracket_polynomial_oracle(h, m, k, b)
+
+
+# cor-5.12 and cor-5.13 as (bracket, p), printed and corrected
+_PRINTED_FIRST = (lambda k, b1, b2: b1 / (3 * k), 1)
+_CORRECTED_FIRST = (_q1, 1)
+_PRINTED_SECOND = (lambda k, b1, b2: _q2(k, b1, b2) / 4, 1)
+_CORRECTED_SECOND = (_q2, 2)
+
+
 def _printed_quadratic(k):
     return Fraction(7, 12) * k * k - k + Fraction(5, 12)
 
@@ -100,10 +117,13 @@ def test_visible_points_are_coprime():
 
 
 def test_region_size_cap():
-    # the cap is checked before anything is allocated
+    # the cap is checked before anything is allocated; a hyperpyramid is
+    # charged the tuples its points() iterates, apex * prod min(b_i + 1, apex),
+    # which is 2^31 for 30 unit leading axes under a lattice size of 2
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
-        RadialRegion(3, (10**3, 10**3, 11), constraint="hyperpyramid"),
+        RadialRegion(3, (10**3, 10**3, 10**3), constraint="hyperpyramid"),
+        RadialRegion(31, (1,) * 30 + (2,), constraint="hyperpyramid"),
     ):
         for enumerate_region in (visible_points, RadialRegion.points):
             with pytest.raises(ResourceError, match="exceeds cap 10000000"):
@@ -227,21 +247,23 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         "thm-5.2": lambda: thm_5_2_check(a, b, c, 0.5),
         "thm-5.8": lambda: thm_5_8_check(a, b, 0.5),
         "thm-5.10": lambda: thm_5_10_check(a, [b, c, d], 0.5),
-        "cor-5.12 printed": lambda: cor_5_12_check(a, b, c, as_printed=True),
-        "cor-5.12 corrected": lambda: cor_5_12_check(a, b, c, as_printed=False),
-        "cor-5.13 printed": lambda: cor_5_13_check(a, b, c, as_printed=True),
-        "cor-5.13 corrected": lambda: cor_5_13_check(a, b, c, as_printed=False),
+        "cor-5.12 printed": lambda: _bracket_sides(a, [b, c], *_PRINTED_FIRST),
+        "cor-5.12 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_FIRST),
+        "cor-5.13 printed": lambda: _bracket_sides(a, [b, c], *_PRINTED_SECOND),
+        "cor-5.13 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_SECOND),
         "eq-4.16 n=3": lambda: hyperpyramid_log_check(
             (0.4, 0.3, 0.5), (Fraction(1, 3),) * 3, 10
         ),
         "cor-5.3": lambda: cor_5_3_check(0.3, 0.2, 0.25, 20),
     }
     for p in (1, 2, 3, 4):
-        checks[f"grid-power c={p}"] = lambda p=p: grid_power_identity_check(
+        checks[f"grid-power c={p}"] = lambda p=p: _grid_sides(
             p, a, Fraction(1, 2), Fraction(-2, 3)
         )
     for h in (1, 2, 3):
-        checks[f"cor-5.11 h={h}"] = lambda h=h: cor_5_11_check(a, [b, c, d][:h], 2)
+        checks[f"cor-5.11 h={h}"] = lambda h=h: _bracket_sides(
+            a, [b, c, d][:h], _oracle_bracket(h, 2), 2
+        )
     tuple_checks = {"eq-4.16 n=3", "cor-5.3"}
     for name, check in checks.items():
         calls.clear()
@@ -275,7 +297,7 @@ def _moebius_power_sum(h, v, b, p):
     )
 
 
-def test_regroup_power_three_routes():
+def test_power_regroup_three_routes():
     # the exact engine against two routes that share none of its code; the
     # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers
     rng = random.Random(16)
@@ -286,8 +308,8 @@ def test_regroup_power_three_routes():
         rng.shuffle(slots)
         weights = {k: slots[(k - 1) * h:k * h] for k in range(1, n + 1)}
         for p in (1, 2, 3, 4):
-            got = vpv._regroup_power(a, weights.get, n, h, p)
-            assert isinstance(got, Fraction)
+            lhs, got = power_regroup_check(a, lambda k: 0, weights.get, h, p)
+            assert lhs == 0 and isinstance(got, Fraction)
             for route in (_brute_power_sum, _moebius_power_sum):
                 want = sum(
                     a(v * w) * route(h, v, weights[v * w], p)
@@ -306,10 +328,20 @@ def test_grid_power_identities_exact():
         if c == 0:  # the grid count is k^2, regrouped by J_2 (eq-4.4)
             lhs, rhs = _jordan_sides(a, 2)
         else:
-            lhs, rhs = grid_power_identity_check(c, a, x, y)
+            lhs, rhs = _grid_sides(c, a, x, y)
         assert lhs == rhs
     with pytest.raises(DomainError):
-        grid_power_identity_check(0, a, x, y)
+        power_regroup_check(a, lambda k: k * k, lambda k: (x, y), 2, 0)
+
+
+def test_power_regroup_skips_zero_terms():
+    # f is never evaluated where a_k = 0, a stored zero included
+    a = FiniteSequence({1: Fraction(0), 3: Fraction(2), 6: Fraction(-1), 7: 0}, 8)
+    seen = []
+    lhs, _ = power_regroup_check(
+        a, lambda k: seen.append(k) or k * k, lambda k: (1, Fraction(1, 2)), 2, 1
+    )
+    assert sorted(seen) == [3, 6] and lhs == 2 * 9 - 36
 
 
 def test_square_pyramidal_identity():
@@ -386,17 +418,18 @@ def test_bracket_oracle_vs_printed_form():
     a = _rand_seq(rng, 12)
     for h in (1, 2, 3):
         for m in (1, 2, 3):
-            lhs, rhs = cor_5_11_check(a, [_rand_seq(rng, 12) for _ in range(h)], m)
+            bs = [_rand_seq(rng, 12) for _ in range(h)]
+            lhs, rhs = _bracket_sides(a, bs, _oracle_bracket(h, m), m)
             assert lhs == rhs, (h, m)
 
 
 def test_linear_bracket_identity_printed_vs_corrected():
     d2 = FiniteSequence({2: Fraction(1)}, 2)
-    lhs, rhs = cor_5_12_check(d2, d2, d2, as_printed=True)
+    lhs, rhs = _bracket_sides(d2, [d2, d2], *_PRINTED_FIRST)
     assert lhs != rhs
     rng = random.Random(10)
     a, b1, b2 = (_rand_seq(rng, 10) for _ in range(3))
-    cl, cr = cor_5_12_check(a, b1, b2, as_printed=False)
+    cl, cr = _bracket_sides(a, [b1, b2], *_CORRECTED_FIRST)
     assert cl == cr
 
 
