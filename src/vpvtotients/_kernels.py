@@ -6,11 +6,13 @@ gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built. The
 fold runs in the narrowest unsigned dtype that holds k
 (`np.min_scalar_type(k)`: uint8 up to 255, uint16 up to 65535), so its
 temporaries cost 1 or 2 bytes a point, not 8. Values are `np.add.outer` folds
-of 1-D vectors, read through the mask.
+of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
+residue histogram and weights its k bins, so it takes k cosines.
 
 The selector itself comes in two forms, both in lexicographic order (C order
-of the mask). `selector_array` is `np.argwhere(mask)`, an (N, m) int64 array
-at 8m bytes a selected point; the `vpv` regrouping engines take it, because
+of the mask). `selector_array` is the nonzero indices of the mask as rows,
+`np.array(mask.nonzero()).T` (the values and strides of `np.argwhere`, without
+its Python wrapper), an (N, m) int64 array at 8m bytes a selected point; the `vpv` regrouping engines take it, because
 they form the dot products j . b as one matrix product. `selector_tuples` is
 `compress(product(range(k), repeat=m), mask.tobytes())`, a list of tuples of
 Python ints: the mask bytes cost one byte a point, and `product` shares one
@@ -40,7 +42,7 @@ def _selector_mask(m: int, k: int) -> np.ndarray:
     """The selector as a (k,)*m boolean array: gcd(j_1..j_m, k) = 1, j != 0."""
     g = np.gcd(np.arange(k, dtype=np.min_scalar_type(k)), k)
     mask = reduce(np.gcd.outer, [g] * m) == 1
-    mask.flat[0] = False  # the origin has gcd k, so this acts only at k = 1
+    mask[(0,) * m] = False  # the origin has gcd k, so this acts only at k = 1
     return mask
 
 
@@ -51,8 +53,10 @@ def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
 
 
 def selector_array(m: int, k: int) -> np.ndarray:
-    """Selector points as the rows of an (N, m) int64 array, lexicographic."""
-    return np.argwhere(_selector_mask(m, k))
+    """Selector points as the rows of an (N, m) int64 array, lexicographic:
+    the nonzero indices of the mask, transposed (what `np.argwhere` returns,
+    without its Python wrapper)."""
+    return np.array(_selector_mask(m, k).nonzero()).T
 
 
 def selector_count(m: int, k: int) -> int:
@@ -63,11 +67,14 @@ def selector_cos_sum(k: int, n: tuple[int, ...]) -> float:
     """sum over the selector of cos(2*pi*(j . n)/k).
 
     Each n_i is reduced mod k as a Python int first, so that j * n_i fits in
-    int64 for any n_i; j . n mod k is unchanged.
+    int64 for any n_i; j . n mod k is unchanged.  Every selector point is
+    counted into a histogram of its residue r = j . n mod k, and the k
+    counts are weighted by cos(2*pi*r/k): k cosines, not one per point.
     """
     mask = _selector_mask(len(n), k)
     dots = reduce(np.add.outer, [np.arange(k) * (ni % k) for ni in n])[mask]
-    return float(np.cos(2.0 * np.pi * (dots % k) / k).sum())
+    counts = np.bincount(dots % k, minlength=k)
+    return float(counts @ np.cos(2.0 * np.pi * np.arange(k) / k))
 
 
 def selector_char_sum(k: int, thetas: tuple[float, ...]) -> complex:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 
 from . import _kernels
 from .errors import DomainError
@@ -29,6 +30,7 @@ __all__ = [
     "zeta",
     "dirichlet_partial_cohen",
     "ramanujan_mean_zero",
+    "ramanujan_mean_zero_table",
     "ramanujan_mean_zero_direct",
     "theta1",
     "theta_log_ratio_check",
@@ -108,23 +110,39 @@ def dirichlet_partial_cohen(
     return partial, companion
 
 
-def ramanujan_mean_zero(n: list[int] | tuple[int, ...], K: int) -> float:
-    """sum_{k<=K} c_k(n)/k via the rearrangement over divisors of g.
+def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
+    """[[sum_{k<=K} c_k(n)/k for K in Ks] for n in ns], via the rearrangement
+    over divisors of g.
 
     Each divisor e of g contributes e^(m-1) times the Mertens-type partial
-    sum of mu(d)/d up to K/e; the total tends to 0 as K grows.
+    sum of mu(d)/d up to K/e; the total tends to 0 as K grows.  One Moebius
+    sieve at the largest K serves every n and K: the partial sums are read
+    from one `itertools.accumulate` of mu(d)/d, which adds left to right.
     """
-    if K < 1:
+    if any(K < 1 for K in Ks):
         raise DomainError("K must be >= 1")
-    m = len(n)
-    g = _nonzero_gcd(n, "sum diverges")
-    mu = moebius_sieve(K)
-    total = 0.0
-    for e in divisors(g):
-        if e > K:
-            continue
-        total += e ** (m - 1) * sum(mu[d] / d for d in range(1, K // e + 1))
-    return total
+    gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
+    top = max(Ks, default=0)
+    mu = moebius_sieve(top)
+    partial = [0.0, *accumulate(mu[d] / d for d in range(1, top + 1))]
+    table = []
+    for n, g in zip(ns, gs):
+        m = len(n)
+        row = []
+        for K in Ks:
+            total = 0.0
+            for e in divisors(g):
+                if e > K:
+                    break
+                total += e ** (m - 1) * partial[K // e]
+            row.append(total)
+        table.append(row)
+    return table
+
+
+def ramanujan_mean_zero(n: list[int] | tuple[int, ...], K: int) -> float:
+    """sum_{k<=K} c_k(n)/k: `ramanujan_mean_zero_table` at one n and one K."""
+    return ramanujan_mean_zero_table([n], [K])[0][0]
 
 
 def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:

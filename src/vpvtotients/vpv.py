@@ -11,22 +11,28 @@ evaluated with finitely supported sequences, so both sides are finite and
 Two engines compute the regrouped right sides.  The floating-point
 rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) share
 `_regroup_rhs`, a sum of exponentials over each selector; each check passes
-only the weights of its factors.  The exact grid-power identities (eq-4.2,
-eq-4.3, eq-4.7) and bracket corollaries (cor-5.11..5.13) are one function,
-`power_regroup_check(a, f, weights, h, p)`, a left factor f against a sum of
-rational p-th powers over each selector; the audit registry passes each
-display's f, weights and p, printed and corrected forms alike.  Both engines
-take each selector as an (N, h) int64 array from
-`enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
-rows once as Python ints.  The other checks iterate the selector as tuples.
+only the weights of its factors.  It converts every term and weight to a
+float once (`_real`: a rational as numerator / denominator, which rounds as
+float() does) and sums S_1 exactly, as Python ints over a common
+denominator; the left sides convert their terms the same way.  The exact
+grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
+(cor-5.11..5.13) are one function, `power_regroup_check(a, f, weights, h,
+p)`, a left factor f against a sum of rational p-th powers over each
+selector; the audit registry passes each display's f, weights and p,
+printed and corrected forms alike.  Both engines take each selector as an
+(N, h) int64 array from `enumerate_selector(..., as_array=True)`;
+`power_regroup_check` reads its rows once as Python ints.  The other checks
+iterate the selector as tuples.
 
 The exact displays that need no selector, only the tails S_v and a weight
 w(v), are one function, `weighted_regroup_check(a, f, w)`: the Jordan- and
 phi_t-weighted sums of eq-4.4, eq-4.9, eq-4.10, eq-5.4..5.10 and
 cor-5.14..5.15 are each a sequence a, a left factor f and a weight w, passed
-in by the audit registry, printed and corrected forms alike.  Such a display
-balances for every a exactly when f(k) = sum_{d|k} w(d), the divisor law that
-the registry checks for eq-4.10, eq-4.11 and cor-5.16.
+in by the audit registry, printed and corrected forms alike.  The terms are
+scaled once to integers over their common denominator, so every tail is a
+Python-int sum.  Such a display balances for every a exactly when
+f(k) = sum_{d|k} w(d), the divisor law that the registry checks for
+eq-4.10, eq-4.11 and cor-5.16.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -233,7 +239,7 @@ def lemma_3_2_check(a: FiniteSequence, q) -> tuple:
         ak = a(k)
         if not ak:
             continue
-        term = float(ak)
+        term = _real(ak)
         for v in q:
             term *= (1.0 - v) / (1.0 - v ** (1.0 / k))
         lhs += term
@@ -246,12 +252,22 @@ def lemma_3_2_check(a: FiniteSequence, q) -> tuple:
 # exponential-factor rearrangements (thm-5.1 family)
 
 
+def _real(c) -> float:
+    """float(c); an int or Fraction as numerator / denominator, the same
+    correctly rounded int division that float(Fraction) does, without its
+    Python-level wrapper.  Floats, numpy floats included, keep float()."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator / c.denominator
+    return float(c)
+
+
 def _exp_factor(b, x: float, k: int) -> complex:
     """(1 - exp(b x)) / (1 - exp(b x / k)) evaluated as written."""
-    den = 1.0 - _cexp(float(b) * x / k)
+    bf = _real(b)
+    den = 1.0 - _cexp(bf * x / k)
     if abs(den) < 1e-13:
         raise DomainError(f"vanishing denominator: exp({b}*{x}/{k}) = 1")
-    return (1.0 - _cexp(float(b) * x)) / den
+    return (1.0 - _cexp(bf * x)) / den
 
 
 def _cexp(v) -> complex:
@@ -264,21 +280,30 @@ def _regroup_rhs(a: FiniteSequence, weights, x, n: int, h: int):
         S_1 + sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
 
     with S_1 = a_1 + ... + a_n and b_k = weights(k), a vector of h numbers.
-    a_k and b_k are converted to floats once, for the k >= 2 with a_k != 0;
-    each v takes the rows at its multiples.  The selector of each v is
-    enumerated once, as an int64 array (its coordinates are below v), and
-    all of v's multiples are summed in one matrix product.  This stays an
-    enumeration: factoring the selector sum by Moebius inversion would make
-    the checks circular.
+    The support of a is read once, in k order.  For rational terms S_1 is
+    one Python-int sum of numerators over the lcm D of the denominators,
+    divided once by D (the float of the exact sum).  a_k and b_k are
+    converted to floats once (`_real`), for the k >= 2 with a_k != 0; each v
+    takes the rows at its multiples by an index list.  The selector of each
+    v is enumerated once, as an int64 array (its coordinates are below v),
+    and all of v's multiples are summed in one matrix product.  This stays
+    an enumeration: factoring the selector sum by Moebius inversion would
+    make the checks circular.
     """
-    rhs = float(sum(a(k) for k in range(1, n + 1)))
-    ks = [k for k in range(2, n + 1) if a(k)]
-    kv = np.array(ks, dtype=np.int64)
-    af = np.array([float(a(k)) for k in ks])
-    bf = np.array([[float(c) for c in weights(k)] for k in ks])
+    terms = [(k, c) for k, c in sorted(a.support.items()) if c and k <= n]
+    vals = [c for _, c in terms]
+    if all(isinstance(c, (int, Fraction)) for c in vals):
+        den = math.lcm(*(c.denominator for c in vals))
+        rhs = sum(c.numerator * (den // c.denominator) for c in vals) / den
+    else:
+        rhs = float(sum(vals))
+    terms = [(k, c) for k, c in terms if k >= 2]
+    pos = {k: i for i, (k, _) in enumerate(terms)}
+    af = np.array([_real(c) for _, c in terms])
+    bf = np.array([[_real(c) for c in weights(k)] for k, _ in terms])
     for v in range(2, n + 1):
-        at_v = kv % v == 0
-        if at_v.any():
+        at_v = [pos[k] for k in range(v, n + 1, v) if k in pos]
+        if at_v:
             rhs += af[at_v] @ _selector_exp_sums(h, v, bf[at_v], x)
     return rhs
 
@@ -341,7 +366,8 @@ def thm_5_8_check(
     (the j2 count supplies the factor k): `_regroup_rhs` with weights (b_k, 0).
     """
     n = a.bound if n is None else n
-    lhs = sum(k * a(k) * _exp_factor(b(k), x, k) for k in range(1, n + 1) if a(k))
+    lhs = sum(complex(_real(k * a(k))) * _exp_factor(b(k), x, k)
+              for k in range(1, n + 1) if a(k))
     return lhs, complex(_regroup_rhs(a, lambda k: (b(k), 0), x, n, 2))
 
 
@@ -360,7 +386,7 @@ def thm_5_10_check(
         ak = a(k)
         if not ak:
             continue
-        term = complex(ak)
+        term = complex(_real(ak))
         for b in bs:
             term *= _exp_factor(b(k), x, k)
         lhs += term
@@ -467,18 +493,23 @@ def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
     w = J_m with f(k) = k^m, or a phi_t weight with its polynomial.  f is
     evaluated only where a_k != 0 and w only where S_v != 0; returns
     (lhs, rhs) as Fractions.
+
+    The terms a_k (ints or Fractions) are scaled once to integer numerators
+    over the lcm D of their denominators, so each side is a sum of Python
+    ints times the values of f or w, divided once by D.
     """
     n = a.bound
-    vals = [0] * (n + 1)
+    den = math.lcm(*(ak.denominator for ak in a.support.values()))
+    nums = [0] * (n + 1)
     for k, ak in a.support.items():
-        vals[k] = ak
-    lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
+        nums[k] = ak.numerator * (den // ak.denominator)
+    lhs = sum(nums[k] * f(k) for k, ak in a.support.items() if ak)
     rhs = 0
     for v in range(1, n + 1):
-        s = sum(vals[v::v])
+        s = sum(nums[v::v])
         if s:
             rhs += w(v) * s
-    return Fraction(lhs), Fraction(rhs)
+    return Fraction(lhs) / den, Fraction(rhs) / den
 
 
 def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:

@@ -52,6 +52,33 @@ def test_dirichlet_partial_trend():
         assert errs[2] < 1e-2
 
 
+def _mean_zero_one_sieve_per_cutoff(n, K):
+    """The rearranged mean-value sum with its own Moebius table and a sum()
+    of mu(d)/d per divisor: the reference for the shared table."""
+    mu = analytic.moebius_sieve(K)
+    total = 0.0
+    for e in analytic.divisors(math.gcd(*n)):
+        if e <= K:
+            total += e ** (len(n) - 1) * sum(mu[d] / d for d in range(1, K // e + 1))
+    return total
+
+
+def test_mean_zero_table_matches_one_sieve_per_cutoff(monkeypatch):
+    # one Moebius table for every n and K, partial sums added in the same
+    # order, so every entry equals the per-cutoff sum bit for bit
+    ns = ((4, 6), (9,), (2, 4, 8), (1,), (12, 18, 30))
+    Ks = (100, 1000, 2000, 1, 37, 5000)
+    want = [[_mean_zero_one_sieve_per_cutoff(n, K) for K in Ks] for n in ns]
+    built = []
+    sieve = analytic.moebius_sieve
+    monkeypatch.setattr(analytic, "moebius_sieve", lambda K: built.append(K) or sieve(K))
+    assert analytic.ramanujan_mean_zero_table(ns, Ks) == want
+    assert built == [5000]
+    assert [ramanujan_mean_zero(n, 37) for n in ns] == [row[4] for row in want]
+    with pytest.raises(DomainError, match="K must be"):
+        analytic.ramanujan_mean_zero_table(ns, (10, 0))
+
+
 def test_mean_zero_rearranged_vs_direct():
     for n in ((4, 6), (9,), (1,)):
         a = ramanujan_mean_zero(n, 2000)

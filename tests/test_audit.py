@@ -15,6 +15,7 @@ from vpvtotients.audit import (
     run_audit,
 )
 from vpvtotients.errors import UsageError
+from vpvtotients.exactcore import divisors
 from vpvtotients.totients import jordan, phi_t
 
 # the documented coverage ledger: every numbered display maps to exactly one
@@ -149,6 +150,37 @@ def test_discover_linear_relation_verification_failure():
 # returns: its status, residual, counterexample and notes.
 
 
+def _divisor_law_by_divisors(f, w, n_max):
+    """The divisor law summed over each n's divisor list, the reference for
+    the sieve in `registry._divisor_law`."""
+    for n in range(1, n_max + 1):
+        total = sum(w(d) for d in divisors(n))
+        if total != f(n):
+            return False, (n, total, f(n))
+    return True, None
+
+
+def test_divisor_law_sieve_matches_divisor_sums():
+    # a passing law, a law that fails at a divisor it shares with larger n,
+    # and a Fraction-valued weight; w is evaluated once per d
+    def phi_u(v):
+        return Fraction(phi_t(1, 2, v) if v > 1 else 0, v)
+
+    laws = [(lambda k, m=m: k**m, lambda d, m=m: jordan(m, d), 200) for m in (1, 4)]
+    laws += [
+        (lambda k: k, lambda d: jordan(1, d) + (d == 28), 200),
+        (lambda k: k, lambda d: jordan(1, d) + (d % 35 == 0), 100),
+        (lambda k: Fraction(k * (k - 1), 2), phi_u, 60),
+    ]
+    for f, w, n_max in laws:
+        seen = []
+        got = registry._divisor_law(f, lambda d: seen.append(d) or w(d), n_max)
+        assert got == _divisor_law_by_divisors(f, w, n_max), n_max
+        assert seen == list(range(1, n_max + 1))
+    assert registry._divisor_law(*laws[0]) == (True, None)
+    assert registry._divisor_law(*laws[2]) == (False, (28, 29, 28))
+
+
 def _off_at(real, call, off):
     """`real`, except that call number `call` (every call when None) returns
     off(result) instead of its result."""
@@ -264,9 +296,9 @@ FAILURE_PATHS = [
      )),
     ("eq-4.10", (("weighted_regroup_check", 2, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=2: 0 vs 1")),
-    ("eq-4.10", (("jordan", 150, _plus_one),),
+    ("eq-4.10", (("jordan", 78, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "m=1, k=28")),
-    ("eq-4.11", (("jordan", 100, _plus_one),),
+    ("eq-4.11", (("jordan", 28, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "m=1, k=28")),
     ("eq-4.12", (("selector_size", 70, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "m=2, k=12")),

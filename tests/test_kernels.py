@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 from itertools import product
 
+import numpy as np
+
 import vpvtotients._kernels as kernels
 import vpvtotients.exactcore as exactcore
 
@@ -108,6 +110,18 @@ def test_selector_numeric_sums_cross_backend():
             assert abs(kernels.selector_char_sum(k, thetas) - want) <= 1e-9, (k, thetas)
 
 
+def test_selector_array_is_argwhere():
+    # the nonzero rows of the mask, stacked: np.argwhere's values, dtype and
+    # strides, so that matrix products over it round as they did
+    for m, k in FIXED_CASES + RANDOM_CASES + ((2, 500), (3, 60)):
+        got = kernels.selector_array(m, k)
+        want = np.argwhere(kernels._selector_mask(m, k))
+        assert got.dtype == want.dtype and got.strides == want.strides, (m, k)
+        assert np.array_equal(got, want), (m, k)
+        if k <= 25:
+            assert [tuple(r) for r in got.tolist()] == _brute_selector(m, k), (m, k)
+
+
 def test_visible_points_box_cross_backend():
     for bounds in BOXES:
         got = kernels.visible_points_box(bounds)
@@ -142,8 +156,9 @@ def test_kernel_peak_memory_per_grid_point():
     # The mask is folded in uint8 below k = 256, so counting costs about
     # 2 B/point; a tuple list costs about 61 B/point at m = 3 (a 64 B tuple
     # and its 8 B list slot per selected point, 84 % of the grid at k = 60).
-    # The int64 array costs 24 B per selected point at m = 3, and np.argwhere
-    # holds two such copies at its peak: about 41 B/point.
+    # The int64 array costs 24 B per selected point at m = 3, and stacking
+    # the nonzero index arrays holds two such copies at its peak: about
+    # 41 B/point.
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 4),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),

@@ -9,6 +9,7 @@ import pytest
 
 import vpvtotients._kernels as kernels
 from vpvtotients import vpv
+from vpvtotients.audit import registry, run_audit
 from vpvtotients.audit.registry import _bracket_sides, _q1, _q2
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, grid_power_sum, moebius
@@ -275,6 +276,178 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         assert all(flag is want for flag in arrays), (name, arrays)
 
 
+# --------------------------------------------------------------------------
+# the float engine, pinned bit for bit to a frozen reference
+
+# The reference is the float regrouping engine and its left sides as they
+# stood while every term was converted with float() at each use, S_1 was
+# summed as Fractions and each v picked its multiples with a boolean mask;
+# the selector array is np.argwhere of the gcd mask.  The engine must give
+# the same floats, so that the audit report bytes do not move.
+
+
+def _ref_selector_exp_sums(h, v, bs, x):
+    js = np.argwhere(kernels._selector_mask(h, v))
+    return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
+
+
+def _ref_regroup_rhs(a, weights, x, n, h):
+    rhs = float(sum(a(k) for k in range(1, n + 1)))
+    ks = [k for k in range(2, n + 1) if a(k)]
+    kv = np.array(ks, dtype=np.int64)
+    af = np.array([float(a(k)) for k in ks])
+    bf = np.array([[float(c) for c in weights(k)] for k in ks])
+    for v in range(2, n + 1):
+        at_v = kv % v == 0
+        if at_v.any():
+            rhs += af[at_v] @ _ref_selector_exp_sums(h, v, bf[at_v], x)
+    return rhs
+
+
+def _ref_exp_factor(b, x, k):
+    den = 1.0 - cmath.exp(complex(float(b) * x / k))
+    return (1.0 - cmath.exp(complex(float(b) * x))) / den
+
+
+def _ref_lemma_3_2(a, q):
+    q = [float(v) for v in q]
+    n = a.bound
+    lhs = 0.0
+    for k in range(1, n + 1):
+        ak = a(k)
+        if not ak:
+            continue
+        term = float(ak)
+        for v in q:
+            term *= (1.0 - v) / (1.0 - v ** (1.0 / k))
+        lhs += term
+    logq = [math.log(v) for v in q]
+    return lhs, float(_ref_regroup_rhs(a, lambda k: logq, 1.0, n, len(q)))
+
+
+def _ref_thm_5_8(a, b, x, n=None):
+    n = a.bound if n is None else n
+    lhs = sum(k * a(k) * _ref_exp_factor(b(k), x, k) for k in range(1, n + 1) if a(k))
+    return lhs, complex(_ref_regroup_rhs(a, lambda k: (b(k), 0), x, n, 2))
+
+
+def _ref_thm_5_10(a, bs, x, n=None):
+    n = a.bound if n is None else n
+    lhs = 0.0 + 0.0j
+    for k in range(1, n + 1):
+        ak = a(k)
+        if not ak:
+            continue
+        term = complex(ak)
+        for b in bs:
+            term *= _ref_exp_factor(b(k), x, k)
+        lhs += term
+    return lhs, complex(_ref_regroup_rhs(a, lambda k: [b(k) for b in bs], x, n, len(bs)))
+
+
+def _ref_thm_5_1(a, b, x, n=None, as_printed=False):
+    if not as_printed:
+        return _ref_thm_5_10(a, [b], x, n)
+    n = a.bound if n is None else n
+    lhs = sum(a(k) * _ref_exp_factor(b(k), x, k) for k in range(1, n + 1) if a(k))
+    rhs = complex(sum(a(k) for k in range(1, n + 1)))
+    for v in range(2, n + 1):
+        for w in range(1, n // v + 1):
+            avw = a(v * w)
+            if not avw:
+                continue
+            inner = sum(cmath.exp(complex(b(v * w) * j * x / w))
+                        for j in range(1, w) if math.gcd(j, v) == 1)
+            rhs += avw * inner
+    return lhs, rhs
+
+
+def _shuffled(a, rng):
+    """a with its support dict in a random insertion order, a stored zero
+    term added where there is room."""
+    items = list(a.support.items())
+    free = [k for k in range(1, a.bound + 1) if k not in a.support]
+    if free:
+        items.append((rng.choice(free), Fraction(0)))
+    rng.shuffle(items)
+    return FiniteSequence(dict(items), a.bound)
+
+
+def _float_engine_cases(rng):
+    """(a, weights, x, n, h) for the engine: zero terms, shuffled support,
+    explicit n below the bound, Fraction, int, float and numpy-float
+    weights, and int and float terms."""
+    for h in (1, 2, 3):
+        for _ in range(6):
+            bound = rng.randint(6, {1: 30, 2: 20, 3: 12}[h])
+            a = _shuffled(_rand_seq(rng, bound), rng)
+            bs = [_rand_seq(rng, bound, nonzero=True) for _ in range(h)]
+            x = rng.uniform(0.2, 1.0)
+            for n in (bound, rng.randint(2, bound)):
+                yield a, lambda k, bs=bs: [b(k) for b in bs], x, n, h
+            logq = [math.log(rng.uniform(0.05, 0.9)) for _ in range(h)]
+            yield a, lambda k, logq=logq: logq, 1.0, bound, h
+            nq = np.log(np.array([rng.uniform(0.05, 0.9) for _ in range(h)]))
+            yield a, lambda k, nq=nq: list(nq), 1.0, bound, h
+            ints = FiniteSequence({k: rng.randint(-9, 9) or 1 for k in range(1, bound + 1)}, bound)
+            yield ints, lambda k: [k * (i + 2) % 7 - 3 for i in range(h)], x, bound, h
+            floats = FiniteSequence({k: rng.uniform(-2, 2) for k in range(bound, 0, -1)}, bound)
+            yield floats, lambda k, logq=logq: logq, x, bound, h
+
+
+def test_regroup_rhs_matches_reference_bit_for_bit():
+    rng = random.Random(21)
+    for a, weights, x, n, h in _float_engine_cases(rng):
+        got = vpv._regroup_rhs(a, weights, x, n, h)
+        assert got == _ref_regroup_rhs(a, weights, x, n, h), (h, n, a.support)
+
+
+def test_float_left_sides_match_reference_bit_for_bit():
+    rng = random.Random(22)
+    for _ in range(8):
+        bound = rng.randint(6, 16)
+        a = _shuffled(_rand_seq(rng, bound), rng)
+        b, c, d = (_rand_seq(rng, bound, nonzero=True) for _ in range(3))
+        x = rng.uniform(0.2, 1.0)
+        for m in (1, 2, 3):
+            q = [rng.uniform(0.05, 0.9) for _ in range(m)]
+            assert lemma_3_2_check(a, q) == _ref_lemma_3_2(a, q)
+        q = [np.float64(rng.uniform(0.05, 0.9)) for _ in range(2)]
+        assert lemma_3_2_check(a, q) == _ref_lemma_3_2(a, q)
+        for n in (None, rng.randint(2, bound)):
+            assert thm_5_1_check(a, b, x, n) == _ref_thm_5_1(a, b, x, n)
+            assert thm_5_2_check(a, b, c, x, n) == _ref_thm_5_10(a, [b, c], x, n)
+            assert thm_5_8_check(a, b, x, n) == _ref_thm_5_8(a, b, x, n)
+            assert thm_5_10_check(a, [b, c, d], x, n) == _ref_thm_5_10(a, [b, c, d], x, n)
+        assert (thm_5_1_check(a, b, x, as_printed=True)
+                == _ref_thm_5_1(a, b, x, as_printed=True))
+
+
+def test_rearrangement_ids_report_bytes_match_reference(monkeypatch):
+    # the lemma-3.2 ids (eq-3.1..3.4, eq-4.1) and the exponential-factor ids
+    ids = ["eq-3.1", "eq-3.2", "eq-3.3", "eq-3.4", "eq-4.1",
+           "thm-5.1", "thm-5.2", "eq-5.11", "eq-5.14"]
+    engine = run_audit(ids, seed=0).to_json()
+    for name, ref in (("lemma_3_2_check", _ref_lemma_3_2),
+                      ("thm_5_1_check", _ref_thm_5_1),
+                      ("thm_5_2_check", lambda a, b, c, x, n=None: _ref_thm_5_10(a, [b, c], x, n)),
+                      ("thm_5_8_check", _ref_thm_5_8),
+                      ("thm_5_10_check", _ref_thm_5_10)):
+        monkeypatch.setattr(registry, name, ref)
+    assert run_audit(ids, seed=0).to_json() == engine
+
+
+def test_real_is_float():
+    rng = random.Random(23)
+    for _ in range(200):
+        c = Fraction(rng.getrandbits(1000) * rng.choice((-1, 1)), rng.getrandbits(1000) | 1)
+        assert vpv._real(c) == float(c), c
+    tiny = Fraction(1, 2**1070 + 1)  # subnormal, rounded once
+    for c in (tiny, -tiny, Fraction(2**53 + 1), 3, -7, True, 0.1, np.float64(0.3)):
+        got = vpv._real(c)
+        assert got == float(c) and type(got) is float, c
+
+
 def _brute_power_sum(h, v, b, p):
     """sum over j in [0, v)^h with gcd(j, v) = 1 of ((j . b) / v)^p, one
     Fraction at a time over the whole grid."""
@@ -384,6 +557,24 @@ def test_weighted_regroup_moebius_oracle():
         seen = []
         lhs, rhs = weighted_regroup_check(_delta(v), f.get, lambda d: seen.append(d) or off[d])
         assert lhs != rhs and seen == divisors(v)
+
+
+def test_weighted_regroup_integer_tails():
+    # int and Fraction terms with unlike denominators and a stored zero,
+    # against the tails summed as Fractions; f and w may be Fraction-valued
+    a = FiniteSequence({9: Fraction(-3, 8), 1: 2, 4: 0, 6: Fraction(5, 12), 2: -7}, 10)
+    f = _corrected_quadratic
+    w = _phi_u(1, 1)
+    seen_f, seen_w = [], []
+    lhs, rhs = weighted_regroup_check(
+        a, lambda k: seen_f.append(k) or f(k), lambda v: seen_w.append(v) or w(v)
+    )
+    tails = {v: sum(Fraction(a(k)) for k in range(v, 11, v)) for v in range(1, 11)}
+    assert lhs == sum(Fraction(a(k)) * f(k) for k in range(1, 11))
+    assert rhs == sum(w(v) * s for v, s in tails.items())
+    assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+    assert sorted(seen_f) == [1, 2, 6, 9]
+    assert seen_w == [v for v, s in tails.items() if s]
 
 
 def test_geometric_block_display_counterexample():
