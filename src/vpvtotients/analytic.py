@@ -127,11 +127,11 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     partial = [0.0, *accumulate(mu[d] / d for d in range(1, top + 1))]
     table = []
     for n, g in zip(ns, gs):
-        m = len(n)
+        m, divs = len(n), divisors(g)
         row = []
         for K in Ks:
             total = 0.0
-            for e in divisors(g):
+            for e in divs:
                 if e > K:
                     break
                 total += e ** (m - 1) * partial[K // e]
