@@ -284,13 +284,12 @@ def _regroup_rhs(a: FiniteSequence, weights, x, n: int, h: int):
     The support of a is read once, in k order.  For rational terms S_1 is
     one Python-int sum of numerators over the lcm D of the denominators,
     divided once by D (the float of the exact sum); float terms are added
-    in k order.  a_k and b_k are
-    converted to floats once (`_real`), for the k >= 2 with a_k != 0; each v
-    takes the rows at its multiples by an index list.  The selector of each
-    v is enumerated once, as an int64 array (its coordinates are below v),
-    and all of v's multiples are summed in one matrix product.  This stays
-    an enumeration: factoring the selector sum by Moebius inversion would
-    make the checks circular.
+    in k order.  a_k and b_k are converted to floats once (`_real`), for
+    the k >= 2 with a_k != 0; each v takes the rows at its multiples by an
+    index list.  The selector of each v is enumerated once, as an int64
+    array (its coordinates are below v), and all of v's multiples are
+    summed in one matrix product.  This stays an enumeration: factoring the
+    selector sum by Moebius inversion would make the checks circular.
     """
     terms = [(k, c) for k, c in sorted(a.support.items()) if c and k <= n]
     vals = [c for _, c in terms]

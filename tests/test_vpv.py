@@ -393,6 +393,9 @@ def _float_engine_cases(rng):
             yield ints, lambda k: [k * (i + 2) % 7 - 3 for i in range(h)], x, bound, h
             floats = FiniteSequence({k: rng.uniform(-2, 2) for k in range(bound, 0, -1)}, bound)
             yield floats, lambda k, logq=logq: logq, x, bound, h
+            # weights so negative that the selector sums are below the last
+            # bit of S_1, whose rounding then shows in the result
+            yield a, lambda k: [-60.0] * h, 1.0, bound, h
 
 
 def test_regroup_rhs_matches_reference_bit_for_bit():
