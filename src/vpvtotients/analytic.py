@@ -29,7 +29,6 @@ from .totients import _check_cap
 __all__ = [
     "zeta",
     "dirichlet_partial_cohen",
-    "ramanujan_mean_zero",
     "ramanujan_mean_zero_table",
     "ramanujan_mean_zero_direct",
     "theta1",
@@ -140,13 +139,9 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     return table
 
 
-def ramanujan_mean_zero(n: list[int] | tuple[int, ...], K: int) -> float:
-    """sum_{k<=K} c_k(n)/k: `ramanujan_mean_zero_table` at one n and one K."""
-    return ramanujan_mean_zero_table([n], [K])[0][0]
-
-
 def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
-    """Direct-summation oracle for ramanujan_mean_zero."""
+    """Direct-summation oracle for ramanujan_mean_zero_table: sum_{k<=K}
+    c_k(n)/k."""
     _nonzero_gcd(n, "sum diverges")
     cs = _cohen_values(n, K)
     return sum(c / k for k, c in enumerate(cs, start=1))

@@ -552,12 +552,45 @@ def _hyperpyramid_residuals(rng: random.Random) -> Iterator[float]:
 # section 5: rearrangement theorems and totient corollaries
 
 
+def _exp_residuals(check, h: int, n_max: int, x_max: float):
+    """The residuals of an exponential-factor rearrangement (thm-5.1, 5.2,
+    5.8, 5.10) over 20 random cases, each drawn as n in 8..n_max, a, h
+    nonzero exponent sequences, then x in (0.2, x_max); check(a, bs, x)
+    gives the two sides."""
+    def residuals(rng: random.Random) -> Iterator[float]:
+        for _ in range(20):
+            n = rng.randint(8, n_max)
+            a = _rand_seq(rng, n)
+            bs = [_rand_seq_nonzero(rng, n) for _ in range(h)]
+            yield _rel_residual(*check(a, bs, rng.uniform(0.2, x_max)))
+
+    return residuals
+
+
+def _printed_one_factor(a: FiniteSequence, b: FiniteSequence, x: float) -> tuple:
+    """thm-5.1 as printed: the left side of `thm_5_1_check` against the
+    printed inner sum, which takes (j, v) = 1 but 0 < j < w and exponent
+    b_{vw} j x / w, mixing the multiple index w with the visible
+    denominator v."""
+    n = a.bound
+    rhs = complex(sum(a(k) for k in range(1, n + 1)))
+    for v in range(2, n + 1):
+        for w in range(1, n // v + 1):
+            avw = a(v * w)
+            if not avw:
+                continue
+            bvw = b(v * w)
+            inner = sum(cmath.exp(bvw * j * x / w) for j in range(1, w) if gcd(j, v) == 1)
+            rhs += avw * inner
+    return thm_5_1_check(a, b, x)[0], rhs
+
+
 def _check_one_factor(rng: random.Random) -> Outcome:
-    outcome = _worst_residual(_one_factor_residuals)(rng)
+    outcome = _worst_residual(_exp_residuals(
+        lambda a, bs, x: thm_5_1_check(a, *bs, x), 1, 30, 1.2))(rng)
     if outcome.status != "PASS":
         return outcome
-    lhs_p, rhs_p = thm_5_1_check(_delta(2), FiniteSequence({1: 1, 2: 1}, 2),
-                                 1.0, as_printed=True)
+    lhs_p, rhs_p = _printed_one_factor(_delta(2), FiniteSequence({1: 1, 2: 1}, 2), 1.0)
     notes = [
         "the printed inner sum reads 0 < j < k with (j, m) = 1 and exponent "
         "b_mk j x / k, mixing the multiple index with the visible denominator",
@@ -570,21 +603,6 @@ def _check_one_factor(rng: random.Random) -> Outcome:
             f"{lhs_p.real:.6f} (= 1 + e^(1/2)) but rhs = {rhs_p.real:.6f}"
         )
     return Outcome("PASS_WITH_CORRECTION", outcome.max_residual, None, tuple(notes))
-
-
-def _one_factor_residuals(rng: random.Random) -> Iterator[float]:
-    for _ in range(20):
-        n = rng.randint(8, 30)
-        a, b = _rand_seq(rng, n), _rand_seq_nonzero(rng, n)
-        yield _rel_residual(*thm_5_1_check(a, b, rng.uniform(0.2, 1.2)))
-
-
-def _two_factor_residuals(rng: random.Random) -> Iterator[float]:
-    for _ in range(20):
-        n = rng.randint(8, 24)
-        a = _rand_seq(rng, n)
-        b, c = _rand_seq_nonzero(rng, n), _rand_seq_nonzero(rng, n)
-        yield _rel_residual(*thm_5_2_check(a, b, c, rng.uniform(0.2, 1.0)))
 
 
 def _check_companion_product(rng: random.Random) -> Outcome:
@@ -666,13 +684,6 @@ def _check_geometric_blocks(rng: random.Random) -> Outcome:
     )
 
 
-def _weighted_one_factor_residuals(rng: random.Random) -> Iterator[float]:
-    for _ in range(20):
-        n = rng.randint(8, 30)
-        a, b = _rand_seq(rng, n), _rand_seq_nonzero(rng, n)
-        yield _rel_residual(*thm_5_8_check(a, b, rng.uniform(0.2, 1.0)))
-
-
 def _check_mixed_product(rng: random.Random) -> Outcome:
     order = 24
     bad = _mismatch((*cor_5_9_check(x, order, reading="derived"),
@@ -691,14 +702,6 @@ def _check_mixed_product(rng: random.Random) -> Outcome:
                 "z^{}: {} vs {}".format(reading.split("-")[1], *diff)
             )
     return Outcome("PASS_WITH_CORRECTION", 0.0, None, tuple(notes))
-
-
-def _h_factor_residuals(rng: random.Random) -> Iterator[float]:
-    for _ in range(20):
-        n = rng.randint(8, 20)
-        a = _rand_seq(rng, n)
-        bs = [_rand_seq_nonzero(rng, n) for _ in range(3)]
-        yield _rel_residual(*thm_5_10_check(a, bs, rng.uniform(0.2, 0.8)))
 
 
 def _bracket_sides(a: FiniteSequence, bs: list, bracket, p: int) -> tuple:
@@ -1271,7 +1274,8 @@ _ENTRIES = [
     IdentityCheck(
         "thm-5.2", "the 3-D version of theorem",
         "20 random sequences, n <= 24",
-        _worst_residual(_two_factor_residuals), "PASS",
+        _worst_residual(_exp_residuals(
+            lambda a, bs, x: thm_5_2_check(a, *bs, x), 2, 24, 1.0)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
     IdentityCheck(
@@ -1326,7 +1330,8 @@ _ENTRIES = [
     IdentityCheck(
         "eq-5.11", "Another related yet distinct summation",
         "20 random sequences, n <= 30",
-        _worst_residual(_weighted_one_factor_residuals), "PASS",
+        _worst_residual(_exp_residuals(
+            lambda a, bs, x: thm_5_8_check(a, *bs, x), 1, 30, 1.0)), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
     IdentityCheck(
@@ -1338,7 +1343,8 @@ _ENTRIES = [
     IdentityCheck(
         "eq-5.14", "write down the generalized version",
         "h=3, 20 random sequences, n <= 20",
-        _worst_residual(_h_factor_residuals, tol=1e-8), "PASS",
+        _worst_residual(_exp_residuals(
+            lambda a, bs, x: thm_5_10_check(a, bs, x), 3, 20, 0.8), tol=1e-8), "PASS",
         "[DERIVED: finite-support evaluation of both sides]",
     ),
     IdentityCheck(

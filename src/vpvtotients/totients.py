@@ -235,8 +235,9 @@ def sigma(s: int, n: int) -> Fraction:
     """sum of d^s over the divisors d of n; rational for negative s."""
     if n < 1:
         raise DomainError(f"sigma requires n >= 1, got {n}")
-    # n^|s| has |s| log2(n) bits; checked before n is factorized, as in jordan
-    bits = min(abs(s), JORDAN_BITS_CAP + 1) * log2(n)
+    # n^|s| has |s| log2(n) bits, and for s < 0 the sum has a numerator and
+    # a denominator of that size; checked before n is factorized, as in jordan
+    bits = min(abs(s), JORDAN_BITS_CAP + 1) * log2(n) * (2 if s < 0 else 1)
     if bits > JORDAN_BITS_CAP:
         raise ResourceError(
             f"sigma_s(n) for a {abs(s).bit_length()}-bit |s| and a {n.bit_length()}-bit n "

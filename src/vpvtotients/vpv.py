@@ -8,21 +8,22 @@ S_v = sum_{j>=1} a_{jv}, and every check in this module is an instance of it
 evaluated with finitely supported sequences, so both sides are finite and
 (where the inputs are rational) exact.
 
-Two engines compute the regrouped right sides.  The floating-point
-rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) share
-`_regroup_rhs`, a sum of exponentials over each selector; each check passes
-only the weights of its factors.  It converts every term and weight to a
-float once (`_real`: a rational as numerator / denominator, which rounds as
-float() does) and sums S_1 exactly, as Python ints over a common
-denominator; the left sides convert their terms the same way.  The exact
-grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
-(cor-5.11..5.13) are one function, `power_regroup_check(a, f, weights, h,
-p)`, a left factor f against a sum of rational p-th powers over each
-selector; the audit registry passes each display's f, weights and p,
-printed and corrected forms alike.  Both engines take each selector as an
-(N, h) int64 array from `enumerate_selector(..., as_array=True)`;
-`power_regroup_check` reads its rows once as Python ints.  The other checks
-iterate the selector as tuples.
+Each family of displays is one function.  The floating-point
+rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) are calls of
+`_exp_regroup(a, f, weights, h, x)`, the left factors f of each term (its
+exact coefficient first) against a sum of exponentials over each selector
+(`_regroup_rhs`); each check passes only its factors and the weights of its
+exponentials, and the printed thm-5.1 reading is audit-registry data.  The
+engine converts every term and weight to a float once (`_real`: a rational
+as numerator / denominator, which rounds as float() does) and sums S_1
+exactly, as Python ints over a common denominator.  The exact grid-power
+identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries (cor-5.11..5.13)
+are one function, `power_regroup_check(a, f, weights, h, p)`, a left factor
+f against a sum of rational p-th powers over each selector; the audit
+registry passes each display's f, weights and p, printed and corrected forms
+alike.  Both take each selector as an (N, h) int64 array from
+`enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
+rows once as Python ints.  The other checks iterate the selector as tuples.
 
 The exact displays that need no selector, only the tails S_v and a weight
 w(v), are one function, `weighted_regroup_check(a, f, w)`: the Jordan- and
@@ -219,38 +220,7 @@ def multiples_partition_check(region: RadialRegion) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the basic rearrangement with explicit radicals (floats)
-
-
-def lemma_3_2_check(a: FiniteSequence, q) -> tuple:
-    """Both sides of the m-factor rearrangement with q_h^(1/k) radicals.
-
-    lhs = sum_k a_k prod_h (1-q_h)/(1-q_h^(1/k));
-    rhs = S_1 + sum_{k>=2} S_k * sum over the selector of prod_h q_h^(j_h/k).
-    Equal for any finitely supported a; returns (lhs, rhs) as floats.  The
-    right side is `_regroup_rhs` with weights log q_h at every k and x = 1,
-    since prod_h q_h^(j_h/k) = exp((j . log q) / k).
-    """
-    q = [float(v) for v in q]
-    if any(not 0.0 < v < 1.0 for v in q):
-        raise DomainError("each q_h must lie in (0, 1)")
-    n = a.bound
-    lhs = 0.0
-    for k in range(1, n + 1):
-        ak = a(k)
-        if not ak:
-            continue
-        term = _real(ak)
-        for v in q:
-            term *= (1.0 - v) / (1.0 - v ** (1.0 / k))
-        lhs += term
-    logq = [math.log(v) for v in q]
-    rhs = _regroup_rhs(a, lambda k: logq, 1.0, n, len(q))
-    return lhs, float(rhs)
-
-
-# --------------------------------------------------------------------------
-# exponential-factor rearrangements (thm-5.1 family)
+# the float rearrangements: lemma 3.2 and the exponential-factor theorems
 
 
 def _real(c) -> float:
@@ -265,22 +235,43 @@ def _real(c) -> float:
 def _exp_factor(b, x: float, k: int) -> complex:
     """(1 - exp(b x)) / (1 - exp(b x / k)) evaluated as written."""
     bf = _real(b)
-    den = 1.0 - _cexp(bf * x / k)
+    den = 1.0 - cmath.exp(bf * x / k)
     if abs(den) < 1e-13:
         raise DomainError(f"vanishing denominator: exp({b}*{x}/{k}) = 1")
-    return (1.0 - _cexp(bf * x)) / den
+    return (1.0 - cmath.exp(bf * x)) / den
 
 
-def _cexp(v) -> complex:
-    return cmath.exp(complex(v))
+def _exp_regroup(a: FiniteSequence, f, weights, h: int, x) -> tuple:
+    """Both sides of the float visible-point rearrangement
+
+        sum_k f_0(k) f_1(k) ...
+        = S_1 + sum_{v>=2} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
+
+    with f(k) the factors of the k-th term, f_0(k) its exact coefficient
+    (a_k, or k a_k for thm-5.8), and b_k = weights(k), a vector of h
+    numbers.  The left side runs over the support of a in k order where
+    a_k != 0, as float(f_0(k)) times each further factor, left to right; the
+    right side is `_regroup_rhs`.  Returns (lhs, rhs) as complex numbers.
+    """
+    if h < 1:
+        raise DomainError("need at least one exponent sequence")
+    lhs = 0j
+    for k, ak in sorted(a.support.items()):
+        if ak:
+            first, *rest = f(k)
+            term = _real(first)
+            for g in rest:
+                term *= g
+            lhs += term
+    return lhs, complex(_regroup_rhs(a, weights, x, h))
 
 
-def _regroup_rhs(a: FiniteSequence, weights, x, n: int, h: int):
+def _regroup_rhs(a: FiniteSequence, weights, x, h: int):
     """The right side shared by the visible-point rearrangements:
 
         S_1 + sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
 
-    with S_1 = a_1 + ... + a_n and b_k = weights(k), a vector of h numbers.
+    with n = a.bound, S_1 = a_1 + ... + a_n and b_k = weights(k), h numbers.
     The support of a is read once, in k order.  For rational terms S_1 is
     one Python-int sum of numerators over the lcm D of the denominators,
     divided once by D (the float of the exact sum); float terms are added
@@ -291,7 +282,8 @@ def _regroup_rhs(a: FiniteSequence, weights, x, n: int, h: int):
     summed in one matrix product.  This stays an enumeration: factoring the
     selector sum by Moebius inversion would make the checks circular.
     """
-    terms = [(k, c) for k, c in sorted(a.support.items()) if c and k <= n]
+    n = a.bound
+    terms = [(k, c) for k, c in sorted(a.support.items()) if c]
     vals = [c for _, c in terms]
     if all(isinstance(c, (int, Fraction)) for c in vals):
         # folded pairwise: math.lcm(*terms) builds an argument tuple per
@@ -320,81 +312,65 @@ def _selector_exp_sums(h: int, v: int, bs: np.ndarray, x) -> np.ndarray:
     return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
 
 
-def thm_5_1_check(
-    a: FiniteSequence, b: FiniteSequence, x: float, n: int | None = None,
-    as_printed: bool = False,
-) -> tuple:
-    """One-factor rearrangement (audit id thm-5.1).
+def lemma_3_2_check(a: FiniteSequence, q) -> tuple:
+    """Both sides of the m-factor rearrangement with q_h^(1/k) radicals
+    (audit ids eq-3.1..3.4, eq-4.1):
 
-    lhs = sum_{k<=n} a_k (1-exp(b_k x))/(1-exp(b_k x/k)).  The resolved right
-    side groups terms by visible denominator v: the inner sum runs over
-    0 < j < v with (j, v) = 1 (the 1-dimensional selector of v) and the
-    exponent is b_{vw} j x / v; it is `_regroup_rhs` with weights (b_k,),
-    through thm_5_10_check with h = 1.  With as_printed=True the inner sum
-    is taken literally from the source display ((j, v) = 1 but 0 < j < w,
-    exponent j x / w), which does not balance.
+        sum_k a_k prod_h (1-q_h)/(1-q_h^(1/k))
+        = S_1 + sum_{k>=2} S_k * sum over the selector of prod_h q_h^(j_h/k),
+
+    equal for any finitely supported a; returns (lhs, rhs) as floats.  It is
+    `_exp_regroup` with weights log q_h at every k and x = 1, since
+    prod_h q_h^(j_h/k) = exp((j . log q) / k).
     """
-    if not as_printed:
-        return thm_5_10_check(a, [b], x, n)
-    n = a.bound if n is None else n
-    lhs = sum(a(k) * _exp_factor(b(k), x, k) for k in range(1, n + 1) if a(k))
-    rhs = complex(sum(a(k) for k in range(1, n + 1)))
-    for v in range(2, n + 1):
-        for w in range(1, n // v + 1):
-            avw = a(v * w)
-            if not avw:
-                continue
-            bvw = b(v * w)
-            inner = sum(_cexp(bvw * j * x / w) for j in range(1, w) if gcd(j, v) == 1)
-            rhs += avw * inner
-    return lhs, rhs
+    q = [float(v) for v in q]
+    if any(not 0.0 < v < 1.0 for v in q):
+        raise DomainError("each q_h must lie in (0, 1)")
+    logq = [math.log(v) for v in q]
+    lhs, rhs = _exp_regroup(
+        a, lambda k: [a(k), *((1.0 - v) / (1.0 - v ** (1.0 / k)) for v in q)],
+        lambda k: logq, len(q), 1.0,
+    )
+    return lhs.real, rhs.real
+
+
+def thm_5_1_check(a: FiniteSequence, b: FiniteSequence, x: float) -> tuple:
+    """One-factor rearrangement (audit id thm-5.1), resolved reading:
+    lhs = sum_k a_k (1-exp(b_k x))/(1-exp(b_k x/k)), and the right side's
+    inner sum runs over 0 < j < v with (j, v) = 1 (the 1-dimensional
+    selector of v) with exponent b_{vw} j x / v.  It is thm_5_10_check with
+    h = 1; the printed reading is registry data."""
+    return thm_5_10_check(a, [b], x)
 
 
 def thm_5_2_check(
-    a: FiniteSequence, b: FiniteSequence, c: FiniteSequence, x: float,
-    n: int | None = None,
+    a: FiniteSequence, b: FiniteSequence, c: FiniteSequence, x: float
 ) -> tuple:
     """Two-factor rearrangement (audit id thm-5.2): the inner sum runs over
     the 2-dimensional selector of v with exponent (b j1 + c j2) x / v; it is
-    `_regroup_rhs` with weights (b_k, c_k), through thm_5_10_check."""
-    return thm_5_10_check(a, [b, c], x, n)
+    thm_5_10_check with h = 2."""
+    return thm_5_10_check(a, [b, c], x)
 
 
-def thm_5_8_check(
-    a: FiniteSequence, b: FiniteSequence, x: float, n: int | None = None
-) -> tuple:
-    """Weighted one-factor rearrangement (audit id thm-5.8/eq-5.11).
-
+def thm_5_8_check(a: FiniteSequence, b: FiniteSequence, x: float) -> tuple:
+    """Weighted one-factor rearrangement (audit id thm-5.8/eq-5.11):
     lhs = sum_k k a_k (1-exp(b_k x))/(1-exp(b_k x/k)); the right side's inner
     sum runs over the 2-dimensional selector but only j1 enters the exponent
-    (the j2 count supplies the factor k): `_regroup_rhs` with weights (b_k, 0).
-    """
-    n = a.bound if n is None else n
-    lhs = sum(complex(_real(k * a(k))) * _exp_factor(b(k), x, k)
-              for k in range(1, n + 1) if a(k))
-    return lhs, complex(_regroup_rhs(a, lambda k: (b(k), 0), x, n, 2))
+    (the j2 count supplies the factor k): `_exp_regroup` with coefficient
+    k a_k and weights (b_k, 0)."""
+    return _exp_regroup(
+        a, lambda k: (k * a(k), _exp_factor(b(k), x, k)), lambda k: (b(k), 0), 2, x
+    )
 
 
-def thm_5_10_check(
-    a: FiniteSequence, bs: list, x: float, n: int | None = None
-) -> tuple:
-    """h-factor rearrangement (audit id thm-5.10/eq-5.14); h=1 is the
-    resolved thm_5_1_check and h=2 is thm_5_2_check.  The right side is
-    `_regroup_rhs` with weights (b_1(k), ..., b_h(k))."""
-    h = len(bs)
-    if h < 1:
-        raise DomainError("need at least one exponent sequence")
-    n = a.bound if n is None else n
-    lhs = 0.0 + 0.0j
-    for k in range(1, n + 1):
-        ak = a(k)
-        if not ak:
-            continue
-        term = complex(_real(ak))
-        for b in bs:
-            term *= _exp_factor(b(k), x, k)
-        lhs += term
-    return lhs, complex(_regroup_rhs(a, lambda k: [b(k) for b in bs], x, n, h))
+def thm_5_10_check(a: FiniteSequence, bs: list, x: float) -> tuple:
+    """h-factor rearrangement (audit id thm-5.10/eq-5.14), h = len(bs):
+    lhs = sum_k a_k prod_L (1-exp(b_L(k) x))/(1-exp(b_L(k) x/k)), and the
+    right side is `_exp_regroup` with weights (b_1(k), ..., b_h(k))."""
+    return _exp_regroup(
+        a, lambda k: [a(k), *(_exp_factor(b(k), x, k) for b in bs)],
+        lambda k: [b(k) for b in bs], len(bs), x,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import vpvtotients._kernels as kernels
 import vpvtotients.analytic as analytic
 from vpvtotients.analytic import (
     dirichlet_partial_cohen,
-    ramanujan_mean_zero,
     ramanujan_mean_zero_direct,
+    ramanujan_mean_zero_table,
     real_rotation,
     theta1,
     theta_log_ratio_check,
@@ -74,14 +74,13 @@ def test_mean_zero_table_matches_one_sieve_per_cutoff(monkeypatch):
     monkeypatch.setattr(analytic, "moebius_sieve", lambda K: built.append(K) or sieve(K))
     assert analytic.ramanujan_mean_zero_table(ns, Ks) == want
     assert built == [5000]
-    assert [ramanujan_mean_zero(n, 37) for n in ns] == [row[4] for row in want]
     with pytest.raises(DomainError, match="K must be"):
         analytic.ramanujan_mean_zero_table(ns, (10, 0))
 
 
 def test_mean_zero_rearranged_vs_direct():
     for n in ((4, 6), (9,), (1,)):
-        a = ramanujan_mean_zero(n, 2000)
+        a = ramanujan_mean_zero_table([n], [2000])[0][0]
         b = ramanujan_mean_zero_direct(n, 2000)
         assert abs(a - b) < 1e-9
 
@@ -186,7 +185,7 @@ def test_zero_gcd_rejected_before_the_table(monkeypatch):
     for call in (
         lambda: dirichlet_partial_cohen(1.0, (0, 0), 10**7),
         lambda: ramanujan_mean_zero_direct((0, 0, 0), 10**7),
-        lambda: ramanujan_mean_zero((0,), 10**7),
+        lambda: ramanujan_mean_zero_table([(0,)], [10**7]),
     ):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="g = gcd"):

@@ -65,6 +65,7 @@ def test_compute_work_caps_exit_2_at_once(capsys):
         ("phi", "--t", "2", "--m", "3", "--k", "1000000000000"),
         ("phi", "--t", "1000000000000", "--m", "1000000000000", "--k", "2"),
         ("sigma", "--s", "3000000", "--n", "6"),
+        ("sigma", "--s", "-193427", "--n", "6"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "compute", *argv)

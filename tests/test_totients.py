@@ -234,15 +234,16 @@ def test_jordan_of_one_for_any_m():
 
 
 def test_sigma_cap_raises_before_factorizing(monkeypatch):
-    # sigma_s(n) holds the term n^|s|, of about |s| log2(n) bits; past the
-    # Jordan cap it raises before divisors(n) factorizes n, for either sign
-    # of s and for an |s| past the float range
+    # sigma_s(n) holds the term n^|s|, of about |s| log2(n) bits, and for
+    # s < 0 a numerator and a denominator of that size, 2 |s| log2(n) bits;
+    # past the Jordan cap it raises before divisors(n) factorizes n, for
+    # either sign of s and for an |s| past the float range
     def no_divisors(n):
         raise AssertionError(f"factorized {n}")
 
     monkeypatch.setattr(totients, "divisors", no_divisors)
-    for s, n in ((10**6 + 1, 2), (386853, 6), (-386853, 6), (3 * 10**6, 6),
-                 (-(10**12), 3), (10**400, 2), (1, 2**(10**6 + 1))):
+    for s, n in ((10**6 + 1, 2), (386853, 6), (-386853, 6), (-193427, 6),
+                 (3 * 10**6, 6), (-(10**12), 3), (10**400, 2), (1, 2**(10**6 + 1))):
         with pytest.raises(ResourceError, match="above cap 1000000"):
             sigma(s, n)
     monkeypatch.undo()

@@ -175,14 +175,21 @@ def test_one_factor_resolved_vs_printed():
     a, b = _rand_seq(rng, 16), _rand_seq(rng, 16, nonzero=True)
     lhs, rhs = thm_5_1_check(a, b, 0.6)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-    # the printed index set does not balance
-    lhs_p, rhs_p = thm_5_1_check(
+    # the printed index set, registry data, does not balance
+    lhs_p, rhs_p = registry._printed_one_factor(
         FiniteSequence({2: Fraction(1)}, 2),
         FiniteSequence({1: Fraction(1), 2: Fraction(1)}, 2),
         1.0,
-        as_printed=True,
     )
     assert abs(lhs_p - rhs_p) > 1e-3
+
+
+def test_float_checks_need_an_exponent_sequence():
+    # the engine refuses h = 0 before it evaluates either side
+    a = FiniteSequence({1: Fraction(1), 3: Fraction(-2)}, 3)
+    for check in (lambda: lemma_3_2_check(a, []), lambda: thm_5_10_check(a, [], 0.5)):
+        with pytest.raises(DomainError, match="need at least one exponent sequence"):
+            check()
 
 
 def _brute_selector_exp_sum(h, v, b, x):
@@ -362,6 +369,12 @@ def _ref_thm_5_1(a, b, x, n=None, as_printed=False):
     return lhs, rhs
 
 
+def _truncated(a, n):
+    """a with its terms past n dropped and bound n: the sequence that the
+    reference reads when it is given n."""
+    return FiniteSequence({k: c for k, c in a.support.items() if k <= n}, n)
+
+
 def _shuffled(a, rng):
     """a with its support dict in a random insertion order, a stored zero
     term added where there is room."""
@@ -375,7 +388,7 @@ def _shuffled(a, rng):
 
 def _float_engine_cases(rng):
     """(a, weights, x, n, h) for the engine: zero terms, shuffled support,
-    explicit n below the bound, Fraction, int, float and numpy-float
+    a cut n below the bound, Fraction, int, float and numpy-float
     weights, and int and float terms."""
     for h in (1, 2, 3):
         for _ in range(6):
@@ -401,7 +414,7 @@ def _float_engine_cases(rng):
 def test_regroup_rhs_matches_reference_bit_for_bit():
     rng = random.Random(21)
     for a, weights, x, n, h in _float_engine_cases(rng):
-        got = vpv._regroup_rhs(a, weights, x, n, h)
+        got = vpv._regroup_rhs(_truncated(a, n), weights, x, h)
         assert got == _ref_regroup_rhs(a, weights, x, n, h), (h, n, a.support)
 
 
@@ -417,12 +430,13 @@ def test_float_left_sides_match_reference_bit_for_bit():
             assert lemma_3_2_check(a, q) == _ref_lemma_3_2(a, q)
         q = [np.float64(rng.uniform(0.05, 0.9)) for _ in range(2)]
         assert lemma_3_2_check(a, q) == _ref_lemma_3_2(a, q)
-        for n in (None, rng.randint(2, bound)):
-            assert thm_5_1_check(a, b, x, n) == _ref_thm_5_1(a, b, x, n)
-            assert thm_5_2_check(a, b, c, x, n) == _ref_thm_5_10(a, [b, c], x, n)
-            assert thm_5_8_check(a, b, x, n) == _ref_thm_5_8(a, b, x, n)
-            assert thm_5_10_check(a, [b, c, d], x, n) == _ref_thm_5_10(a, [b, c, d], x, n)
-        assert (thm_5_1_check(a, b, x, as_printed=True)
+        for n in (bound, rng.randint(2, bound)):
+            t = _truncated(a, n)
+            assert thm_5_1_check(t, b, x) == _ref_thm_5_1(a, b, x, n)
+            assert thm_5_2_check(t, b, c, x) == _ref_thm_5_10(a, [b, c], x, n)
+            assert thm_5_8_check(t, b, x) == _ref_thm_5_8(a, b, x, n)
+            assert thm_5_10_check(t, [b, c, d], x) == _ref_thm_5_10(a, [b, c, d], x, n)
+        assert (registry._printed_one_factor(a, b, x)
                 == _ref_thm_5_1(a, b, x, as_printed=True))
 
 
