@@ -58,6 +58,7 @@ from ..exactcore import divisors, grid_power_sum, moebius
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
     jordan,
+    m_phi,
     phi_t,
     phi_t_enum,
     ramanujan_cohen,
@@ -70,8 +71,6 @@ from ..vpv import (
     bracket_polynomial,
     bracket_polynomial_oracle,
     cor_5_3_check,
-    cor_5_9_check,
-    cor_5_17_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
@@ -684,9 +683,43 @@ def _check_geometric_blocks(rng: random.Random) -> Outcome:
     )
 
 
+def _exp_sum(c, order: int) -> PowerSeries:
+    """exp(sum_{k=1}^{order} c(k) z^k) truncated at `order`."""
+    return ps_exp(PowerSeries((0, *map(c, range(1, order + 1)))))
+
+
+def _mixed_product_sides(x: Fraction, order: int, counts) -> tuple:
+    """Both sides of cor-5.9 to `order`: the left product over the
+    (m, v, count) of `counts` of (1 - x^m z^v)^(-count/v), whose log adds
+    count/v x^(mj)/j at z^(jv), against exp{(1/(1-x)) (z/(1-z) - xz/(1-xz))}
+    = exp sum_j (1 - x^j)/(1 - x) z^j.  Each factor starts at z^v, so the
+    truncation is exact."""
+    log = [Fraction(0)] * (order + 1)
+    for m, v, count in counts:
+        for j in range(1, order // v + 1):
+            log[j * v] += Fraction(count, v) * x ** (m * j) / j
+    return ps_exp(PowerSeries(log)), _exp_sum(lambda j: (1 - x**j) / (1 - x), order)
+
+
+# cor-5.9 readings of the left product, as (m, v, count) up to an order: the
+# derived double product over v >= 2 and residues m < v times 1/(1-z) (the
+# factor m = 0, v = 1), and the printed single product at m = 1 over the
+# half-open residue range 0 <= a < v or the closed 0 <= a <= v, which also
+# counts a = v because gcd(v, 1, v) = 1
+_MIXED_PRODUCT_COUNTS = {
+    "derived": lambda order: [(0, 1, 1)] + [
+        (m, v, m_phi(m, v)) for v in range(2, order + 1) for m in range(v)],
+    "printed-halfopen": lambda order: [
+        (1, v, m_phi(1, v)) for v in range(1, order + 1)],
+    "printed-closed": lambda order: [
+        (1, v, m_phi(1, v) + 1) for v in range(1, order + 1)],
+}
+
+
 def _check_mixed_product(rng: random.Random) -> Outcome:
     order = 24
-    bad = _mismatch((*cor_5_9_check(x, order, reading="derived"),
+    derived = _MIXED_PRODUCT_COUNTS["derived"](order)
+    bad = _mismatch((*_mixed_product_sides(x, order, derived),
                      f"derived reading fails at x={x}")
                     for x in (Fraction(1, 3), Fraction(-2, 5)))
     if bad is not None:
@@ -695,7 +728,8 @@ def _check_mixed_product(rng: random.Random) -> Outcome:
              "and residues m < v, times 1/(1-z), balances exactly to "
              "order 24"]
     for reading in ("printed-halfopen", "printed-closed"):
-        diff = _first_diff(*cor_5_9_check(Fraction(1, 3), 8, reading=reading))
+        counts = _MIXED_PRODUCT_COUNTS[reading](8)
+        diff = _first_diff(*_mixed_product_sides(Fraction(1, 3), 8, counts))
         if diff is not None:
             notes.append(
                 "single-product reading ({} residue range) already fails at "
@@ -910,6 +944,30 @@ def _check_dirichlet_quadratic(rng: random.Random) -> Outcome:
     )
 
 
+def _quadratic_exponent(d: int):
+    """c(k) = (7k - 12)/d + 5/(dk), the z^k coefficient of
+    z(12z - 5)/(d(1-z)^2) - (5/d) log(1 - z)."""
+    return lambda k: Fraction(7 * k - 12, d) + Fraction(5, d * k)
+
+
+# cor-5.17a/b as printed and corrected: (t, s, c) reads
+# prod_{k>=2} (1 - z^k)^(-phi_tu(k)/k^s) = exp sum_k c(k) z^k, phi_tu the
+# unnormalized phi_t(2; k); the right sides are exp(z/(1-z)^2),
+# exp(z^2/(1-z)^2) and (1-z)^(-5/d) exp(z(12z-5)/(d(1-z)^2)), d = 12 and 6
+_TOTIENT_PRODUCTS = {
+    ("a", "printed"): (1, 2, lambda k: k),
+    ("a", "corrected"): (1, 2, lambda k: k - 1),
+    ("b", "printed"): (2, 2, _quadratic_exponent(12)),
+    ("b", "corrected"): (2, 3, _quadratic_exponent(6)),
+}
+
+
+def _totient_product_sides(t: int, s: int, c, order: int) -> tuple:
+    """Both sides of a `_TOTIENT_PRODUCTS` reading (t, s, c) to `order`."""
+    exps = {k: Fraction(-unnormalized_phi(t, 2, k), k**s) for k in range(2, order + 1)}
+    return product_with_exponents(exps, order), _exp_sum(c, order)
+
+
 def _check_product_display(which: str):
     def run(rng: random.Random) -> Outcome:
         order = 40
@@ -917,10 +975,10 @@ def _check_product_display(which: str):
                if which == "a" else
                "exponents phi2u(k)/k^3 with the 5/6 and 6(1-z)^2 constants")
         return _printed_or_corrected(
-            [(*cor_5_17_check(which, order, reading="printed"),
+            [(*_totient_product_sides(*_TOTIENT_PRODUCTS[which, "printed"], order),
               lambda lhs, rhs: "printed series differ first at z^{}: {} vs {}"
                                .format(*_first_diff(lhs, rhs)))],
-            ((*cor_5_17_check(which, order, reading=reading),
+            ((*_totient_product_sides(*_TOTIENT_PRODUCTS[which, reading], order),
               "corrected product display imbalance") for reading in ("corrected",)),
             (f"the corrected form ({fix}) matches exactly to order {order}",),
         )
@@ -1390,7 +1448,8 @@ _ENTRIES = [
         _bracket_identity(
             (lambda k, b1, b2: _q2(k, b1, b2) / 4, 1), (_q2, 2),
             "corrected second-order identity imbalance",
-            "printed left side halves the true quadratic bracket and its right "
+            "printed left side is Q2/4, a quarter of the true quadratic "
+            "bracket Q2 and half of its x^2 coefficient Q2/2, and its right "
             "side repeats the first-power selector sums; corrected form (full "
             "bracket against second-power sums with 1/v^2) is exact",
         ),

@@ -21,8 +21,6 @@ from .exactcore import stirling2
 __all__ = [
     "PowerSeries",
     "DEFAULT_ORDER",
-    "geometric",
-    "zero",
     "ps_mul",
     "ps_exp",
     "ps_log",
@@ -58,40 +56,12 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        )
-
     def scale(self, r) -> "PowerSeries":
         r = _as_fraction(r)
         return PowerSeries(tuple(r * c for c in self.coeffs))
 
     def __str__(self) -> str:
         return " + ".join(f"({c})z^{i}" for i, c in enumerate(self.coeffs) if c)
-
-
-def zero(order: int = DEFAULT_ORDER) -> PowerSeries:
-    return PowerSeries((Fraction(0),) * (order + 1))
-
-
-def monomial(coeff, power: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    c = [Fraction(0)] * (order + 1)
-    if power <= order:
-        c[power] = _as_fraction(coeff)
-    return PowerSeries(tuple(c))
-
-
-def geometric(order: int = DEFAULT_ORDER) -> PowerSeries:
-    """1/(1-z) truncated at the given order."""
-    return PowerSeries((Fraction(1),) * (order + 1))
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:

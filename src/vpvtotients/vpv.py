@@ -35,6 +35,10 @@ Python-int sum.  Such a display balances for every a exactly when
 f(k) = sum_{d|k} w(d), the divisor law that the registry checks for
 eq-4.10, eq-4.11 and cor-5.16.
 
+The exact z-series product displays (cor-5.9, cor-5.17a/b) are audit
+registry data, each side an exponent series or a product over (1 - z^k)
+evaluated by the series module; this module has no series code.
+
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
 """
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, gcd
+from math import comb
 from operator import mul
 
 import numpy as np
@@ -55,22 +59,10 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, ResourceError
 from .exactcore import bernoulli, grid_power_sum
-from .series import (
-    PowerSeries,
-    geometric,
-    log_one_minus_z_pow,
-    monomial,
-    product_with_exponents,
-    ps_exp,
-    ps_mul,
-    zero,
-)
 from .totients import (
     DEFAULT_SELECTOR_CAP,
     LatticeSelector,
     enumerate_selector,
-    m_phi,
-    unnormalized_phi,
 )
 
 __all__ = [
@@ -90,8 +82,6 @@ __all__ = [
     "cor_5_3_check",
     "weighted_regroup_check",
     "power_regroup_check",
-    "cor_5_17_check",
-    "cor_5_9_check",
     "hyperpyramid_log_check",
 ]
 
@@ -528,109 +518,6 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
             total = sum(sum(map(mul, row, nums)) ** p for row in rows)
             rhs += a(k) * Fraction(total, (den * v) ** p)
     return Fraction(lhs), rhs
-
-
-# --------------------------------------------------------------------------
-# exact z-series product displays (cor-5.17, cor-5.9)
-
-
-def cor_5_17_check(which: str, order: int, reading: str = "printed") -> tuple:
-    """Infinite-product displays as exact power series (cor-5.17a/b).
-
-    which='a': product over k of (1-z^k)^(-e_k); printed e_k = phi1u(k)/k^2
-    with right side exp(z/(1-z)^2); the corrected right side is
-    exp(z^2/(1-z)^2).
-    which='b': printed e_k = phi2u(k)/k^2 with right side
-    (1-z)^(-5/12) exp(z(12z-5)/(12(1-z)^2)); corrected uses e_k =
-    phi2u(k)/k^3 and (1-z)^(-5/6) exp(z(12z-5)/(6(1-z)^2)).
-    Returns the two series truncated to `order`.
-    """
-    if which not in ("a", "b"):
-        raise DomainError("which must be 'a' or 'b'")
-    if reading not in ("printed", "corrected"):
-        raise DomainError("reading must be 'printed' or 'corrected'")
-    shift = 2 if (which == "a" or reading == "printed") else 3
-    t = 1 if which == "a" else 2
-    lhs = product_with_exponents(
-        {k: Fraction(-unnormalized_phi(t, 2, k), k**shift) for k in range(2, order + 1)},
-        order,
-    )
-
-    z = monomial(1, 1, order)
-    inv1z2 = ps_mul(geometric(order), geometric(order))
-    if which == "a":
-        num = z if reading == "printed" else ps_mul(z, z)
-        rhs = ps_exp(ps_mul(num, inv1z2))
-    else:
-        den = 12 if reading == "printed" else 6
-        linear = PowerSeries(
-            (Fraction(-5, den), Fraction(12, den)) + (Fraction(0),) * (order - 1)
-        )
-        rhs = ps_exp(ps_mul(ps_mul(z, linear), inv1z2))
-        log1z = log_one_minus_z_pow(1, order)
-        rhs = ps_mul(rhs, ps_exp(log1z.scale(Fraction(-5, den))))
-    return lhs, rhs
-
-
-def cor_5_9_check(x: Fraction, order: int, reading: str = "derived") -> tuple:
-    """The mixed-variable product identity as exact z-series (cor-5.9).
-
-    rhs = exp{(1/(1-x)) (z/(1-z) - xz/(1-xz))} for rational x.
-    reading='derived': lhs = 1/(1-z) times the double product over v >= 2 and
-    m in [0, v) of (1 - x^m z^v)^(-mphi(m,v)/v) — this balances.
-    reading='printed-halfopen' / 'printed-closed': the single product over
-    k >= 1 at fixed m = 1 with half-open or closed residue ranges; neither
-    balances.
-    Each factor starts at z^v, so order-limited truncation is exact.
-    """
-    x = Fraction(x)
-    if x == 1:
-        raise DomainError("x = 1 makes the right side undefined")
-    readings = ("derived", "printed-halfopen", "printed-closed")
-    if reading not in readings:
-        raise DomainError(f"reading must be one of {readings}")
-
-    def log_factor(m: int, v: int, count: int) -> PowerSeries:
-        # -count/v * log(1 - x^m z^v) as a z-series
-        coeffs = [Fraction(0)] * (order + 1)
-        j = 1
-        while j * v <= order:
-            coeffs[j * v] += Fraction(count, v) * x ** (m * j) / j
-            j += 1
-        return PowerSeries(tuple(coeffs))
-
-    log_lhs = zero(order)
-    if reading == "derived":
-        log_lhs = log_lhs - log_one_minus_z_pow(1, order)  # the 1/(1-z) factor
-        for v in range(2, order + 1):
-            for m in range(v):
-                cnt = m_phi(m, v)
-                if cnt:
-                    log_lhs = log_lhs + log_factor(m, v, cnt)
-    else:
-        closed = reading == "printed-closed"
-        for v in range(1, order + 1):
-            cnt = _m_phi_closed(1, v) if closed else m_phi(1, v)
-            if cnt:
-                log_lhs = log_lhs + log_factor(1, v, cnt)
-    lhs = ps_exp(log_lhs)
-
-    rhs_exp = [Fraction(0)] * (order + 1)
-    pref = 1 / (1 - x)
-    for j in range(1, order + 1):
-        rhs_exp[j] = pref * (1 - x**j)
-    rhs = ps_exp(PowerSeries(tuple(rhs_exp)))
-    return lhs, rhs
-
-
-def _m_phi_closed(m_fixed: int, k: int) -> int:
-    """Count of (a, m_fixed, k) = 1 with 0 <= a <= k and a + m_fixed != 0,
-    the closed-range reading of the residue condition."""
-    return sum(
-        1
-        for a in range(0, k + 1)
-        if gcd(gcd(a, m_fixed), k) == 1 and a + m_fixed != 0
-    )
 
 
 # --------------------------------------------------------------------------

@@ -218,6 +218,10 @@ def _off(series):
     return "OFF"  # equal to no series
 
 
+def _one(value):
+    return 1  # patched into both sides, it balances them
+
+
 def _oracle_bracket(printed):
     return 20  # the oracle bracket at h=2, m=1, k=5, b=(1,1)
 
@@ -343,7 +347,8 @@ FAILURE_PATHS = [
      )),
     ("eq-5.11", (("thm_5_8_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
-    ("cor-5.9", (("cor_5_9_check", 2, _split),),
+    # ps_exp calls 1-2 are the sides at x = 1/3, calls 3-4 those at x = -2/5
+    ("cor-5.9", (("ps_exp", 3, _off),),
      Outcome("FAILS_AS_PRINTED", None, "derived reading fails at x=-2/5")),
     ("eq-5.14", (("thm_5_10_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
@@ -383,11 +388,13 @@ FAILURE_PATHS = [
              ("corrected display d imbalance at n=30",))),
     ("cor-5.16b", (("_divisor_law", 1, lambda r: (True, None)),),
      Outcome("PASS", 0.0)),
-    ("cor-5.17a", (("cor_5_17_check", 1, _balance),),
+    # the printed sides are product_with_exponents and ps_exp call 1, the
+    # corrected ones call 2 of each
+    ("cor-5.17a", (("product_with_exponents", 1, _one), ("ps_exp", 1, _one)),
      Outcome("PASS", 0.0)),
-    ("cor-5.17a", (("cor_5_17_check", 2, _split),),
+    ("cor-5.17a", (("ps_exp", 2, _off),),
      Outcome("SKIPPED", None, None, ("corrected product display imbalance",))),
-    ("cor-5.17b", (("cor_5_17_check", 2, _split),),
+    ("cor-5.17b", (("ps_exp", 2, _off),),
      Outcome("SKIPPED", None, None, ("corrected product display imbalance",))),
     ("cor-5.18a", (("discover_linear_relation", None, _nothing),),
      Outcome("FAILS_AS_PRINTED", None, "discovered coefficients None")),
@@ -441,5 +448,5 @@ def test_exact_ids_report_bytes_pinned():
     ]
     body = run_audit(ids, seed=0).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "e687ef7c838211c94d2c7f6cd65530fe04a154a6c50dcdbe9cff20254a737aac"
+        "5b66ca6c75788ae02841120472317df01f83c4a0eb21abf3d86cdc2fcbcbc1d6"
     )

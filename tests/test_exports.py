@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,34 @@ def test_registry_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+@pytest.mark.parametrize("module", ("totients", "vpv", "analytic", "series", "exactcore"))
+def test_no_reading_options(module):
+    # printed and corrected readings are audit-registry data; no library
+    # function picks one by an option
+    mod = importlib.import_module(f"vpvtotients.{module}")
+    options = [
+        f"{name}({param})"
+        for name in mod.__all__
+        if callable(getattr(mod, name))
+        for param in inspect.signature(getattr(mod, name)).parameters
+        if param in ("reading", "which", "as_printed")
+    ]
+    assert not options, options
+
+
+def test_vpv_imports_nothing_from_series():
+    # vpv holds lattice enumeration and regrouping; the exact z-series
+    # product displays are registry data
+    from vpvtotients import vpv
+
+    tree = ast.parse(Path(vpv.__file__).read_text())
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        if "series" in [*(getattr(node, "module", None) or "").split("."),
+                        *(alias.name.split(".")[-1] for alias in node.names)]
+    ]
+    assert not imports, imports

@@ -9,9 +9,7 @@ from vpvtotients.series import (
     PowerSeries,
     check_power_sum_work,
     finite_stirling_check,
-    geometric,
     log_one_minus_z_pow,
-    monomial,
     product_with_exponents,
     ps_exp,
     ps_log,
@@ -122,9 +120,9 @@ def test_product_with_exponents_rejects_keys_outside_order():
 
 
 def test_mul_identity_and_commutativity():
-    g = geometric(10)
-    assert ps_mul(g, monomial(1, 0, 10)) == g
-    m = monomial(Fraction(3), 2, 10)
+    g = PowerSeries((1,) * 11)
+    assert ps_mul(g, PowerSeries((1,) + (0,) * 10)) == g
+    m = PowerSeries((0, 0, 3) + (0,) * 8)
     assert ps_mul(g, m) == ps_mul(m, g)
 
 
@@ -133,7 +131,7 @@ def test_geometric_times_one_minus_z():
     one_minus_z = PowerSeries(
         tuple([Fraction(1), Fraction(-1)] + [Fraction(0)] * (n - 1))
     )
-    assert ps_mul(geometric(n), one_minus_z) == monomial(1, 0, n)
+    assert ps_mul(PowerSeries((1,) * (n + 1)), one_minus_z) == PowerSeries((1,) + (0,) * n)
 
 
 def test_exp_log_roundtrip():
@@ -145,7 +143,7 @@ def test_exp_log_roundtrip():
 
 def test_exp_requires_zero_constant():
     with pytest.raises((DomainError, ValueError)):
-        ps_exp(monomial(1, 0, 4))
+        ps_exp(PowerSeries((1, 0, 0, 0, 0)))
 
 
 def test_log_one_minus_z_pow():
@@ -159,7 +157,7 @@ def test_log_one_minus_z_pow():
 
 def test_pow_rational_square_root():
     n = 10
-    g = geometric(n)
+    g = PowerSeries((1,) * (n + 1))
     half = ps_exp(ps_log(g).scale(Fraction(1, 2)))
     assert ps_mul(half, half) == g
 
@@ -177,7 +175,7 @@ def test_power_sum_series_values():
     assert s.coeffs == tuple(
         Fraction(v) for v in (0, 1, 4, 9, 16, 25, 36)
     )
-    assert stirling_rhs_series(1, 4) == geometric(4)
+    assert stirling_rhs_series(1, 4) == PowerSeries((1, 1, 1, 1, 1))
 
 
 def test_stirling_rhs_series_low_orders():

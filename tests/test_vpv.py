@@ -13,15 +13,14 @@ from vpvtotients.audit import registry, run_audit
 from vpvtotients.audit.registry import _bracket_sides, _q1, _q2
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, grid_power_sum, moebius
-from vpvtotients.totients import jordan, unnormalized_phi
+from vpvtotients.series import PowerSeries, log_one_minus_z_pow, product_with_exponents, ps_exp, ps_mul
+from vpvtotients.totients import jordan, m_phi, unnormalized_phi
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
     bracket_polynomial,
     bracket_polynomial_oracle,
     cor_5_3_check,
-    cor_5_9_check,
-    cor_5_17_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
@@ -684,18 +683,115 @@ def test_dirichlet_divisor_law_displays():
     assert any(lhs != rhs for lhs, rhs in quadratic)
 
 
+# --------------------------------------------------------------------------
+# the product displays, pinned to a frozen reference
+
+# The reference is cor-5.17a/b and cor-5.9 as library functions with a
+# reading option, before the displays became registry data: the right sides
+# multiplied out as exp(z/(1-z)^2) and (1-z)^(-5/d) exp(...), the left side
+# of cor-5.9 summed one log factor at a time.  The series helpers it used
+# (z, 1/(1-z), the zero series and series addition) are written out here.
+
+
+def _ref_add(a, b):
+    return PowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def _ref_cor_5_17(which, order, reading):
+    shift = 2 if (which == "a" or reading == "printed") else 3
+    t = 1 if which == "a" else 2
+    lhs = product_with_exponents(
+        {k: Fraction(-unnormalized_phi(t, 2, k), k**shift) for k in range(2, order + 1)},
+        order,
+    )
+    z = PowerSeries((0, 1) + (0,) * (order - 1))
+    geometric = PowerSeries((1,) * (order + 1))
+    inv1z2 = ps_mul(geometric, geometric)
+    if which == "a":
+        num = z if reading == "printed" else ps_mul(z, z)
+        rhs = ps_exp(ps_mul(num, inv1z2))
+    else:
+        den = 12 if reading == "printed" else 6
+        linear = PowerSeries(
+            (Fraction(-5, den), Fraction(12, den)) + (Fraction(0),) * (order - 1)
+        )
+        rhs = ps_exp(ps_mul(ps_mul(z, linear), inv1z2))
+        log1z = log_one_minus_z_pow(1, order)
+        rhs = ps_mul(rhs, ps_exp(log1z.scale(Fraction(-5, den))))
+    return lhs, rhs
+
+
+def _ref_m_phi_closed(m_fixed, k):
+    return sum(
+        1
+        for a in range(0, k + 1)
+        if math.gcd(math.gcd(a, m_fixed), k) == 1 and a + m_fixed != 0
+    )
+
+
+def _ref_cor_5_9(x, order, reading):
+    def log_factor(m, v, count):
+        coeffs = [Fraction(0)] * (order + 1)
+        j = 1
+        while j * v <= order:
+            coeffs[j * v] += Fraction(count, v) * x ** (m * j) / j
+            j += 1
+        return PowerSeries(tuple(coeffs))
+
+    log_lhs = PowerSeries((0,) * (order + 1))
+    if reading == "derived":
+        log_lhs = _ref_add(log_lhs, log_one_minus_z_pow(1, order).scale(-1))
+        for v in range(2, order + 1):
+            for m in range(v):
+                cnt = m_phi(m, v)
+                if cnt:
+                    log_lhs = _ref_add(log_lhs, log_factor(m, v, cnt))
+    else:
+        closed = reading == "printed-closed"
+        for v in range(1, order + 1):
+            cnt = _ref_m_phi_closed(1, v) if closed else m_phi(1, v)
+            if cnt:
+                log_lhs = _ref_add(log_lhs, log_factor(1, v, cnt))
+    lhs = ps_exp(log_lhs)
+
+    rhs_exp = [Fraction(0)] * (order + 1)
+    pref = 1 / (1 - x)
+    for j in range(1, order + 1):
+        rhs_exp[j] = pref * (1 - x**j)
+    return lhs, ps_exp(PowerSeries(tuple(rhs_exp)))
+
+
+def _totient_product(which, reading, order):
+    return registry._totient_product_sides(*registry._TOTIENT_PRODUCTS[which, reading], order)
+
+
+def _mixed_product(x, reading, order):
+    counts = registry._MIXED_PRODUCT_COUNTS[reading](order)
+    return registry._mixed_product_sides(x, order, counts)
+
+
+def test_product_display_data_matches_reference():
+    for which, reading, order in product("ab", ("printed", "corrected"), (8, 16, 40)):
+        got = _totient_product(which, reading, order)
+        assert got == _ref_cor_5_17(which, order, reading), (which, reading, order)
+    readings = ("derived", "printed-halfopen", "printed-closed")
+    for x, reading, order in product((Fraction(1, 3), Fraction(-2, 5)), readings, (8, 24)):
+        got = _mixed_product(x, reading, order)
+        assert got == _ref_cor_5_9(x, order, reading), (x, reading, order)
+
+
 def test_product_displays():
-    lhs, rhs = cor_5_17_check("a", 16, reading="printed")
+    lhs, rhs = _totient_product("a", "printed", 16)
     assert lhs != rhs
     for which in ("a", "b"):
-        cl, cr = cor_5_17_check(which, 16, reading="corrected")
+        cl, cr = _totient_product(which, "corrected", 16)
         assert cl == cr
 
 
 def test_mixed_product_derived_reading():
-    lhs, rhs = cor_5_9_check(Fraction(1, 3), 20, reading="derived")
+    lhs, rhs = _mixed_product(Fraction(1, 3), "derived", 20)
     assert lhs == rhs
-    lp, rp = cor_5_9_check(Fraction(1, 3), 6, reading="printed-halfopen")
+    lp, rp = _mixed_product(Fraction(1, 3), "printed-halfopen", 6)
     assert lp != rp
 
 
