@@ -6,9 +6,10 @@ functions checked as partial-sum trends, and the theta-function product
 identities checked by matched-index rearrangement.  `theta_vpv_check` takes
 each theta factor as its rotation number theta (x = e^(2 pi i theta)): n for
 a rotation, 0 for x -> 1, `real_rotation(x)` for a real 0 < x < 1.  The
-selector weights of the rearranged side are enumerated by the shared kernel
-`_kernels.selector_char_sum`; their Moebius closed form is only the oracle of
-the eq-6.7 audit check.
+selector weights of the rearranged side, `selector_weights(thetas, K)`, are
+enumerated by the shared kernel `_kernels.selector_char_sum`; the eq-6.7
+audit check reads the same function, and their Moebius closed form is only
+its oracle.
 
 theta1 uses the standard convention 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1))
 sin((2k+1)z).  All identities consuming it are ratio identities in which the
@@ -34,6 +35,7 @@ __all__ = [
     "theta1",
     "theta_log_ratio_check",
     "real_rotation",
+    "selector_weights",
     "theta_vpv_check",
 ]
 
@@ -216,6 +218,14 @@ def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
     return total
 
 
+def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
+    """The selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
+    visible denominator v = 2..K, h = len(thetas), enumerated by the shared
+    kernel once the selector cap admits (h, K)."""
+    _check_cap(len(thetas), K)
+    return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
+
+
 def theta_vpv_check(
     thetas: tuple[complex, ...], q: float, alpha: float, beta: float, K: int
 ) -> tuple[float, float | None]:
@@ -237,7 +247,8 @@ def theta_vpv_check(
     """
     if not 0.0 <= q < 1.0:
         raise DomainError(f"theta_vpv_check requires 0 <= q < 1, got {q}")
-    _check_cap(len(thetas), K)
+    # the weights of the rearranged side, read by both routes below
+    weights = selector_weights(thetas, K)
     tol = 1e-16
 
     def a(k: int) -> float:
@@ -254,9 +265,6 @@ def theta_vpv_check(
             j += 1
         return total
 
-    # the selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
-    # visible denominator v, enumerated once and read by both routes
-    weights = [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
     rhs = complex(tail(1))
     for v, w in zip(range(2, K + 1), weights):
         rhs += tail(v) * w

@@ -39,22 +39,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Iterator, Optional, Sequence
 
-from .. import _kernels
 from ..analytic import (
     dirichlet_partial_cohen,
     ramanujan_mean_zero_direct,
     ramanujan_mean_zero_table,
     real_rotation,
+    selector_weights,
     theta1,
     theta_log_ratio_check,
     theta_vpv_check,
     zeta,
 )
 from ..errors import UsageError
-from ..exactcore import divisors, grid_power_sum, moebius
+from ..exactcore import bernoulli, divisors, grid_power_sum, moebius
 from ..series import PowerSeries, product_with_exponents, ps_exp, finite_stirling_check, stirling_rhs_series
 from ..totients import (
     jordan,
@@ -68,14 +68,11 @@ from ..totients import (
 from ..vpv import (
     FiniteSequence,
     RadialRegion,
-    bracket_polynomial,
-    bracket_polynomial_oracle,
     cor_5_3_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
     multiples_partition_check,
     power_regroup_check,
-    printed_t,
     thm_5_1_check,
     thm_5_2_check,
     thm_5_8_check,
@@ -400,15 +397,31 @@ def _exp_grid_residuals(rng: random.Random) -> Iterator[float]:
         yield _rel_residual(*lemma_3_2_check(a, q))
 
 
+def _bracket(p: int, k: int, bs) -> Fraction:
+    """The oracle bracket B_p(k, b) = sum over A in [0, k)^h of ((A . b) / k)^p,
+    h = len(bs): p! times the x^p coefficient of prod_L sum_{A<k} e^(b_L A x / k).
+    Every bracket display reads it (eq-4.2, eq-4.3, eq-4.7, cor-5.11,
+    eq-5.16, eq-5.17); at k = 1 the grid is the origin alone and B_p = 0^p."""
+    return grid_power_sum(p, k, [Fraction(b, k) for b in bs])
+
+
+def _printed_t(mu: int, k: int) -> Fraction:
+    """The printed bracket coefficient
+    T_mu = -sum_{alpha=1..mu} C(mu, alpha) B_alpha / k^(alpha-1) (B_1 = -1/2)."""
+    return -sum(
+        comb(mu, alpha) * bernoulli(alpha) / Fraction(k) ** (alpha - 1)
+        for alpha in range(1, mu + 1)
+    )
+
+
 def _check_grid_coefficients(cs: tuple, *corrections: str):
     def cases(rng: random.Random) -> Iterator[tuple]:
         for c, _ in product(cs, range(4)):
             a = _rand_seq(rng, rng.randint(6, 16))
             x, y = _frac(rng), _frac(rng)
-            # sum_k a_k k^(-c) sum_{A in [0, k)^2} (A_1 x + A_2 y)^c
+            # sum_k a_k sum_{A in [0, k)^2} ((A_1 x + A_2 y) / k)^c
             yield (*power_regroup_check(
-                       a, lambda k: grid_power_sum(c, k, (x, y)) / Fraction(k) ** c,
-                       lambda k: (x, y), 2, c),
+                       a, lambda k: _bracket(c, k, (x, y)), lambda k: (x, y), 2, c),
                    lambda lhs, rhs: f"c={c}: {lhs} vs {rhs}")
 
     status = "PASS_WITH_CORRECTION" if corrections else "PASS"
@@ -757,15 +770,15 @@ def _check_bracket_corollary(rng: random.Random) -> Outcome:
                 FiniteSequence.from_values([_frac(rng, -3, 3, 4) for _ in range(n)])
                 for _ in range(h)
             ]
-            yield (*_bracket_sides(
-                       a, bs, lambda k, *b: bracket_polynomial_oracle(h, m, k, b), m),
+            yield (*_bracket_sides(a, bs, lambda k, *b: _bracket(m, k, b), m),
                    f"oracle bracket imbalance at h={h}, m={m}")
 
+    # the printed generator prod_L sum_mu T_mu (b_L x)^(mu-1) has x^1
+    # coefficient T_1 T_2 (b_1 + b_2) at h = 2, so 2 T_1 T_2 at b = (1, 1)
     return _printed_or_corrected(
-        ((bracket_polynomial(2, 1, 5, b), bracket_polynomial_oracle(2, 1, 5, b),
+        [(2 * _printed_t(1, 5) * _printed_t(2, 5), _bracket(1, 5, (1, 1)),
           lambda printed, oracle: f"h=2, m=1, k=5, b=(1,1): printed bracket "
-                                  f"{printed}, oracle {oracle}")
-         for b in [[Fraction(1), Fraction(1)]]),
+                                  f"{printed}, oracle {oracle}")],
         notes=("the printed bracket generator misses the power-sum normalisation: "
                "the factor for exponent b is sum_j b^j (sum_(A<k) A^j)/(j! k^j), "
                "and the first-order term is k(k-1)/2, not -B_1 C(1,1)",
@@ -785,42 +798,29 @@ def _q2(k: int, b1: Fraction, b2: Fraction) -> Fraction:
     return quad * (b1 * b1 + b2 * b2) + Fraction((k - 1) ** 2, 2) * b1 * b2
 
 
-def _bracket_oracle(rng: random.Random, m: int, q) -> Iterator[tuple]:
-    """Cases pairing the two-factor order-m bracket q(k, b1, b2) with the
-    exponential-sum oracle for k <= 30, three random rational b each."""
+def _bracket_display(m: int, q, printed, b: tuple, label: str, true_form: str):
+    """eq-5.16/5.17: the printed T-form printed(k, b1, b2) of the two-factor
+    order-m bracket, probed at k = 5 and b against the true bracket
+    q(k, b1, b2) = true_form, which is swept against the oracle bracket for
+    k <= 30 with three random rational b each; label formats the probe's
+    two values."""
     order = ("first", "second")[m - 1]
-    for k, _ in product(range(2, 31), range(3)):
-        b1, b2 = _frac(rng, -3, 3, 4), _frac(rng, -3, 3, 4)
-        yield (q(k, b1, b2), bracket_polynomial_oracle(2, m, k, [b1, b2]),
-               f"{order}-order oracle mismatch at k={k}")
 
+    def run(rng: random.Random) -> Outcome:
+        def oracle():
+            for k, _ in product(range(2, 31), range(3)):
+                b1, b2 = _frac(rng, -3, 3, 4), _frac(rng, -3, 3, 4)
+                yield (q(k, b1, b2), _bracket(m, k, (b1, b2)),
+                       f"{order}-order oracle mismatch at k={k}")
 
-def _check_first_bracket_display(rng: random.Random) -> Outcome:
-    return _printed_or_corrected(
-        ((2 * printed_t(1, k) * printed_t(2, k) * 1 * 1,
-          _q1(k, Fraction(1), Fraction(1)),
-          lambda printed, true_val: f"k=5, b=(1,1): printed 2 T_1 T_2 b_1 b_2 "
-                                    f"= {printed}, true coefficient {true_val}")
-         for k in [5]),
-        notes=("the true first-order bracket is (k(k-1)/2)(b_1 + b_2), confirmed "
-               "against the exponential-sum oracle for k <= 30",),
-        oracle=_bracket_oracle(rng, 1, _q1),
-    )
+        return _printed_or_corrected(
+            [(printed(5, *b), q(5, *b), label.format)],
+            notes=(f"the true {order}-order bracket is {true_form}, confirmed "
+                   "against the exponential-sum oracle for k <= 30",),
+            oracle=oracle(),
+        )
 
-
-def _check_second_bracket_display(rng: random.Random) -> Outcome:
-    return _printed_or_corrected(
-        ((printed_t(1, k) * printed_t(3, k) * b1 * b2 * (b1**2 + b2**2)
-          + printed_t(2, k)**2 * b1**2 * b2**2, _q2(k, b1, b2),
-          lambda printed, true_val: f"k=5, b=(1,2): printed T-form = {printed}, "
-                                    f"true coefficient {true_val} (= 2! times "
-                                    f"the oracle x^2 coefficient)")
-         for k, b1, b2 in [(5, Fraction(1), Fraction(2))]),
-        notes=("the true second-order bracket is "
-               "(k^2/3 - k/2 + 1/6)(b_1^2 + b_2^2) + ((k-1)^2/2) b_1 b_2, "
-               "confirmed against the exponential-sum oracle for k <= 30",),
-        oracle=_bracket_oracle(rng, 2, _q2),
-    )
+    return run
 
 
 def _bracket_identity(printed: tuple, corrected: tuple, skip_note: str, note: str):
@@ -1113,8 +1113,7 @@ def _selector_weight(thetas: tuple, v: int) -> complex:
 def _selector_weight_residuals(rng: random.Random) -> Iterator[float]:
     half = real_rotation(0.5)
     for thetas in [(2.0, 3.0), (0.0, 0.0), (half,), (half, 0.0)]:
-        for v in range(2, 21):
-            enumerated = _kernels.selector_char_sum(v, thetas)
+        for v, enumerated in enumerate(selector_weights(thetas, 20), start=2):
             yield abs(enumerated - _selector_weight(thetas, v))
 
 
@@ -1417,14 +1416,27 @@ _ENTRIES = [
         "eq-5.16", "simplest cases of corollary 5.11",
         "oracle sweep k <= 30 with random rational b; printed probe k=5, "
         "b=(1,1)",
-        _check_first_bracket_display, "FAILS_AS_PRINTED",
+        _bracket_display(
+            1, _q1, lambda k, b1, b2: 2 * _printed_t(1, k) * _printed_t(2, k) * b1 * b2,
+            (1, 1), "k=5, b=(1,1): printed 2 T_1 T_2 b_1 b_2 = {}, true coefficient {}",
+            "(k(k-1)/2)(b_1 + b_2)",
+        ),
+        "FAILS_AS_PRINTED",
         "[DERIVED: first-order bracket oracle (k(k-1)/2)(b1+b2)]",
     ),
     IdentityCheck(
         "eq-5.17", "applying (5.16) and then (5.17)",
         "oracle sweep k <= 30 with random rational b; printed probe k=5, "
         "b=(1,2)",
-        _check_second_bracket_display, "FAILS_AS_PRINTED",
+        _bracket_display(
+            2, _q2,
+            lambda k, b1, b2: (_printed_t(1, k) * _printed_t(3, k) * b1 * b2 * (b1**2 + b2**2)
+                               + _printed_t(2, k)**2 * b1**2 * b2**2),
+            (1, 2), "k=5, b=(1,2): printed T-form = {}, true coefficient {} "
+                    "(= 2! times the oracle x^2 coefficient)",
+            "(k^2/3 - k/2 + 1/6)(b_1^2 + b_2^2) + ((k-1)^2/2) b_1 b_2",
+        ),
+        "FAILS_AS_PRINTED",
         "[DERIVED: second-order bracket oracle value 46 at k=5, b=(1,2)]",
     ),
     IdentityCheck(

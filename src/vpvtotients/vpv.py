@@ -24,6 +24,9 @@ registry passes each display's f, weights and p, printed and corrected forms
 alike.  Both take each selector as an (N, h) int64 array from
 `enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
 rows once as Python ints.  The other checks iterate the selector as tuples.
+The brackets themselves are registry data: every bracket display reads one
+oracle bracket, a full-grid power sum, and the registry holds the printed
+T-coefficients beside it, so this module has no bracket code.
 
 The exact displays that need no selector, only the tails S_v and a weight
 w(v), are one function, `weighted_regroup_check(a, f, w)`: the Jordan- and
@@ -51,14 +54,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb
 from operator import mul
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceError
-from .exactcore import bernoulli, grid_power_sum
 from .totients import (
     DEFAULT_SELECTOR_CAP,
     LatticeSelector,
@@ -76,9 +77,6 @@ __all__ = [
     "thm_5_2_check",
     "thm_5_8_check",
     "thm_5_10_check",
-    "printed_t",
-    "bracket_polynomial",
-    "bracket_polynomial_oracle",
     "cor_5_3_check",
     "weighted_regroup_check",
     "power_regroup_check",
@@ -364,64 +362,6 @@ def thm_5_10_check(a: FiniteSequence, bs: list, x: float) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# the coefficient bracket of the h-factor rearrangement
-
-
-def printed_t(mu: int, k: int) -> Fraction:
-    """The printed bracket coefficient
-    T_mu = -sum_{alpha=1..mu} C(mu, alpha) B_alpha / k^(alpha-1) (B_1 = -1/2)."""
-    return -sum(
-        comb(mu, alpha) * bernoulli(alpha) / Fraction(k) ** (alpha - 1)
-        for alpha in range(1, mu + 1)
-    )
-
-
-def bracket_polynomial(h: int, m: int, k: int, bs_at_k) -> Fraction:
-    """Printed bracket: coefficient of x^m in
-    prod_{L=1..h} sum_{mu>=1} T_mu (b_L x)^(mu-1), T_mu = printed_t(mu, k).
-    Compare with bracket_polynomial_oracle."""
-    if k < 1 or m < 1 or h < 1:
-        raise DomainError("h, m, k must be positive")
-    bs = [Fraction(b) for b in bs_at_k]
-    if len(bs) != h:
-        raise DomainError("need one b value per factor")
-    ts = [printed_t(mu, k) for mu in range(1, m + 2)]
-    # factor L has coefficient T_{j+1} * b_L^j at x^j
-    polys = [[ts[j] * b**j for j in range(m + 1)] for b in bs]
-    return _poly_product_coeff(polys, m)
-
-
-def bracket_polynomial_oracle(h: int, m: int, k: int, bs_at_k) -> Fraction:
-    """The bracket that actually balances the h-factor rearrangement:
-    sum over A in [0, k)^h of ((A_1 b_1 + ... + A_h b_h) / k)^m, which is
-    m! times the coefficient of x^m in prod_L sum_{A<k} exp(b_L A x / k).
-
-    This is `exactcore.grid_power_sum` with weights b_L / k; at k = 1 the
-    grid is the origin alone and the bracket is 0^m = 0.
-    """
-    if k < 1 or m < 1 or h < 1:
-        raise DomainError("h, m, k must be positive")
-    bs = [Fraction(b) for b in bs_at_k]
-    if len(bs) != h:
-        raise DomainError("need one b value per factor")
-    return grid_power_sum(m, k, [b / k for b in bs])
-
-
-def _poly_product_coeff(polys: list, m: int) -> Fraction:
-    acc = [Fraction(0)] * (m + 1)
-    acc[0] = Fraction(1)
-    for p in polys:
-        nxt = [Fraction(0)] * (m + 1)
-        for i, ai in enumerate(acc):
-            if not ai:
-                continue
-            for j in range(m + 1 - i):
-                nxt[i + j] += ai * p[j]
-        acc = nxt
-    return acc[m]
-
-
-# --------------------------------------------------------------------------
 # the trivariate visible-point product (cor-5.3)
 
 
@@ -489,8 +429,8 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
         sum_k a_k f(k)
         = sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
 
-    with b_k = weights(k), a vector of h rationals.  f is evaluated only
-    where a_k != 0; returns (lhs, rhs) as Fractions.  p >= 1: at p = 0 the
+    with b_k = weights(k), a vector of h >= 1 rationals.  f is evaluated
+    only where a_k != 0; returns (lhs, rhs) as Fractions.  p >= 1: at p = 0 the
     origin of each grid adds 0^0 = 1, which no selector of v >= 2 holds (that
     count, eq-4.4, is `weighted_regroup_check` with w = J_h).
 
@@ -501,6 +441,8 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
     p = 3) and the total is divided once by (D v)^p.  This stays an
     enumeration, like `_regroup_rhs`.
     """
+    if h < 1:
+        raise DomainError("need at least one exponent sequence")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     n = a.bound

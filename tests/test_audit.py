@@ -222,8 +222,8 @@ def _one(value):
     return 1  # patched into both sides, it balances them
 
 
-def _oracle_bracket(printed):
-    return 20  # the oracle bracket at h=2, m=1, k=5, b=(1,1)
+def _oracle_bracket(t_2):
+    return 20  # as T_2 in 2 T_1 T_2 (T_1 = 1/2): the oracle bracket at k=5, b=(1,1)
 
 
 def _half(sides):
@@ -355,11 +355,13 @@ FAILURE_PATHS = [
     ("cor-5.11", (("power_regroup_check", 4, _split),),
      Outcome("SKIPPED", None, None,
              ("oracle bracket imbalance at h=2, m=1",))),
-    ("cor-5.11", (("bracket_polynomial", 1, _oracle_bracket),),
+    # _printed_t calls 1-2 are T_1 and T_2 of the printed probe 2 T_1 T_2
+    ("cor-5.11", (("_printed_t", 2, _oracle_bracket),),
      Outcome("PASS", 0.0)),
-    ("eq-5.16", (("bracket_polynomial_oracle", 10, _plus_one),),
+    # _bracket call 10 is the first oracle case at k=5 (three per k from 2)
+    ("eq-5.16", (("_bracket", 10, _plus_one),),
      Outcome("SKIPPED", None, None, ("first-order oracle mismatch at k=5",))),
-    ("eq-5.17", (("bracket_polynomial_oracle", 10, _plus_one),),
+    ("eq-5.17", (("_bracket", 10, _plus_one),),
      Outcome("SKIPPED", None, None, ("second-order oracle mismatch at k=5",))),
     ("cor-5.12", (("power_regroup_check", 1, _balance),),
      Outcome("PASS", 0.0)),

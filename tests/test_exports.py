@@ -23,9 +23,9 @@ def test_registry_imports_no_private_name():
     # corrected forms) and calls the library modules only by public names
     tree = ast.parse(Path(registry.__file__).read_text())
     private = [
-        f"{node.module}.{alias.name}"
+        f"{node.module or ''}.{alias.name}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -47,17 +47,28 @@ def test_no_reading_options(module):
     assert not options, options
 
 
-def test_vpv_imports_nothing_from_series():
-    # vpv holds lattice enumeration and regrouping; the exact z-series
-    # product displays are registry data
+def _vpv_imports_from(module):
     from vpvtotients import vpv
 
     tree = ast.parse(Path(vpv.__file__).read_text())
-    imports = [
+    return [
         ast.unparse(node)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
-        if "series" in [*(getattr(node, "module", None) or "").split("."),
-                        *(alias.name.split(".")[-1] for alias in node.names)]
+        if module in [*(getattr(node, "module", None) or "").split("."),
+                      *(alias.name.split(".")[-1] for alias in node.names)]
     ]
+
+
+def test_vpv_imports_nothing_from_series():
+    # vpv holds lattice enumeration and regrouping; the exact z-series
+    # product displays are registry data
+    imports = _vpv_imports_from("series")
+    assert not imports, imports
+
+
+def test_vpv_imports_nothing_from_exactcore():
+    # the oracle bracket (a full-grid power sum) and the printed
+    # T-coefficients (Bernoulli numbers) are registry data
+    imports = _vpv_imports_from("exactcore")
     assert not imports, imports

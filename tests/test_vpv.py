@@ -10,7 +10,7 @@ import pytest
 import vpvtotients._kernels as kernels
 from vpvtotients import vpv
 from vpvtotients.audit import registry, run_audit
-from vpvtotients.audit.registry import _bracket_sides, _q1, _q2
+from vpvtotients.audit.registry import _bracket, _bracket_sides, _printed_t, _q1, _q2
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, grid_power_sum, moebius
 from vpvtotients.series import PowerSeries, log_one_minus_z_pow, product_with_exponents, ps_exp, ps_mul
@@ -18,8 +18,6 @@ from vpvtotients.totients import jordan, m_phi, unnormalized_phi
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
-    bracket_polynomial,
-    bracket_polynomial_oracle,
     cor_5_3_check,
     hyperpyramid_log_check,
     lemma_3_2_check,
@@ -74,8 +72,8 @@ def _grid_sides(c, a, x, y):
     )
 
 
-def _oracle_bracket(h, m):
-    return lambda k, *b: bracket_polynomial_oracle(h, m, k, b)
+def _oracle_bracket(m):
+    return lambda k, *b: _bracket(m, k, b)
 
 
 # cor-5.12 and cor-5.13 as (bracket, p), printed and corrected
@@ -191,6 +189,18 @@ def test_float_checks_need_an_exponent_sequence():
             check()
 
 
+def test_power_regroup_check_needs_an_exponent_sequence():
+    # h = 0 is refused before either side is evaluated: with support at k = 1
+    # alone no selector is enumerated, and a selector of m = 0 is refused
+    def f(k):
+        raise AssertionError(f"f evaluated at k={k}")
+
+    for a in (FiniteSequence({1: Fraction(1)}, 1),
+              FiniteSequence({1: Fraction(1), 3: Fraction(-2)}, 3)):
+        with pytest.raises(DomainError, match="need at least one exponent sequence"):
+            power_regroup_check(a, f, lambda k: (), 0, 1)
+
+
 def _brute_selector_exp_sum(h, v, b, x):
     """sum over j in [0, v)^h with gcd(j, v) = 1 of exp((j . b) x / v), by a
     scalar loop over the whole grid."""
@@ -269,7 +279,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         )
     for h in (1, 2, 3):
         checks[f"cor-5.11 h={h}"] = lambda h=h: _bracket_sides(
-            a, [b, c, d][:h], _oracle_bracket(h, 2), 2
+            a, [b, c, d][:h], _oracle_bracket(2), 2
         )
     tuple_checks = {"eq-4.16 n=3", "cor-5.3"}
     for name, check in checks.items():
@@ -611,22 +621,23 @@ def test_geometric_block_display_counterexample():
 
 def test_bracket_oracle_vs_printed_form():
     bs = [Fraction(1), Fraction(1)]
-    assert bracket_polynomial(2, 1, 5, bs) != bracket_polynomial_oracle(2, 1, 5, bs)
+    # the printed generator's x^1 coefficient at h = 2, b = (1, 1)
+    assert 2 * _printed_t(1, 5) * _printed_t(2, 5) != _bracket(1, 5, bs)
     # at k = 1 the grid is the origin alone, so the bracket is 0^m = 0
     for h, m in ((1, 1), (2, 3), (3, 2)):
-        got = bracket_polynomial_oracle(h, m, 1, [Fraction(3, 2)] * h)
+        got = _bracket(m, 1, [Fraction(3, 2)] * h)
         assert isinstance(got, Fraction) and got == 0
     # first-order oracle equals (k(k-1)/2)(b1+b2)
     for k in range(2, 20):
         want = Fraction(k * (k - 1), 2) * 2
-        assert bracket_polynomial_oracle(2, 1, k, bs) == want
+        assert _bracket(1, k, bs) == want
     # with the oracle bracket the h-factor bracket identity balances exactly
     rng = random.Random(11)
     a = _rand_seq(rng, 12)
     for h in (1, 2, 3):
         for m in (1, 2, 3):
             bs = [_rand_seq(rng, 12) for _ in range(h)]
-            lhs, rhs = _bracket_sides(a, bs, _oracle_bracket(h, m), m)
+            lhs, rhs = _bracket_sides(a, bs, _oracle_bracket(m), m)
             assert lhs == rhs, (h, m)
 
 
