@@ -1229,7 +1229,8 @@ _ENTRIES = [
     ),
     IdentityCheck(
         "eq-4.3", "equating coefficients of like powers",
-        "c in {0,2,4}, random rational sequences and x, y",
+        "c in {2,4}, random rational sequences and x, y; the c = 0 count "
+        "is eq-4.4",
         _check_grid_coefficients(
             (2, 4),
             "same index repair as the preceding display (C vs c); the "

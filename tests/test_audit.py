@@ -91,7 +91,7 @@ def test_grid_power_sum_ids_report_bytes_pinned():
     ]
     body = run_audit(ids, seed=0).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "7c26d9a98bb4e5eee338b991e65cb9ba38826cf6222b84363a8a2f2567d86dd2"
+        "0cf442d16821cd4cc492fa4db8c91dbf24f87fd1c42532b038481a259694a61b"
     )
 
 
@@ -450,5 +450,5 @@ def test_exact_ids_report_bytes_pinned():
     ]
     body = run_audit(ids, seed=0).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "5b66ca6c75788ae02841120472317df01f83c4a0eb21abf3d86cdc2fcbcbc1d6"
+        "f6d303cec9bd37695fb6f77231d8b49b5ddd3e1422b670b897893a2087952440"
     )
