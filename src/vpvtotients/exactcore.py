@@ -5,8 +5,8 @@ the functions here: gcd of tuples, factorization by trial division (no
 sieve table; divisors stop at FACTOR_TRIAL_CAP = 10^7), the Moebius
 function, divisor lists, Bernoulli numbers (B1 = -1/2 convention), Stirling
 numbers of the second kind, power sums, and the full-grid power sum that
-the phi_t closed form, the grid-power identities and the bracket oracle
-share.
+the phi_t closed form and the audit registry's oracle bracket (read by the
+grid-power and bracket displays) share.
 
 Rational values are plain ``fractions.Fraction`` instances; the stdlib type
 already maintains the normalized-form invariant (gcd(|num|, den) = 1,
