@@ -221,7 +221,9 @@ def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
 def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
     """The selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
     visible denominator v = 2..K, h = len(thetas), enumerated by the shared
-    kernel once the selector cap admits (h, K)."""
+    kernel once the selector cap admits (h, K); h >= 1."""
+    if not thetas:
+        raise DomainError("need at least one theta factor")
     _check_cap(len(thetas), K)
     return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
 

@@ -12,6 +12,7 @@ from vpvtotients.analytic import (
     ramanujan_mean_zero_direct,
     ramanujan_mean_zero_table,
     real_rotation,
+    selector_weights,
     theta1,
     theta_log_ratio_check,
     theta_vpv_check,
@@ -167,6 +168,15 @@ def test_theta_real_factor_domain():
 def test_theta_q_out_of_range_raises():
     with pytest.raises(DomainError, match="0 <= q < 1"):
         theta_vpv_check((2 + 0j,), 1.2, 0.7, 0.3, K=40)
+
+
+def test_theta_needs_a_factor():
+    # refused before any kernel call (the kernel's outer-product reduce
+    # has nothing to reduce)
+    for call in (lambda: selector_weights((), 5),
+                 lambda: theta_vpv_check((), 0.1, 0.7, 0.3, K=5)):
+        with pytest.raises(DomainError, match="need at least one theta factor"):
+            call()
 
 
 def test_dirichlet_domain_errors():
