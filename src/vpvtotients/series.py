@@ -7,16 +7,20 @@ are fractions.Fraction.  The exp and log recurrences (and so products
 prod (1 - z^k)^{r_k}) run on integers scaled by the lcm
 of the input denominators, with one exact division per output coefficient,
 and refuse with ResourceError inputs whose predicted work is above a cap.
+
+This module is only that algebra.  The Stirling expansions of the
+Jordan-totient product (eq-4.14 and eq-4.15) are audit-registry data: the
+registry builds their power sums and exponent series from Stirling numbers
+and hands them to `ps_exp` here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, log2
+from math import lcm, log2
 
 from .errors import DomainError, ResourceError
-from .exactcore import stirling2
 
 __all__ = [
     "PowerSeries",
@@ -26,8 +30,6 @@ __all__ = [
     "ps_log",
     "product_with_exponents",
     "check_power_sum_work",
-    "stirling_rhs_series",
-    "finite_stirling_check",
 ]
 
 DEFAULT_ORDER = 64
@@ -230,60 +232,3 @@ def product_with_exponents(exps: dict, order: int = DEFAULT_ORDER) -> PowerSerie
         for m in range(k, order + 1, k):
             c[m] -= kr
     return _exp_from_derivative(c)
-
-
-def stirling_rhs_series(m: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """sum_{j=0}^{m-1} S(m-1, j) j! z^j / (1-z)^(j+1) as a truncated series.
-
-    Coefficient of z^n is sum_j S(m-1, j) j! C(n, j), the falling-factorial
-    expansion of n^(m-1), so the series is sum_{n>=0} n^(m-1) z^n with
-    0^0 = 1.
-    """
-    if m < 1:
-        raise DomainError("stirling_rhs_series requires m >= 1")
-    c = []
-    for n in range(order + 1):
-        c.append(
-            sum(
-                stirling2(m - 1, j) * factorial(j) * comb(n, j)
-                for j in range(min(m - 1, n) + 1)
-            )
-        )
-    return PowerSeries(tuple(Fraction(v) for v in c))
-
-
-def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def _poly_eval(coeffs: list[Fraction], z: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def finite_stirling_check(m: int, n: int, z) -> bool:
-    """Check sum_{k=0}^{n-1} k^(m-1) z^k against the Stirling-derivative form.
-
-    Right side: sum_j S(m-1, j) z^j d^j/dz^j [1 + z + ... + z^(n-1)], with
-    the derivative taken exactly on polynomial coefficients.  0^0 = 1.
-    """
-    if m < 1 or n < 1:
-        raise DomainError("finite_stirling_check requires m >= 1 and n >= 1")
-    z = _as_fraction(z)
-    if z == 1:
-        raise DomainError("z = 1 is outside the identity's domain")
-    lhs = sum(
-        (Fraction(1 if (k == 0 and m == 1) else k ** (m - 1)) * z**k for k in range(n)),
-        Fraction(0),
-    )
-    poly = [Fraction(1)] * n  # 1 + z + ... + z^(n-1)
-    rhs = Fraction(0)
-    deriv = poly
-    for j in range(m):
-        s = stirling2(m - 1, j)
-        if s:
-            rhs += s * z**j * _poly_eval(deriv, z)
-        deriv = _poly_derivative(deriv)
-    return lhs == rhs

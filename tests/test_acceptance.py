@@ -11,14 +11,9 @@ from fractions import Fraction
 
 from vpvtotients.analytic import dirichlet_partial_cohen, theta_log_ratio_check, theta_vpv_check
 from vpvtotients.audit import REGISTRY, discover_linear_relation, run_audit
+from vpvtotients.audit.registry import _falling_expansion, _finite_stirling_sides
 from vpvtotients.exactcore import divisors
-from vpvtotients.series import (
-    PowerSeries,
-    finite_stirling_check,
-    product_with_exponents,
-    ps_exp,
-    stirling_rhs_series,
-)
+from vpvtotients.series import PowerSeries, product_with_exponents, ps_exp
 from vpvtotients.totients import (
     jordan,
     phi_t,
@@ -122,12 +117,13 @@ def test_criterion_05_stirling_identities():
     order = 32
     for m in range(2, 9):
         assert _jordan_product_series(m, order) == ps_exp(
-            stirling_rhs_series(m, order)
+            PowerSeries(tuple(_falling_expansion(m, k) for k in range(order + 1)))
         )
     for m in range(1, 7):
         for n in range(1, 13):
             for z in (Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(1, 3)):
-                assert finite_stirling_check(m, n, z)
+                lhs, rhs = _finite_stirling_sides(m, n, z)
+                assert lhs == rhs
     print("criterion 5: PASS")
 
 

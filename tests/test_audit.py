@@ -308,7 +308,7 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", None, "m=2, k=12")),
     ("eq-4.13", (("ps_exp", 2, _off),),
      Outcome("FAILS_AS_PRINTED", None, "m=2")),
-    ("eq-4.14", (("finite_stirling_check", 100, _negate),),
+    ("eq-4.14", (("_finite_stirling_sides", 100, _split),),
      Outcome("FAILS_AS_PRINTED", None, "m=3, n=1, z=1/3")),
     ("eq-4.15", (("ps_exp", 3, _off),),
      Outcome("FAILS_AS_PRINTED", None, "m=4")),

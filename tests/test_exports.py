@@ -47,10 +47,9 @@ def test_no_reading_options(module):
     assert not options, options
 
 
-def _vpv_imports_from(module):
-    from vpvtotients import vpv
-
-    tree = ast.parse(Path(vpv.__file__).read_text())
+def _imports_from(importer, module):
+    mod = importlib.import_module(f"vpvtotients.{importer}")
+    tree = ast.parse(Path(mod.__file__).read_text())
     return [
         ast.unparse(node)
         for node in ast.walk(tree)
@@ -63,12 +62,19 @@ def _vpv_imports_from(module):
 def test_vpv_imports_nothing_from_series():
     # vpv holds lattice enumeration and regrouping; the exact z-series
     # product displays are registry data
-    imports = _vpv_imports_from("series")
+    imports = _imports_from("vpv", "series")
     assert not imports, imports
 
 
 def test_vpv_imports_nothing_from_exactcore():
     # the oracle bracket (a full-grid power sum) and the printed
     # T-coefficients (Bernoulli numbers) are registry data
-    imports = _vpv_imports_from("exactcore")
+    imports = _imports_from("vpv", "exactcore")
+    assert not imports, imports
+
+
+def test_series_imports_nothing_from_exactcore():
+    # series is only the power-series algebra; the Stirling expansions of
+    # eq-4.14 and eq-4.15 are registry data
+    imports = _imports_from("series", "exactcore")
     assert not imports, imports

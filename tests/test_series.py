@@ -4,17 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from vpvtotients.audit.registry import _falling_expansion, _finite_stirling_sides
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.series import (
     PowerSeries,
     check_power_sum_work,
-    finite_stirling_check,
     log_one_minus_z_pow,
     product_with_exponents,
     ps_exp,
     ps_log,
     ps_mul,
-    stirling_rhs_series,
 )
 
 
@@ -170,17 +169,26 @@ def test_partition_product():
     assert [int(c) for c in got.coeffs] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 
+# The Stirling displays (eq-4.14, eq-4.15) are audit-registry data; these
+# tests check the registry's falling-factorial expansion of k^(m-1).
+
+
+def _stirling_rhs_series(m, order):
+    """sum_j S(m-1, j) j! z^j / (1-z)^(j+1), the eq-4.15 exponent."""
+    return PowerSeries(tuple(_falling_expansion(m, k) for k in range(order + 1)))
+
+
 def test_power_sum_series_values():
-    s = stirling_rhs_series(3, 6)
+    s = _stirling_rhs_series(3, 6)
     assert s.coeffs == tuple(
         Fraction(v) for v in (0, 1, 4, 9, 16, 25, 36)
     )
-    assert stirling_rhs_series(1, 4) == PowerSeries((1, 1, 1, 1, 1))
+    assert _stirling_rhs_series(1, 4) == PowerSeries((1, 1, 1, 1, 1))
 
 
 def test_stirling_rhs_series_low_orders():
     # m = 2: sum_j S(1, j) j! z^j / (1-z)^(j+1) has coefficient n at z^n
-    s = stirling_rhs_series(2, 8)
+    s = _stirling_rhs_series(2, 8)
     assert s.coeffs == tuple(Fraction(n) for n in range(9))
 
 
@@ -188,7 +196,8 @@ def test_finite_stirling_grid():
     for m in range(1, 7):
         for n in range(1, 13):
             for z in (Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(1, 3)):
-                assert finite_stirling_check(m, n, z)
+                lhs, rhs = _finite_stirling_sides(m, n, z)
+                assert lhs == rhs
 
 
 def test_series_equality_is_exact():
