@@ -23,7 +23,8 @@ f against a sum of rational p-th powers over each selector; the audit
 registry passes each display's f, weights and p, printed and corrected forms
 alike.  Both take each selector as an (N, h) int64 array from
 `enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
-rows once as Python ints.  The other checks iterate the selector as tuples.
+rows once as Python ints.  Only cor-5.3 iterates the selector as tuples;
+eq-4.16 reads the visible points of a hyperpyramid region.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
@@ -429,10 +430,12 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
         sum_k a_k f(k)
         = sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} ((j . b_{vw}) / v)^p
 
-    with b_k = weights(k), a vector of h >= 1 rationals.  f is evaluated
-    only where a_k != 0; returns (lhs, rhs) as Fractions.  p >= 1: at p = 0 the
-    origin of each grid adds 0^0 = 1, which no selector of v >= 2 holds (that
-    count, eq-4.4, is `weighted_regroup_check` with w = J_h).
+    with b_k = weights(k), a vector of h >= 1 rationals, read once for each
+    k >= 2 with a_k != 0; a vector of another length is refused before
+    either side is summed.  f is evaluated only where a_k != 0; returns
+    (lhs, rhs) as Fractions.  p >= 1: at p = 0 the origin of each grid adds
+    0^0 = 1, which no selector of v >= 2 holds (that count, eq-4.4, is
+    `weighted_regroup_check` with w = J_h).
 
     The selector of each v is enumerated once, as an (N, h) int64 array
     whose rows are read once as Python ints.  For each multiple the weights
@@ -445,16 +448,21 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
         raise DomainError("need at least one exponent sequence")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
+    b = {k: [Fraction(c) for c in weights(k)]
+         for k, ak in a.support.items() if ak and k >= 2}
+    for k, bk in b.items():
+        if len(bk) != h:
+            raise DomainError(f"weights({k}) has {len(bk)} values, need h = {h}")
     n = a.bound
     lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
     rhs = Fraction(0)
     for v in range(2, n + 1):
-        ks = [v * w for w in range(1, n // v + 1) if a(v * w)]
+        ks = [k for k in range(v, n + 1, v) if k in b]
         if not ks:
             continue
         rows = enumerate_selector(LatticeSelector(h, v), as_array=True).tolist()
         for k in ks:
-            bk = [Fraction(c) for c in weights(k)]
+            bk = b[k]
             den = math.lcm(*(c.denominator for c in bk))
             nums = [c.numerator * (den // c.denominator) for c in bk]
             total = sum(sum(map(mul, row, nums)) ** p for row in rows)
@@ -470,8 +478,8 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
     """Matched-index check of the hyperpyramid product (audit id eq-4.16),
     restricted to real 0 < x_i < 1 and rational b_i with sum(b_i) = 1.
 
-    lhs = sum over visible points (a_1..a_n), all a_i >= 1,
-    a_1..a_{n-1} < a_n <= cutoff, of the log-series terms
+    lhs = sum over the visible points (a_1..a_n) of the hyperpyramid region
+    a_1..a_{n-1} < a_n <= cutoff with all a_i >= 1, of the log-series terms
     sum_{l <= cutoff/a_n} (1/l) (prod x_i^(a_i))^l / prod a_i^(b_i);
     rhs = sum_{k<=cutoff} prod_{i<n} (sum_{j=1}^{k-1} x_i^j / j^(b_i))
     x_n^k / k^(b_n).  The index bijection (j_i, k) = l (a_i, a_n) makes the
@@ -491,8 +499,12 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
     n = len(xs)
     bsf = [float(v) for v in bs]
 
+    region = RadialRegion(n, (cutoff,) * n, "hyperpyramid")
+    # summed by apex, lexicographic within an apex (a stable sort)
+    points = sorted((pt for pt in visible_points(region) if all(pt)),
+                    key=lambda pt: pt[-1])
     lhs = 0.0
-    for pt in _hyperpyramid_visible(n, cutoff):
+    for pt in points:
         xpow = math.prod(v**a for v, a in zip(xs, pt))
         weight = math.prod(float(a) ** b for a, b in zip(pt, bsf))
         term = 0.0
@@ -510,16 +522,3 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
         rhs += term
     return lhs, rhs
 
-
-def _hyperpyramid_visible(n: int, cutoff: int):
-    """Visible points with all coordinates >= 1 and a_1..a_{n-1} < a_n <= cutoff:
-    for each apex a_n, the (n-1)-dimensional selector tuples of a_n with no
-    zero coordinate."""
-    if n == 1:
-        return [(1,)] if cutoff >= 1 else []
-    return [
-        js + (an,)
-        for an in range(2, cutoff + 1)
-        for js in enumerate_selector(LatticeSelector(n - 1, an))
-        if all(js)
-    ]

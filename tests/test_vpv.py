@@ -201,6 +201,18 @@ def test_power_regroup_check_needs_an_exponent_sequence():
             power_regroup_check(a, f, lambda k: (), 0, 1)
 
 
+def test_power_regroup_check_needs_h_weights():
+    # a weight vector of another length than h is refused before either side
+    # is summed; zipped with the selector rows, (1,) would act as (1, 0) and
+    # (1, 1, 1) as (1, 1)
+    def f(k):
+        raise AssertionError(f"f evaluated at k={k}")
+
+    for weights in ((1,), (1, 1, 1)):
+        with pytest.raises(DomainError, match="need h = 2"):
+            power_regroup_check(_delta(4), f, lambda k: weights, 2, 1)
+
+
 def _brute_selector_exp_sum(h, v, b, x):
     """sum over j in [0, v)^h with gcd(j, v) = 1 of exp((j . b) x / v), by a
     scalar loop over the whole grid."""
@@ -245,8 +257,8 @@ def test_regrouping_inner_sum_three_routes():
 def test_checks_enumerate_each_selector_once(monkeypatch):
     # perfbench's traced run wraps vpv.enumerate_selector by name and divides
     # by its call count; a repeated (m, k) within one check is wasted work
-    # the engines must ask it for the int64 array; the other checks iterate
-    # tuples
+    # the engines must ask it for the int64 array; cor-5.3 iterates tuples
+    # (eq-4.16 reads a hyperpyramid region and enumerates no selector)
     calls, arrays = [], []
     original = vpv.enumerate_selector
 
@@ -268,9 +280,6 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         "cor-5.12 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_FIRST),
         "cor-5.13 printed": lambda: _bracket_sides(a, [b, c], *_PRINTED_SECOND),
         "cor-5.13 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_SECOND),
-        "eq-4.16 n=3": lambda: hyperpyramid_log_check(
-            (0.4, 0.3, 0.5), (Fraction(1, 3),) * 3, 10
-        ),
         "cor-5.3": lambda: cor_5_3_check(0.3, 0.2, 0.25, 20),
     }
     for p in (1, 2, 3, 4):
@@ -281,7 +290,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         checks[f"cor-5.11 h={h}"] = lambda h=h: _bracket_sides(
             a, [b, c, d][:h], _oracle_bracket(2), 2
         )
-    tuple_checks = {"eq-4.16 n=3", "cor-5.3"}
+    tuple_checks = {"cor-5.3"}
     for name, check in checks.items():
         calls.clear()
         arrays.clear()
@@ -813,6 +822,9 @@ def test_hyperpyramid_log_truncation():
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
     with pytest.raises(DomainError):
         hyperpyramid_log_check((1.2, 0.3), (Fraction(1, 2), Fraction(1, 2)), 10)
+    # the points are those of a hyperpyramid region, whose bounds are >= 1
+    with pytest.raises(DomainError, match="bounds must be >= 1"):
+        hyperpyramid_log_check((0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 0)
 
 
 def test_region_validation():
