@@ -521,4 +521,3 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
             term *= sum(xs[i] ** j / float(j) ** bsf[i] for j in range(1, k))
         rhs += term
     return lhs, rhs
-
