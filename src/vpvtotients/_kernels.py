@@ -1,11 +1,14 @@
 """Selector and visible-point enumeration kernels, vectorized with numpy.
 
-Every selector kernel reads one k^m boolean mask, `_selector_mask(m, k)`,
-folded from gcd(arange(k), k) with `np.gcd.outer`, as gcd(j_1..j_m, k) =
-gcd(gcd(j_1,k), ..., gcd(j_m,k)); no (m, k^m) coordinate grid is built. The
-fold runs in the narrowest unsigned dtype that holds k
-(`np.min_scalar_type(k)`: uint8 up to 255, uint16 up to 65535), so its
-temporaries cost 1 or 2 bytes a point, not 8. Values are `np.add.outer` folds
+Every selector kernel reads one k^m boolean mask, `_selector_mask(m, k)`.
+A point j leaves the selector exactly when some prime p | k divides every
+coordinate, so the mask is `ones` with one strided clear, every p-th index on
+each axis, per distinct prime of k (at most 8 under the 10^7 cap); the
+visible-box mask is sieved the same way, by the primes up to its smallest
+bound. A mask costs one byte a point and builds no temporary. The primes are
+found here by trial division and a small sieve, not by `exactcore.factorize`,
+which the closed form `jordan` uses, so that `selector_count == jordan`
+compares two independent factorizations. Values are `np.add.outer` folds
 of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
 residue histogram and weights its k bins, so it takes k cosines.
 
@@ -19,8 +22,7 @@ products j . b as one matrix product. `selector_tuples` is
 Python ints: the mask bytes cost one byte a point, and `product` shares one
 Python int per coordinate value instead of creating one per point. It is what
 the public `enumerate_selector` returns by default, and it serves the `vpv`
-checks that walk the points one at a time (cor-5.3 and the eq-4.16
-hyperpyramid).
+check that walks the points one at a time (cor-5.3).
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -30,6 +32,7 @@ the tests can count calls by replacing the attribute.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import compress, product
 
@@ -39,10 +42,35 @@ import numpy as np
 BACKEND = "pure"
 
 
+def _distinct_primes(k: int) -> list[int]:
+    """The distinct primes dividing k >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return primes + [k] if k > 1 else primes
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, by a bytearray sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
+
+
 def _selector_mask(m: int, k: int) -> np.ndarray:
     """The selector as a (k,)*m boolean array: gcd(j_1..j_m, k) = 1, j != 0."""
-    g = np.gcd(np.arange(k, dtype=np.min_scalar_type(k)), k)
-    mask = reduce(np.gcd.outer, [g] * m) == 1
+    mask = np.empty((k,) * m, dtype=bool)
+    mask.fill(True)  # np.ones costs about 1 us more, most of a small k's mask
+    for p in _distinct_primes(k):
+        mask[(slice(None, None, p),) * m] = False  # p divides k and every j_i
     mask[(0,) * m] = False  # the origin has gcd k, so this acts only at k = 1
     return mask
 
@@ -96,8 +124,13 @@ def selector_power_sum(t: int, m: int, k: int) -> int:
 
 def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
     """The box prod [1, b_i] as a boolean array: coordinate gcd 1."""
-    dtype = np.min_scalar_type(max(bounds))
-    return reduce(np.gcd.outer, [np.arange(1, b + 1, dtype=dtype) for b in bounds]) == 1
+    mask = np.ones(bounds, dtype=bool)
+    if len(bounds) == 1:
+        mask[1:] = False  # gcd(a) = a, so only (1,) is visible
+        return mask
+    for p in _primes_upto(min(bounds)):
+        mask[(slice(p - 1, None, p),) * len(bounds)] = False  # p | every a_i
+    return mask
 
 
 def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:

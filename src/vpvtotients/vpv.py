@@ -115,8 +115,8 @@ class FiniteSequence:
 
 _REGION_CONSTRAINTS = ("box", "hyperpyramid")
 
-# the visible points of a box are read from one numpy gcd array with an axis
-# per dimension, and numpy arrays have at most 64 axes
+# the visible points of a box are read from one numpy boolean mask with an
+# axis per dimension, and numpy arrays have at most 64 axes
 MAX_BOX_DIMS = 64
 
 
@@ -143,8 +143,8 @@ class RadialRegion:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
     def _ranges(self) -> list:
-        """The coordinate ranges whose product points() iterates: 1..b_i on
-        each axis of a box; on a hyperpyramid 0..min(b_i, a_d - 1) on each
+        """The coordinate ranges whose product holds points(): 1..b_i on
+        each axis of a box; on a hyperpyramid 0..min(b_i, b_d - 1) on each
         leading axis and 1..b_d on the apex axis a_d."""
         if self.constraint == "box":
             return [range(1, b + 1) for b in self.bounds]
@@ -152,20 +152,24 @@ class RadialRegion:
         return [range(min(b + 1, apex)) for b in lead] + [range(1, apex + 1)]
 
     def _check_size(self) -> None:
-        """Raise ResourceError when points() would iterate more tuples than
-        the cap; for a box that is the product of its bounds."""
+        """Raise ResourceError when the product of the ranges holds more
+        tuples than the cap; for a box that is the product of its bounds."""
         size = math.prod(r.stop - r.start for r in self._ranges())
         if size > DEFAULT_SELECTOR_CAP:
             raise ResourceError(f"lattice size {size} exceeds cap {DEFAULT_SELECTOR_CAP}")
 
     def points(self):
-        """All lattice points of the region, lexicographic order."""
+        """All lattice points of the region: lexicographic for a box; for a
+        hyperpyramid, by apex coordinate a_d, lexicographic within an apex."""
         self._check_size()
-        tuples = product(*self._ranges())
         if self.constraint == "box":
-            return list(tuples)
-        # hyperpyramid: each leading coordinate below the apex coordinate
-        return [p for p in tuples if all(c < p[-1] for c in p[:-1])]
+            return list(product(*self._ranges()))
+        *lead, top = self.bounds
+        return [
+            p
+            for a in range(1, top + 1)
+            for p in product(*(range(min(b + 1, a)) for b in lead), (a,))
+        ]
 
 
 def _box_bounds(region: RadialRegion) -> tuple:
@@ -177,14 +181,15 @@ def _box_bounds(region: RadialRegion) -> tuple:
 
 
 def visible_points(region: RadialRegion) -> list:
-    """Lattice points of the region with coordinate gcd 1, lexicographic."""
+    """Lattice points of the region with coordinate gcd 1, in the order of
+    `RadialRegion.points`."""
     if region.constraint == "box":
         return _kernels.visible_points_box(_box_bounds(region))
     return [p for p in region.points() if math.gcd(*p) == 1]
 
 
 def visible_count(region: RadialRegion) -> int:
-    """len(visible_points(region)); a box is counted on its gcd mask, with
+    """len(visible_points(region)); a box is counted on its sieved mask, with
     no point built."""
     if region.constraint == "box":
         return _kernels.visible_count_box(_box_bounds(region))
@@ -500,9 +505,8 @@ def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
     bsf = [float(v) for v in bs]
 
     region = RadialRegion(n, (cutoff,) * n, "hyperpyramid")
-    # summed by apex, lexicographic within an apex (a stable sort)
-    points = sorted((pt for pt in visible_points(region) if all(pt)),
-                    key=lambda pt: pt[-1])
+    # summed by apex, lexicographic within an apex: the order of points()
+    points = [pt for pt in visible_points(region) if all(pt)]
     lhs = 0.0
     for pt in points:
         xpow = math.prod(v**a for v, a in zip(xs, pt))

@@ -78,3 +78,11 @@ def test_series_imports_nothing_from_exactcore():
     # eq-4.14 and eq-4.15 are registry data
     imports = _imports_from("series", "exactcore")
     assert not imports, imports
+
+
+def test_kernels_import_nothing_from_exactcore():
+    # the selector masks find their own primes: the closed form jordan
+    # factorizes by exactcore.factorize, so selector_count == jordan would
+    # not catch a factorization bug that both sides shared
+    imports = _imports_from("_kernels", "exactcore")
+    assert not imports, imports

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import product
 
@@ -129,8 +130,10 @@ def test_visible_points_box_cross_backend():
 
 
 def test_kernels_at_mask_dtype_boundaries():
-    # the gcd mask is folded in np.min_scalar_type(k), which widens from
-    # uint8 to uint16 at 256 and from uint16 to uint32 at 65536
+    # k near 2^8 and at 2^16: a power of 2 is sieved by one stride, 255 =
+    # 3 * 5 * 17 by three, and the prime 257 by one that clears only the
+    # origin; the boxes sieve by every prime up to their smallest bound, and
+    # a one-axis box by none
     rng = random.Random(13)
     cases = [(m, k) for k in (255, 256, 257) for m in (1, 2)] + [(1, 65536)]
     for m, k in cases:
@@ -149,18 +152,59 @@ def test_kernels_at_mask_dtype_boundaries():
         assert got == _brute_visible(bounds) and _python_ints(got), bounds
 
 
+def test_sieved_masks_against_brute_oracle():
+    # many distinct primes, prime powers, the empty selector of k = 1, and
+    # boxes with a unit axis or unequal axes
+    cases = ((1, 30030), (2, 210), (2, 243), (2, 256), (4, 12)) + tuple(
+        (m, 1) for m in range(1, 5)
+    )
+    for m, k in cases:
+        brute = _brute_selector(m, k)
+        assert kernels.selector_tuples(m, k) == brute, (m, k)
+        assert kernels.selector_count(m, k) == len(brute), (m, k)
+    for bounds in ((1, 40), (3, 200), (2, 9, 4)):
+        brute = _brute_visible(bounds)
+        assert kernels.visible_points_box(bounds) == brute, bounds
+        assert kernels.visible_count_box(bounds) == len(brute), bounds
+
+
+def test_selector_count_at_eight_primes():
+    # 9699690 = 2*3*5*7*11*13*17*19, the most distinct primes under the cap;
+    # phi is computed here by its own trial division
+    k = n = 9699690
+    phi = k
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    assert kernels.selector_count(1, k) == phi == 1658880
+
+
+def test_one_axis_box_is_not_sieved():
+    # gcd(a) = a, so only (1,) is visible; no prime below 10^7 is visited
+    start = time.perf_counter()
+    assert kernels.visible_count_box((10**7,)) == 1
+    assert time.perf_counter() - start < 1.0
+
+
 def test_kernel_peak_memory_per_grid_point():
     # Each kernel holds one k^m boolean mask and at most one k^m value array
     # at a time; an (m, k^m) int64 coordinate grid alone would cost 24 B/point
-    # at m = 3, and its gcd temporaries ran the peak to about 61 B/point.
-    # The mask is folded in uint8 below k = 256, so counting costs about
-    # 2 B/point; a tuple list costs about 61 B/point at m = 3 (a 64 B tuple
-    # and its 8 B list slot per selected point, 84 % of the grid at k = 60).
+    # at m = 3. The masks are sieved in place, with no temporary, so counting
+    # costs 1 B/point at every k and in every box; a gcd fold would hold its
+    # uint8/16/32 grid beside the mask. A tuple list costs about 61 B/point
+    # at m = 3 (a 64 B tuple and its 8 B list slot per selected point, 84 %
+    # of the grid at k = 60).
     # The int64 array costs 24 B per selected point at m = 3, and stacking
     # the nonzero index arrays holds two such copies at its peak: about
     # 41 B/point.
     cases = (
-        (lambda: kernels.selector_count(3, 100), 100**3, 4),
+        (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
+        (lambda: kernels.selector_count(1, 510510), 510510, 1.5),
+        (lambda: kernels.visible_count_box((1000, 1000)), 1000**2, 1.5),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
         (lambda: kernels.selector_tuples(3, 60), 60**3, 72),

@@ -116,7 +116,7 @@ def test_visible_points_are_coprime():
 
 def test_region_size_cap():
     # the cap is checked before anything is allocated; a hyperpyramid is
-    # charged the tuples its points() iterates, apex * prod min(b_i + 1, apex),
+    # charged the product of its ranges, apex * prod min(b_i + 1, apex),
     # which is 2^31 for 30 unit leading axes under a lattice size of 2
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
@@ -129,7 +129,7 @@ def test_region_size_cap():
 
 
 def test_box_axes_cap():
-    # the box's gcd array has one axis per dimension, and numpy allows 64
+    # the box's mask has one axis per dimension, and numpy allows 64
     assert visible_points(RadialRegion(64, (1,) * 64)) == [(1,) * 64]
     with pytest.raises(ResourceError, match="a box of 65 axes exceeds 64"):
         visible_points(RadialRegion(65, (1,) * 65))
