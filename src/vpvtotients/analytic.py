@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 from . import _kernels
 from .errors import DomainError
@@ -54,7 +55,7 @@ def zeta(s: float) -> float:
     if s <= 1:
         raise DomainError(f"zeta requires s > 1, got {s}")
     N = _ZETA_CUTOFF
-    total = sum(k**-s for k in range(1, N))
+    total = sum(map(pow, range(1, N), repeat(-s)))
     total += N ** (1 - s) / (s - 1) + 0.5 * N**-s
     rising = s  # s(s+1)...(s+2i-2)
     for i in range(1, _ZETA_CORRECTION_TERMS + 1):
@@ -86,9 +87,8 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
     for e in divisors(g) if g else range(1, K + 1):
         if e > K:
             break
-        em = e**m
-        for q in range(1, K // e + 1):
-            out[e * q] += mu[q] * em
+        # out[e * q] += mu(q) e^m for q = 1..K // e
+        out[e::e] = map(add, out[e::e], map(mul, mu[1:K // e + 1], repeat(e**m)))
     return out[1:]
 
 
@@ -106,7 +106,7 @@ def dirichlet_partial_cohen(
     g = _nonzero_gcd(n, "divisor sum undefined, series divergent")
     cs = _cohen_values(n, K)
     m = len(n)
-    partial = sum(c / k ** (s + 1.0) for k, c in enumerate(cs, start=1))
+    partial = sum(map(truediv, cs, map(pow, range(1, K + 1), repeat(s + 1.0))))
     companion = sum(d ** (m - 1.0 - s) for d in divisors(g)) / zeta(s + 1.0)
     return partial, companion
 
@@ -146,7 +146,7 @@ def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
     c_k(n)/k."""
     _nonzero_gcd(n, "sum diverges")
     cs = _cohen_values(n, K)
-    return sum(c / k for k, c in enumerate(cs, start=1))
+    return sum(map(truediv, cs, range(1, K + 1)))
 
 
 def theta1(z: float, q: float, tol: float = 1e-12) -> float:

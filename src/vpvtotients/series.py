@@ -4,21 +4,20 @@ The carrier for every infinite-product identity checked coefficientwise.
 All arithmetic is exact; there is deliberately no floating-point shortcut,
 so a wrong printed coefficient cannot hide inside a tolerance.  Coefficients
 are fractions.Fraction.  The exp and log recurrences (and so products
-prod (1 - z^k)^{r_k}) run on integers scaled by the lcm
-of the input denominators, with one exact division per output coefficient,
-and refuse with ResourceError inputs whose predicted work is above a cap.
+prod (1 - z^k)^{r_k}) are one integer recurrence whose scale grows only by
+the denominators it meets, with one Fraction per output coefficient, and
+refuse with ResourceError inputs whose predicted work is above a cap.
 
-This module is only that algebra.  The Stirling expansions of the
-Jordan-totient product (eq-4.14 and eq-4.15) are audit-registry data: the
-registry builds their power sums and exponent series from Stirling numbers
-and hands them to `ps_exp` here.
+This module is only that algebra: the Stirling expansions of the
+Jordan-totient product (eq-4.14, eq-4.15) are audit-registry data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log2
+from math import gcd, lcm, log2
+from operator import mul
 
 from .errors import DomainError, ResourceError
 
@@ -90,8 +89,9 @@ _SERIES_WORK_CAP = 5 * 10**8
 def _check_work(order: int, growth: float, num_bits: int, den_bits: int) -> None:
     """Raise ResourceError when a recurrence is predicted above the work cap.
 
-    The scaled coefficients have at most order*(growth + den_bits + log2 order
-    + 1) bits, where growth bounds log2|x_j|/j; the multipliers have at most
+    An upper bound, as `_recurrence` scales the n-th coefficient by at most
+    n! D^n: so it has at most order*(growth + den_bits + log2 order + 1)
+    bits, where growth bounds log2|x_j|/j; the multipliers have at most
     num_bits + order*den_bits.  Each of the order^2/2 steps multiplies one of
     each (Karatsuba: big * mult^0.585 words), and each coefficient pays one
     conversion quadratic in its words (the exact division or decimal output).
@@ -119,84 +119,83 @@ def check_power_sum_work(power: int, order: int) -> None:
     )
 
 
-def _scaled(x: list, extra_growth: int) -> tuple:
-    """(D, s) with D the lcm of the denominators of x_1..x_N and
-    s_j = D x_j D^(j-1) integers (s_0 = 0), after the work-cap check."""
-    n = len(x) - 1
-    d = lcm(*(v.denominator for v in x[1:]))
+def _over_lcm(x: list, extra_growth: int) -> tuple:
+    """(D, F) with D the lcm of the denominators of x_1..x_N and F_j = D x_j
+    integers (F_0 = 0), after the work-cap check."""
+    nums, dens = [v.numerator for v in x[1:]], [v.denominator for v in x[1:]]
+    d = lcm(*dens)
     growth = max(
-        (max(v.numerator.bit_length() - v.denominator.bit_length() + 1, 0) / j
-         for j, v in enumerate(x[1:], start=1)),
+        (max(a.bit_length() - b.bit_length() + 1, 0) / j
+         for j, (a, b) in enumerate(zip(nums, dens), start=1)),
         default=0,
     )
-    num_bits = max((v.numerator.bit_length() for v in x[1:]), default=0)
-    _check_work(n, growth + extra_growth, num_bits, d.bit_length())
-    s = [0] * (n + 1)
-    dpow = 1
-    for j in range(1, n + 1):
-        s[j] = x[j].numerator * (d // x[j].denominator) * dpow
-        dpow *= d
-    return d, s
+    num_bits = max((a.bit_length() for a in nums), default=0)
+    _check_work(len(nums), growth + extra_growth, num_bits, d.bit_length())
+    return d, [0] + [a * (d // b) for a, b in zip(nums, dens)]
+
+
+def _recurrence(d: int, w: list, v: list, s: int, y0: int) -> tuple:
+    """Integers (Y, Q) with y_n = Y_n/Q_n, where y_0 = y0 and
+    d n^s y_n = v_n + sum_{j=1}^{n} w_j y_{n-j} for n = 1..len(w) - 1.
+
+    A_n = Q_{n-1} d n^s y_n is an integer, r_n = d n^s / gcd(d n^s, A_n) and
+    Q_n = r_n Q_{n-1} (Q_0 = 1), so Q_n <= n!^s d^n grows only as the answer
+    needs.  As Q_{n-1}/Q_k = r_{k+1}..r_{n-1}, A_n is summed by Horner's rule
+    up to the last k with r_k > 1, and past it by one convolution; the terms
+    past the last nonzero w_j or v_j vanish and are skipped.
+    """
+    deg = max((j for j, (a, b) in enumerate(zip(w, v)) if a or b), default=0)
+    ys, qs, rs = [y0], [1], [1]
+    top = 0  # one past the last index n with r_n > 1
+    for n in range(1, len(w)):
+        lo = n - deg if n > deg else 0  # k < lo has w_{n-k} = 0; lo > 0 has v_n = 0
+        mid = top if top > lo else lo
+        acc = v[n]
+        for k in range(lo, mid):
+            acc *= rs[k]
+            c = w[n - k]
+            if c:
+                acc += c * ys[k]
+        if mid < n:
+            acc += sum(map(mul, w[n - mid:0:-1], ys[mid:]))
+        dn = d * n**s
+        g = gcd(dn, acc)
+        r = dn // g
+        ys.append(acc // g if g != 1 else acc)
+        qs.append(qs[-1] * r)
+        rs.append(r)
+        top = n + 1 if r != 1 else top
+    return ys, qs
 
 
 def _exp_from_derivative(c: list) -> PowerSeries:
-    """exp(a) truncated at order len(c) - 1, from c_j = j*a_j (c[0] unused).
-
-    b = exp(a) satisfies b' = a'b, i.e. n*b_n = sum_{j=1}^{n} c_j*b_{n-j}.
-    With D the lcm of the denominators of c_1..c_N and C_j = D*c_j, the
-    integers B_n = n! D^n b_n satisfy B_0 = 1 and
-    B_n = sum_{j=1}^{n} C_j D^(j-1) (n-1)!/(n-j)! B_{n-j},
-    summed by Horner's rule in j, so each b_n costs one exact division.
-    """
-    d, t = _scaled(c, 0)
-    big = [1]
-    b = [Fraction(1)]
-    den = 1
-    for i in range(1, len(c)):
-        acc = 0
-        for j in range(i, 0, -1):
-            acc *= i - j
-            if t[j]:
-                acc += t[j] * big[i - j]
-        big.append(acc)
-        den *= i * d
-        b.append(Fraction(acc, den))
-    return PowerSeries(tuple(b))
+    """exp(a) to order len(c) - 1 from c_j = j*a_j: n b_n = sum_j c_j b_{n-j}."""
+    d, w = _over_lcm(c, 0)
+    ys, qs = _recurrence(d, w, [0] * len(w), 1, 1)
+    return PowerSeries(tuple(map(Fraction, ys, qs)))
 
 
 def ps_exp(a: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, via the differential recurrence
-    b' = a'b in integers (see `_exp_from_derivative`)."""
+    """exp of a series with zero constant term (see `_exp_from_derivative`)."""
     if a.coeffs[0] != 0:
         raise DomainError("ps_exp requires a zero constant term")
-    return _exp_from_derivative([j * x for j, x in enumerate(a.coeffs)])
+    c = [Fraction(j * x.numerator, x.denominator) for j, x in enumerate(a.coeffs)]
+    return _exp_from_derivative(c)
 
 
 def ps_log(a: PowerSeries) -> PowerSeries:
     """log of a series with constant term 1; inverse of ps_exp.
 
-    l = log(a) satisfies a' = l'a, i.e. c_i = i*a_i - sum_{j<i} c_j*a_{i-j}
-    with c_i = i*l_i.  With E the lcm of the denominators of a_1..a_N and
-    a_i = F_i/E, the integers C_i = E^i c_i satisfy
-    C_i = i F_i E^(i-1) - sum_{j<i} C_j F_{i-j} E^(i-j-1),
-    so each l_i = C_i/(i E^i) costs one exact division.
+    l = log(a) satisfies a' = l'a: with c_i = i*l_i, E the lcm of the
+    denominators of a_1..a_N and a_i = F_i/E, E c_i = i F_i - sum_{j=1}^{i}
+    F_j c_{i-j} (c_0 = 0), which `_recurrence` solves with s = 0.
     """
     if a.coeffs[0] != 1:
         raise DomainError("ps_log requires constant term 1")
     # |c_i| grows at most like (2 max_j |a_j|^(1/j))^i: one more bit per index
-    e, g = _scaled(a.coeffs, 1)
-    big = [0]
-    l = [Fraction(0)]
-    epow = 1
-    for i in range(1, len(g)):
-        acc = i * g[i]
-        for j in range(1, i):
-            if g[i - j]:
-                acc -= big[j] * g[i - j]
-        big.append(acc)
-        epow *= e
-        l.append(Fraction(acc, i * epow))
-    return PowerSeries(tuple(l))
+    e, f = _over_lcm(a.coeffs, 1)
+    ys, qs = _recurrence(e, [-x for x in f], list(map(mul, range(len(f)), f)), 0, 0)
+    return PowerSeries((0, *map(Fraction, ys[1:], map(mul, range(1, len(qs)), qs[1:]))))
 
 
 def log_one_minus_z_pow(k: int, order: int) -> PowerSeries:

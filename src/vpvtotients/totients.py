@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
-from .exactcore import divisors, factorize, gcd_many, grid_power_sum, moebius
+from .exactcore import divisors, factorize, gcd_many, grid_power_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,25 +179,31 @@ def _check_phi_work(t: int, m: int, k: int) -> None:
 
 
 def phi_t(t: int, m: int, k: int) -> Fraction:
-    """phi_t(m; k) = sum over the selector of ((j_1+...+j_m)/k)^t, exact.
+    """phi_t(m; k) = sum over the selector of ((j_1+...+j_m)/k)^t, exact:
+    `unnormalized_phi(t, m, k)` / k^t."""
+    return Fraction(unnormalized_phi(t, m, k), k**t)
 
-    Moebius closed form: sum_{e|k} mu(k/e) * G(e) / e^t, where G(e) is the
-    sum of (i_1 + ... + i_m)^t over the full grid [0, e)^m, computed by
-    `exactcore.grid_power_sum(t, e, (1,) * m)`.  A predicted cost above
-    PHI_WORK_CAP raises ResourceError before k is factorized.  Returns 0
+
+def unnormalized_phi(t: int, m: int, k: int) -> int:
+    """sum over the selector of (j_1+...+j_m)^t = k^t * phi_t(t, m, k).
+
+    Moebius closed form: sum over the squarefree d | k of mu(d) d^t G(k/d),
+    where G(e) is the sum of (i_1 + ... + i_m)^t over the full grid [0, e)^m,
+    computed by `exactcore.grid_power_sum(t, e, (1,) * m)`.  A predicted cost
+    above PHI_WORK_CAP raises ResourceError before k is factorized.  Returns 0
     for k = 1 (empty selector).
     """
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
-        return Fraction(0)
+        return 0
     _check_phi_work(t, m, k)
-    total = Fraction(0)
-    for e in divisors(k):
-        mu = moebius(k // e)
-        if mu:
-            total += mu * Fraction(grid_power_sum(t, e, (1,) * m), e**t)
-    return total
+    squarefree = [(1, 1)]  # (d, mu(d))
+    for p in factorize(k).primes():
+        squarefree += [(d * p, -mu) for d, mu in squarefree]
+    return sum(
+        mu * d**t * grid_power_sum(t, k // d, (1,) * m) for d, mu in squarefree
+    )
 
 
 def phi_t_enum(t: int, m: int, k: int) -> Fraction:
@@ -208,14 +214,6 @@ def phi_t_enum(t: int, m: int, k: int) -> Fraction:
         return Fraction(0)
     _check_cap(m, k)
     return Fraction(_kernels.selector_power_sum(t, m, k), k**t)
-
-
-def unnormalized_phi(t: int, m: int, k: int) -> int:
-    """sum over the selector of (j_1+...+j_m)^t = k^t * phi_t(t,m,k), an integer."""
-    value = phi_t(t, m, k) * k**t
-    if value.denominator != 1:
-        raise ConsistencyError(f"unnormalized phi not integral at t={t}, m={m}, k={k}")
-    return int(value)
 
 
 def m_phi(m_fixed: int, k: int) -> int:

@@ -70,6 +70,31 @@ def test_exp_and_log_equal_fraction_oracles(max_den):
         assert ps_log(PowerSeries(tuple(f))).coeffs == tuple(_fraction_log(f)), order
 
 
+def _timed(call, *args):
+    start = time.perf_counter()
+    out = call(*args)
+    return out, time.perf_counter() - start
+
+
+def test_exp_with_many_large_denominators():
+    # 128 coefficients with denominators up to 1000: the scale n! D^n has
+    # 48.6 kbit at n = 128, where b_128 has a 2.3 kbit denominator
+    a = _random_coeffs(random.Random(128), 128, 0, 1000)
+    got, seconds = _timed(ps_exp, PowerSeries(tuple(a)))
+    assert got.coeffs == tuple(_fraction_exp(a))
+    assert seconds < 0.5
+
+
+def test_log_with_denominators_up_to_50_and_back():
+    f = _random_coeffs(random.Random(50), 128, 1, 50)
+    assert ps_log(PowerSeries(tuple(f))).coeffs == tuple(_fraction_log(f))
+    # at order 96 exp(log f) is under the work cap
+    x = PowerSeries(tuple(f[:97]))
+    back, seconds = _timed(lambda: ps_exp(ps_log(x)))
+    assert back == x
+    assert seconds < 0.5
+
+
 def _naive_product(exps: dict, order: int) -> list:
     """prod (1 - z^k)^r_k for integer r_k by repeated polynomial products."""
     out = [1] + [0] * order

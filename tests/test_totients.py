@@ -148,9 +148,10 @@ def test_phi_closed_form_at_a_large_modulus():
 
 
 def test_unnormalized_phi_integral():
+    # against the enumeration: phi_t itself is unnormalized_phi / k^t
     for t in (0, 1, 2):
         for k in range(2, 30):
-            assert unnormalized_phi(t, 2, k) == phi_t(t, 2, k) * k**t
+            assert unnormalized_phi(t, 2, k) == phi_t_enum(t, 2, k) * k**t
 
 
 def test_m_phi_against_brute_force():
