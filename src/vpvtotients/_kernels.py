@@ -17,12 +17,12 @@ of the mask). `selector_array` is the nonzero indices of the mask as rows,
 `np.array(mask.nonzero()).T` (the values and strides of `np.argwhere`,
 without its Python wrapper), an (N, m) int64 array at 8m bytes a selected
 point; the `vpv` regrouping engines take it, because they form the dot
-products j . b as one matrix product. `selector_tuples` is
-`compress(product(range(k), repeat=m), mask.tobytes())`, a list of tuples of
-Python ints: the mask bytes cost one byte a point, and `product` shares one
-Python int per coordinate value instead of creating one per point. It is what
-the public `enumerate_selector` returns by default, and it serves the `vpv`
-check that walks the points one at a time (cor-5.3).
+products j . b as one matrix product, and cor-5.3 reads its columns.
+`selector_tuples` is `compress(product(range(k), repeat=m), mask.tobytes())`,
+a list of tuples of Python ints: the mask bytes cost one byte a point, and
+`product` shares one Python int per coordinate value instead of creating one
+per point. It is what the public `enumerate_selector` returns by default; no
+library caller asks for it, and it stays for the benchmark's kernel battery.
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at

@@ -283,20 +283,12 @@ def _check_dirichlet_general(rng: random.Random) -> Outcome:
 
 
 def _cohen_product_cases(rng: random.Random) -> Iterator[tuple]:
-    order = 64
     for m, g in product((1, 2, 3), range(1, 13)):
         n = [g * (i + 1) for i in range(m)]
-        exps = {
-            k: Fraction(-ramanujan_cohen(k, n), k) for k in range(1, order + 1)
-        }
-        lhs = product_with_exponents(exps, order)
-        coeffs = [Fraction(0)] * (order + 1)
-        for k in range(1, order + 1):
-            if g % k == 0:
-                coeffs[k] = Fraction(k ** (m - 1))
-        yield lhs, ps_exp(PowerSeries(tuple(coeffs))), lambda lhs, rhs: (
-            "m={}, g={}: coefficient {} is {} vs {}".format(
-                m, g, *_first_diff(lhs, rhs)))
+        yield (*_product_sides(lambda k: ramanujan_cohen(k, n), 1,
+                               lambda k: k ** (m - 1) if g % k == 0 else 0, 64),
+               lambda lhs, rhs: "m={}, g={}: coefficient {} is {} vs {}".format(
+                   m, g, *_first_diff(lhs, rhs)))
 
 
 def _multiplicative_cases(rng: random.Random) -> Iterator[tuple]:
@@ -522,19 +514,10 @@ def _jordan_enumeration_cases(rng: random.Random) -> Iterator[tuple]:
         yield selector_size(m, k), jordan(m, k), f"m={m}, k={k}"
 
 
-def _jordan_product_series(m: int, order: int) -> PowerSeries:
-    exps = {1: Fraction(-1)}
-    for k in range(2, order + 1):
-        exps[k] = Fraction(-jordan(m, k), k)
-    return product_with_exponents(exps, order)
-
-
 def _jordan_product_cases(rng: random.Random) -> Iterator[tuple]:
-    order = 64
     for m in (1, 2, 3, 4):
-        coeffs = [Fraction(0)] + [Fraction(k ** (m - 1)) for k in range(1, order + 1)]
-        rhs = ps_exp(PowerSeries(tuple(coeffs)))
-        yield _jordan_product_series(m, order), rhs, f"m={m}"
+        yield (*_product_sides(lambda k: jordan(m, k), 1, lambda k: k ** (m - 1), 64),
+               f"m={m}")
 
 
 def _falling_expansion(m: int, k: int) -> int:
@@ -560,11 +543,9 @@ def _finite_stirling_cases(rng: random.Random) -> Iterator[tuple]:
 
 
 def _stirling_product_cases(rng: random.Random) -> Iterator[tuple]:
-    order = 32
     for m in range(2, 9):
-        exponent = PowerSeries(
-            tuple(_falling_expansion(m, k) for k in range(order + 1)))
-        yield _jordan_product_series(m, order), ps_exp(exponent), f"m={m}"
+        yield (*_product_sides(lambda k: jordan(m, k), 1,
+                               lambda k: _falling_expansion(m, k), 32), f"m={m}")
 
 
 def _hyperpyramid_residuals(rng: random.Random) -> Iterator[float]:
@@ -716,6 +697,15 @@ def _check_geometric_blocks(rng: random.Random) -> Outcome:
 def _exp_sum(c, order: int) -> PowerSeries:
     """exp(sum_{k=1}^{order} c(k) z^k) truncated at `order`."""
     return ps_exp(PowerSeries((0, *map(c, range(1, order + 1)))))
+
+
+def _product_sides(w, s: int, c, order: int) -> tuple:
+    """Both sides of the Euler-product display
+    prod_{k>=1} (1 - z^k)^(-w(k)/k^s) = exp sum_{k>=1} c(k) z^k to `order`
+    (eq-2.5, eq-4.13, eq-4.15, cor-5.17a/b).  The k = 1 factor is the one
+    w(1) gives: 1 for c_1(n) and J_m, none for phi_tu."""
+    exps = {k: Fraction(-w(k), k**s) for k in range(1, order + 1)}
+    return product_with_exponents(exps, order), _exp_sum(c, order)
 
 
 def _mixed_product_sides(x: Fraction, order: int, counts) -> tuple:
@@ -967,22 +957,16 @@ def _quadratic_exponent(d: int):
     return lambda k: Fraction(7 * k - 12, d) + Fraction(5, d * k)
 
 
-# cor-5.17a/b as printed and corrected: (t, s, c) reads
-# prod_{k>=2} (1 - z^k)^(-phi_tu(k)/k^s) = exp sum_k c(k) z^k, phi_tu the
-# unnormalized phi_t(2; k); the right sides are exp(z/(1-z)^2),
-# exp(z^2/(1-z)^2) and (1-z)^(-5/d) exp(z(12z-5)/(d(1-z)^2)), d = 12 and 6
+# cor-5.17a/b as printed and corrected: `_product_sides` rows (w, s, c) with
+# w = phi_tu, the unnormalized phi_t(2; k) (0 at k = 1); the right sides are
+# exp(z/(1-z)^2), exp(z^2/(1-z)^2) and (1-z)^(-5/d) exp(z(12z-5)/(d(1-z)^2)),
+# d = 12 and 6
 _TOTIENT_PRODUCTS = {
-    ("a", "printed"): (1, 2, lambda k: k),
-    ("a", "corrected"): (1, 2, lambda k: k - 1),
-    ("b", "printed"): (2, 2, _quadratic_exponent(12)),
-    ("b", "corrected"): (2, 3, _quadratic_exponent(6)),
+    ("a", "printed"): (lambda k: unnormalized_phi(1, 2, k), 2, lambda k: k),
+    ("a", "corrected"): (lambda k: unnormalized_phi(1, 2, k), 2, lambda k: k - 1),
+    ("b", "printed"): (lambda k: unnormalized_phi(2, 2, k), 2, _quadratic_exponent(12)),
+    ("b", "corrected"): (lambda k: unnormalized_phi(2, 2, k), 3, _quadratic_exponent(6)),
 }
-
-
-def _totient_product_sides(t: int, s: int, c, order: int) -> tuple:
-    """Both sides of a `_TOTIENT_PRODUCTS` reading (t, s, c) to `order`."""
-    exps = {k: Fraction(-unnormalized_phi(t, 2, k), k**s) for k in range(2, order + 1)}
-    return product_with_exponents(exps, order), _exp_sum(c, order)
 
 
 def _check_product_display(which: str):
@@ -992,10 +976,10 @@ def _check_product_display(which: str):
                if which == "a" else
                "exponents phi2u(k)/k^3 with the 5/6 and 6(1-z)^2 constants")
         return _printed_or_corrected(
-            [(*_totient_product_sides(*_TOTIENT_PRODUCTS[which, "printed"], order),
+            [(*_product_sides(*_TOTIENT_PRODUCTS[which, "printed"], order),
               lambda lhs, rhs: "printed series differ first at z^{}: {} vs {}"
                                .format(*_first_diff(lhs, rhs)))],
-            ((*_totient_product_sides(*_TOTIENT_PRODUCTS[which, reading], order),
+            ((*_product_sides(*_TOTIENT_PRODUCTS[which, reading], order),
               "corrected product display imbalance") for reading in ("corrected",)),
             (f"the corrected form ({fix}) matches exactly to order {order}",),
         )

@@ -33,7 +33,6 @@ class AuditEntry:
     counterexample: Optional[str]
     notes: tuple
     expected: str
-    provenance: str
 
     @property
     def as_expected(self) -> bool:
@@ -122,7 +121,6 @@ def run_audit(ids: Optional[Sequence[str]] = None, seed: int = 0) -> AuditReport
                 counterexample=outcome.counterexample,
                 notes=tuple(outcome.notes),
                 expected=check.expected,
-                provenance=check.provenance,
             )
         )
     return AuditReport(entries=tuple(entries), seed=seed, version=__version__)

@@ -148,9 +148,7 @@ def _cmd_series(args) -> int:
         m = args.m
         # the product is exp(sum k^(m-1) z^k), the exp-sum below at power m-1
         check_power_sum_work(m - 1, order)
-        exps = {1: Fraction(-1)}
-        for k in range(2, order + 1):
-            exps[k] = Fraction(-jordan(m, k), k)
+        exps = {k: Fraction(-jordan(m, k), k) for k in range(1, order + 1)}
         result = product_with_exponents(exps, order)
     elif args.product is not None:  # pragma: no cover - argparse restricts
         raise UsageError(f"unknown product {args.product!r}")

@@ -23,15 +23,12 @@ from .errors import DomainError, ResourceError
 
 __all__ = [
     "PowerSeries",
-    "DEFAULT_ORDER",
     "ps_mul",
     "ps_exp",
     "ps_log",
     "product_with_exponents",
     "check_power_sum_work",
 ]
-
-DEFAULT_ORDER = 64
 
 
 def _as_fraction(x) -> Fraction:
@@ -210,7 +207,7 @@ def log_one_minus_z_pow(k: int, order: int) -> PowerSeries:
     return PowerSeries(tuple(c))
 
 
-def product_with_exponents(exps: dict, order: int = DEFAULT_ORDER) -> PowerSeries:
+def product_with_exponents(exps: dict, order: int) -> PowerSeries:
     """prod_{k=1}^{order} (1 - z^k)^exps[k], truncated at the given order.
 
     The log of the product is sum_k exps[k] * log(1 - z^k), whose z^N
@@ -226,8 +223,13 @@ def product_with_exponents(exps: dict, order: int = DEFAULT_ORDER) -> PowerSerie
         if not 1 <= k <= order:
             raise DomainError(f"exponent key {k} outside 1..{order}")
         r = _as_fraction(r)
-        # integer exponents sieve as ints, which skips a gcd per addition
-        kr = k * r.numerator if r.denominator == 1 else k * r
+        # an integer k r sieves as an int, which skips a gcd per addition
+        if r.denominator == 1:
+            kr = k * r.numerator
+        elif k % r.denominator == 0:
+            kr = k // r.denominator * r.numerator
+        else:
+            kr = k * r
         for m in range(k, order + 1, k):
             c[m] -= kr
     return _exp_from_derivative(c)

@@ -21,10 +21,9 @@ identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries (cor-5.11..5.13)
 are one function, `power_regroup_check(a, f, weights, h, p)`, a left factor
 f against a sum of rational p-th powers over each selector; the audit
 registry passes each display's f, weights and p, printed and corrected forms
-alike.  Both take each selector as an (N, h) int64 array from
-`enumerate_selector(..., as_array=True)`; `power_regroup_check` reads its
-rows once as Python ints.  Only cor-5.3 iterates the selector as tuples;
-eq-4.16 reads the visible points of a hyperpyramid region.
+alike.  Both, and cor-5.3, take each selector as an (N, h) int64 array from
+`enumerate_selector(..., as_array=True)`, the exact engine forming its dot
+products as Python ints; eq-4.16 reads the visible points of a hyperpyramid.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
@@ -39,9 +38,9 @@ Python-int sum.  Such a display balances for every a exactly when
 f(k) = sum_{d|k} w(d), the divisor law that the registry checks for
 eq-4.10, eq-4.11 and cor-5.16.
 
-The exact z-series product displays (cor-5.9, cor-5.17a/b) are audit
-registry data, each side an exponent series or a product over (1 - z^k)
-evaluated by the series module; this module has no series code.
+The exact z-series product displays (eq-2.5, eq-4.13, eq-4.15, cor-5.9,
+cor-5.17a/b) are audit registry data, each side an exponent series or a
+product over (1 - z^k) evaluated by the series module; vpv has no series code.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
 cor-5.3, ...); the registry module maps those ids to statuses.
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import mul
 
 import numpy as np
 
@@ -142,19 +140,21 @@ class RadialRegion:
         if self.constraint not in _REGION_CONSTRAINTS:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
-    def _ranges(self) -> list:
-        """The coordinate ranges whose product holds points(): 1..b_i on
-        each axis of a box; on a hyperpyramid 0..min(b_i, b_d - 1) on each
-        leading axis and 1..b_d on the apex axis a_d."""
-        if self.constraint == "box":
-            return [range(1, b + 1) for b in self.bounds]
-        *lead, apex = self.bounds
-        return [range(min(b + 1, apex)) for b in lead] + [range(1, apex + 1)]
-
     def _check_size(self) -> None:
-        """Raise ResourceError when the product of the ranges holds more
-        tuples than the cap; for a box that is the product of its bounds."""
-        size = math.prod(r.stop - r.start for r in self._ranges())
+        """Raise ResourceError, before any point is built, when points() would
+        build more than the cap: prod b_i for a box; for a hyperpyramid
+        sum_{a=1..b_d} prod_{i<d} min(b_i + 1, a), constant once a passes
+        every b_i + 1 and summed only until it passes the cap."""
+        *lead, top = self.bounds
+        if self.constraint == "box":
+            size = math.prod(self.bounds)
+        else:
+            flat = min(top, max(lead, default=0) + 1)
+            size = (top - flat) * math.prod(b + 1 for b in lead)
+            for a in range(1, flat + 1):
+                size += math.prod(min(b + 1, a) for b in lead)
+                if size > DEFAULT_SELECTOR_CAP:
+                    break
         if size > DEFAULT_SELECTOR_CAP:
             raise ResourceError(f"lattice size {size} exceeds cap {DEFAULT_SELECTOR_CAP}")
 
@@ -162,14 +162,11 @@ class RadialRegion:
         """All lattice points of the region: lexicographic for a box; for a
         hyperpyramid, by apex coordinate a_d, lexicographic within an apex."""
         self._check_size()
-        if self.constraint == "box":
-            return list(product(*self._ranges()))
         *lead, top = self.bounds
-        return [
-            p
-            for a in range(1, top + 1)
-            for p in product(*(range(min(b + 1, a)) for b in lead), (a,))
-        ]
+        if self.constraint == "box":
+            return list(product(*(range(1, b + 1) for b in self.bounds)))
+        return [p for a in range(1, top + 1)
+                for p in product(*(range(min(b + 1, a)) for b in lead), (a,))]
 
 
 def _box_bounds(region: RadialRegion) -> tuple:
@@ -388,7 +385,8 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
     # omits; for c >= 2 the visible (a, b, c) are the selector of c
     log_lhs = -math.log(1.0 - z)
     for c in range(2, c_max + 1):
-        for a, b in enumerate_selector(LatticeSelector(2, c)):
+        js = enumerate_selector(LatticeSelector(2, c), as_array=True)
+        for a, b in zip(*js.T.tolist()):
             log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
     base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
     log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))
@@ -397,6 +395,13 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
 
 # --------------------------------------------------------------------------
 # exact rational identities: weighted and selector-power regrouping
+
+
+def _over_lcm(xs: list) -> tuple:
+    """(D, nums): D the lcm of the denominators of the ints and Fractions xs,
+    folded pairwise as in `_regroup_rhs`, and nums the integers D x."""
+    den = reduce(math.lcm, [x.denominator for x in xs], 1)
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
@@ -415,10 +420,7 @@ def weighted_regroup_check(a: FiniteSequence, f, w) -> tuple:
     ints times the values of f or w, divided once by D.
     """
     n = a.bound
-    den = reduce(math.lcm, [ak.denominator for ak in a.support.values()], 1)
-    nums = [0] * (n + 1)
-    for k, ak in a.support.items():
-        nums[k] = ak.numerator * (den // ak.denominator)
+    den, nums = _over_lcm([a(k) for k in range(n + 1)])
     lhs = sum(nums[k] * f(k) for k, ak in a.support.items() if ak)
     rhs = 0
     for v in range(1, n + 1):
@@ -442,22 +444,22 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
     0^0 = 1, which no selector of v >= 2 holds (that count, eq-4.4, is
     `weighted_regroup_check` with w = J_h).
 
-    The selector of each v is enumerated once, as an (N, h) int64 array
-    whose rows are read once as Python ints.  For each multiple the weights
-    are scaled to integer numerators over their common denominator D, the
-    p-th powers are summed as Python ints (numpy int64 overflows at h = 3,
-    p = 3) and the total is divided once by (D v)^p.  This stays an
-    enumeration, like `_regroup_rhs`.
+    Each b_k is scaled once to integer numerators over the lcm D_k of its
+    denominators.  The selector of each v is enumerated once, as an (N, h)
+    int64 array, and its dot products with the numerators of all of v's
+    multiples are one matrix product against an object array: exact Python
+    ints (int64 would overflow), as are their p-th powers, each total divided
+    once by (D_k v)^p.  This stays an enumeration, like `_regroup_rhs`.
     """
     if h < 1:
         raise DomainError("need at least one exponent sequence")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    b = {k: [Fraction(c) for c in weights(k)]
+    b = {k: _over_lcm([Fraction(c) for c in weights(k)])
          for k, ak in a.support.items() if ak and k >= 2}
-    for k, bk in b.items():
-        if len(bk) != h:
-            raise DomainError(f"weights({k}) has {len(bk)} values, need h = {h}")
+    for k, (_, nums) in b.items():
+        if len(nums) != h:
+            raise DomainError(f"weights({k}) has {len(nums)} values, need h = {h}")
     n = a.bound
     lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
     rhs = Fraction(0)
@@ -465,12 +467,10 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
         ks = [k for k in range(v, n + 1, v) if k in b]
         if not ks:
             continue
-        rows = enumerate_selector(LatticeSelector(h, v), as_array=True).tolist()
-        for k in ks:
-            bk = b[k]
-            den = math.lcm(*(c.denominator for c in bk))
-            nums = [c.numerator * (den // c.denominator) for c in bk]
-            total = sum(sum(map(mul, row, nums)) ** p for row in rows)
+        dens, nums = zip(*map(b.get, ks))
+        js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+        dots = js @ np.array(nums, dtype=object).T
+        for k, den, total in zip(ks, dens, (dots**p).sum(axis=0)):
             rhs += a(k) * Fraction(total, (den * v) ** p)
     return Fraction(lhs), rhs
 

@@ -181,6 +181,13 @@ def test_series_partition_numbers(capsys):
     assert values == ["1", "1", "2", "3", "5", "7"]
 
 
+def test_series_products_at_order_zero(capsys):
+    # order 0 keeps only the constant term of each product, 1
+    for name in ("partition", "jordan"):
+        code, out, err = run(capsys, "series", "--product", name, "--order", "0")
+        assert (code, out, err) == (0, "z^0\t1\n", ""), name
+
+
 def test_series_exp_sum(capsys):
     code, out, _ = run(capsys, "series", "--exp-sum", "k^0 z^k", "--order", "4")
     assert code == 0

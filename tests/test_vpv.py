@@ -116,8 +116,8 @@ def test_visible_points_are_coprime():
 
 def test_region_size_cap():
     # the cap is checked before anything is allocated; a hyperpyramid is
-    # charged the product of its ranges, apex * prod min(b_i + 1, apex),
-    # which is 2^31 for 30 unit leading axes under a lattice size of 2
+    # charged the points it builds, sum_a prod min(b_i + 1, a): 333,833,500
+    # for the second region and 2^30 + 1 for the third
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
         RadialRegion(3, (10**3, 10**3, 10**3), constraint="hyperpyramid"),
@@ -126,6 +126,22 @@ def test_region_size_cap():
         for enumerate_region in (visible_points, RadialRegion.points):
             with pytest.raises(ResourceError, match="exceeds cap 10000000"):
                 enumerate_region(region)
+
+
+def test_hyperpyramid_charged_the_points_it_builds(monkeypatch):
+    # 91 points, where the product of its ranges is 6^3 = 216
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 100)
+    region = RadialRegion(3, (6, 6, 6), "hyperpyramid")
+    assert len(region.points()) == sum(a * a for a in range(1, 7)) == 91
+    # 9,045,050 points under the 10^7 cap, checked without building them
+    region = RadialRegion(3, (300,) * 3, "hyperpyramid")
+    for cap, admitted in ((9_045_050, True), (9_045_049, False), (10**7, True)):
+        monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", cap)
+        if admitted:
+            region._check_size()
+        else:
+            with pytest.raises(ResourceError, match="exceeds cap 9045049"):
+                region._check_size()
 
 
 def test_box_axes_cap():
@@ -257,8 +273,8 @@ def test_regrouping_inner_sum_three_routes():
 def test_checks_enumerate_each_selector_once(monkeypatch):
     # perfbench's traced run wraps vpv.enumerate_selector by name and divides
     # by its call count; a repeated (m, k) within one check is wasted work
-    # the engines must ask it for the int64 array; cor-5.3 iterates tuples
-    # (eq-4.16 reads a hyperpyramid region and enumerates no selector)
+    # every check must ask it for the int64 array (eq-4.16 reads a
+    # hyperpyramid region and enumerates no selector)
     calls, arrays = [], []
     original = vpv.enumerate_selector
 
@@ -290,7 +306,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         checks[f"cor-5.11 h={h}"] = lambda h=h: _bracket_sides(
             a, [b, c, d][:h], _oracle_bracket(2), 2
         )
-    tuple_checks = {"cor-5.3"}
+    tuple_checks = set()
     for name, check in checks.items():
         calls.clear()
         arrays.clear()
@@ -507,10 +523,14 @@ def _moebius_power_sum(h, v, b, p):
 
 def test_power_regroup_three_routes():
     # the exact engine against two routes that share none of its code; the
-    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers
+    # 2^40 denominator puts (j . b)^p far past int64 once scaled to integers,
+    # and the second pool's integers put j . b itself past int64 from v = 3
     rng = random.Random(16)
-    pool = [0, 1, -3, Fraction(-5, 6), Fraction(7, 4), Fraction(-1, 2**40)]
-    for h, n in ((1, 20), (2, 20), (3, 12)):
+    pools = (
+        [0, 1, -3, Fraction(-5, 6), Fraction(7, 4), Fraction(-1, 2**40)],
+        [0, 1, 2**62 + 1, -(2**61 + 3)],
+    )
+    for pool, (h, n) in product(pools, ((1, 20), (2, 20), (3, 12))):
         a = _rand_seq(rng, n)
         slots = [pool[i % len(pool)] for i in range(n * h)]
         rng.shuffle(slots)
@@ -782,7 +802,7 @@ def _ref_cor_5_9(x, order, reading):
 
 
 def _totient_product(which, reading, order):
-    return registry._totient_product_sides(*registry._TOTIENT_PRODUCTS[which, reading], order)
+    return registry._product_sides(*registry._TOTIENT_PRODUCTS[which, reading], order)
 
 
 def _mixed_product(x, reading, order):
