@@ -129,19 +129,17 @@ def test_region_size_cap():
 
 
 def test_hyperpyramid_charged_the_points_it_builds(monkeypatch):
-    # 91 points, where the product of its ranges is 6^3 = 216
+    # a (c, c, c) hyperpyramid holds sum_{a<=c} a^2 points, where the product
+    # of its ranges is c^3; the (300,) * 3 one is checked without building it
+    big = RadialRegion(3, (300,) * 3, "hyperpyramid")
+    big._check_size()
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_050)
+    big._check_size()
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_049)
+    with pytest.raises(ResourceError, match="lattice size 9045050 exceeds cap 9045049"):
+        big._check_size()
     monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 100)
-    region = RadialRegion(3, (6, 6, 6), "hyperpyramid")
-    assert len(region.points()) == sum(a * a for a in range(1, 7)) == 91
-    # 9,045,050 points under the 10^7 cap, checked without building them
-    region = RadialRegion(3, (300,) * 3, "hyperpyramid")
-    for cap, admitted in ((9_045_050, True), (9_045_049, False), (10**7, True)):
-        monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", cap)
-        if admitted:
-            region._check_size()
-        else:
-            with pytest.raises(ResourceError, match="exceeds cap 9045049"):
-                region._check_size()
+    assert len(RadialRegion(3, (6, 6, 6), "hyperpyramid").points()) == 91
 
 
 def test_box_axes_cap():
