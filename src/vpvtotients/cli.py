@@ -146,6 +146,8 @@ def _cmd_series(args) -> int:
         result = product_with_exponents(exps, order)
     elif args.product == "jordan":
         m = args.m
+        if m < 1:
+            raise UsageError("jordan requires m >= 1")
         # the product is exp(sum k^(m-1) z^k), the exp-sum below at power m-1
         check_power_sum_work(m - 1, order)
         exps = {k: Fraction(-jordan(m, k), k) for k in range(1, order + 1)}

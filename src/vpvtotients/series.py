@@ -224,9 +224,7 @@ def product_with_exponents(exps: dict, order: int) -> PowerSeries:
             raise DomainError(f"exponent key {k} outside 1..{order}")
         r = _as_fraction(r)
         # an integer k r sieves as an int, which skips a gcd per addition
-        if r.denominator == 1:
-            kr = k * r.numerator
-        elif k % r.denominator == 0:
+        if k % r.denominator == 0:
             kr = k // r.denominator * r.numerator
         else:
             kr = k * r

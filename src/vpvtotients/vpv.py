@@ -142,21 +142,21 @@ class RadialRegion:
 
     def _check_size(self) -> None:
         """Raise ResourceError, before any point is built, when points() would
-        build more than the cap: prod b_i for a box; for a hyperpyramid
-        sum_{a=1..b_d} prod_{i<d} min(b_i + 1, a), constant once a passes
-        every b_i + 1 and summed only until it passes the cap."""
+        build more than the cap: prod b_i for a box; for a hyperpyramid the sum
+        over a <= b_d of prod_{i<d} min(b_i + 1, a), constant once a > every
+        b_i and stopped once past the cap, so a refusal gives a lower bound."""
         *lead, top = self.bounds
         if self.constraint == "box":
-            size = math.prod(self.bounds)
+            size, least = math.prod(self.bounds), ""
         else:
-            flat = min(top, max(lead, default=0) + 1)
+            flat, least = min(top, max(lead, default=0) + 1), "at least "
             size = (top - flat) * math.prod(b + 1 for b in lead)
             for a in range(1, flat + 1):
                 size += math.prod(min(b + 1, a) for b in lead)
                 if size > DEFAULT_SELECTOR_CAP:
                     break
         if size > DEFAULT_SELECTOR_CAP:
-            raise ResourceError(f"lattice size {size} exceeds cap {DEFAULT_SELECTOR_CAP}")
+            raise ResourceError(f"lattice size {least}{size} exceeds cap {DEFAULT_SELECTOR_CAP}")
 
     def points(self):
         """All lattice points of the region: lexicographic for a box; for a

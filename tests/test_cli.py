@@ -186,6 +186,14 @@ def test_series_products_at_order_zero(capsys):
     for name in ("partition", "jordan"):
         code, out, err = run(capsys, "series", "--product", name, "--order", "0")
         assert (code, out, err) == (0, "z^0\t1\n", ""), name
+    # a bad m is refused at every order, 0 included
+    for m in ("0", "-3"):
+        for order in ("0", "1", "4"):
+            code, out, err = run(
+                capsys, "series", "--product", "jordan", "--m", m, "--order", order
+            )
+            assert (code, out, err) == (
+                2, "", "usage error: jordan requires m >= 1\n"), (m, order)
 
 
 def test_series_exp_sum(capsys):

@@ -116,8 +116,8 @@ def test_visible_points_are_coprime():
 
 def test_region_size_cap():
     # the cap is checked before anything is allocated; a hyperpyramid is
-    # charged the points it builds, sum_a prod min(b_i + 1, a): 333,833,500
-    # for the second region and 2^30 + 1 for the third
+    # charged the points it builds, sum_a prod min(b_i + 1, a), summed only
+    # until it passes the cap (the second region holds 333,833,500 points)
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
         RadialRegion(3, (10**3, 10**3, 10**3), constraint="hyperpyramid"),
@@ -136,7 +136,7 @@ def test_hyperpyramid_charged_the_points_it_builds(monkeypatch):
     monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_050)
     big._check_size()
     monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_049)
-    with pytest.raises(ResourceError, match="lattice size 9045050 exceeds cap 9045049"):
+    with pytest.raises(ResourceError, match="lattice size at least 9045050 exceeds cap 9045049"):
         big._check_size()
     monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 100)
     assert len(RadialRegion(3, (6, 6, 6), "hyperpyramid").points()) == 91
