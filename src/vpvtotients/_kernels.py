@@ -16,7 +16,7 @@ The selector itself comes in two forms, both in lexicographic order (C order
 of the mask). `selector_array` is the nonzero indices of the mask as rows,
 `np.array(mask.nonzero()).T` (the values and strides of `np.argwhere`,
 without its Python wrapper), an (N, m) int64 array at 8m bytes a selected
-point; the `vpv` regrouping engines take it, because they form the dot
+point; the one `vpv` regrouping loop takes it, because it forms the dot
 products j . b as one matrix product, and cor-5.3 reads its columns.
 `selector_tuples` is `compress(product(range(k), repeat=m), mask.tobytes())`,
 a list of tuples of Python ints: the mask bytes cost one byte a point, and

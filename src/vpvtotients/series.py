@@ -195,18 +195,6 @@ def ps_log(a: PowerSeries) -> PowerSeries:
     return PowerSeries((0, *map(Fraction, ys[1:], map(mul, range(1, len(qs)), qs[1:]))))
 
 
-def log_one_minus_z_pow(k: int, order: int) -> PowerSeries:
-    """log(1 - z^k) = -sum_{j>=1, jk<=order} z^(jk)/j."""
-    if k < 1:
-        raise DomainError("log_one_minus_z_pow requires k >= 1")
-    c = [Fraction(0)] * (order + 1)
-    j = 1
-    while j * k <= order:
-        c[j * k] = Fraction(-1, j)
-        j += 1
-    return PowerSeries(tuple(c))
-
-
 def product_with_exponents(exps: dict, order: int) -> PowerSeries:
     """prod_{k=1}^{order} (1 - z^k)^exps[k], truncated at the given order.
 

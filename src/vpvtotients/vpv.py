@@ -14,16 +14,14 @@ rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) are calls of
 exact coefficient first) against a sum of exponentials over each selector
 (`_regroup_rhs`); each check passes only its factors and the weights of its
 exponentials, and the printed thm-5.1 reading is audit-registry data.  The
-engine converts every term and weight to a float once (`_real`: a rational
-as numerator / denominator, which rounds as float() does) and sums S_1
-exactly, as Python ints over a common denominator.  The exact grid-power
-identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries (cor-5.11..5.13)
-are one function, `power_regroup_check(a, f, weights, h, p)`, a left factor
-f against a sum of rational p-th powers over each selector; the audit
-registry passes each display's f, weights and p, printed and corrected forms
-alike.  Both, and cor-5.3, take each selector as an (N, h) int64 array from
-`enumerate_selector(..., as_array=True)`, the exact engine forming its dot
-products as Python ints; eq-4.16 reads the visible points of a hyperpyramid.
+exact grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
+(cor-5.11..5.13) are one function, `power_regroup_check(a, f, weights, h, p)`,
+a left factor f against a sum of rational p-th powers over each selector; the
+audit registry passes each display's f, weights and p, printed and corrected
+forms alike.  Both right sides are one loop over the visible denominators,
+`_visible_regroup`, which takes each selector once as an (N, h) int64 array
+from `enumerate_selector(..., as_array=True)`, as cor-5.3 does; eq-4.16 reads
+the visible points of a hyperpyramid.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
@@ -258,49 +256,53 @@ def _exp_regroup(a: FiniteSequence, f, weights, h: int, x) -> tuple:
 
 
 def _regroup_rhs(a: FiniteSequence, weights, x, h: int):
-    """The right side shared by the visible-point rearrangements:
-
-        S_1 + sum_{v=2..n} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
-
-    with n = a.bound, S_1 = a_1 + ... + a_n and b_k = weights(k), h numbers.
-    The support of a is read once, in k order.  For rational terms S_1 is
-    one Python-int sum of numerators over the lcm D of the denominators,
-    divided once by D (the float of the exact sum); float terms are added
-    in k order.  a_k and b_k are converted to floats once (`_real`), for
-    the k >= 2 with a_k != 0; each v takes the rows at its multiples by an
-    index list.  The selector of each v is enumerated once, as an int64
-    array (its coordinates are below v), and all of v's multiples are
-    summed in one matrix product.  This stays an enumeration: factoring the
-    selector sum by Moebius inversion would make the checks circular.
+    """The right side of `_exp_regroup`, with n = a.bound,
+    S_1 = a_1 + ... + a_n and b_k = weights(k), h numbers.  The support of a
+    is read once, in k order.  For rational terms S_1 is one Python-int sum
+    of numerators over the lcm D of the denominators (`_over_lcm`), divided
+    once by D (the float of the exact sum); float terms are added in k
+    order.  a_k and b_k are converted to floats once (`_real`), for the
+    k >= 2 with a_k != 0, and `_visible_regroup` adds the selector sums of
+    `_exp_kernel(x)` onto S_1.
     """
-    n = a.bound
     terms = [(k, c) for k, c in sorted(a.support.items()) if c]
     vals = [c for _, c in terms]
     if all(isinstance(c, (int, Fraction)) for c in vals):
-        # folded pairwise: math.lcm(*terms) builds an argument tuple per
-        # call, and over a long run those kept CPython's tuple free lists
-        # full, about 1.8 MB more peak RSS in the rearrange benchmark
-        den = reduce(math.lcm, [c.denominator for c in vals], 1)
-        rhs = sum(c.numerator * (den // c.denominator) for c in vals) / den
+        den, nums = _over_lcm(vals)
+        rhs = sum(nums) / den
     else:
         rhs = float(sum(vals))
     terms = [(k, c) for k, c in terms if k >= 2]
-    pos = {k: i for i, (k, _) in enumerate(terms)}
-    af = np.array([_real(c) for _, c in terms])
-    bf = np.array([[_real(c) for c in weights(k)] for k, _ in terms])
+    coef = np.array([_real(c) for _, c in terms])
+    rows = np.array([[_real(c) for c in weights(k)] for k, _ in terms])
+    return _visible_regroup(a.bound, [k for k, _ in terms], coef, rows, h, rhs,
+                            _exp_kernel(x))
+
+
+def _exp_kernel(x):
+    """The float kernel of `_visible_regroup`: c against the sums over the
+    selector of exp(dots x / v), one for each column of dots."""
+    return lambda c, dots, v: c @ np.exp(dots * (x / v)).sum(axis=0)
+
+
+def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
+    """total plus kernel(c, dots, v) for each v = 2..n with a multiple among
+    the distinct indices ks (all >= 2): c holds those multiples' coefficients
+    coef[i] and dots their selector dot products js @ rows[i].T, a row of h
+    weights each.  Each point A != 0 of the grid [0, k)^h is (k / v) j for
+    exactly one divisor v of k and one j in sel(h, v), so this regroups the
+    grid sums of every k by v.  The selector of each v is enumerated once, as
+    an (N, h) int64 array, and all of v's multiples share one matrix product.
+    This stays an enumeration: factoring the selector sum by Moebius
+    inversion would make the checks circular.
+    """
+    pos = {k: i for i, k in enumerate(ks)}
     for v in range(2, n + 1):
-        at_v = [pos[k] for k in range(v, n + 1, v) if k in pos]
-        if at_v:
-            rhs += af[at_v] @ _selector_exp_sums(h, v, bf[at_v], x)
-    return rhs
-
-
-def _selector_exp_sums(h: int, v: int, bs: np.ndarray, x) -> np.ndarray:
-    """For each row b of the (W, h) array bs, the sum over the h-dimensional
-    selector of v of exp((j . b) x / v), with the selector as an (N, h) int64
-    array."""
-    js = enumerate_selector(LatticeSelector(h, v), as_array=True)
-    return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
+        at = [pos[k] for k in range(v, n + 1, v) if k in pos]
+        if at:
+            js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+            total += kernel(coef[at], js @ rows[at].T, v)
+    return total
 
 
 def lemma_3_2_check(a: FiniteSequence, q) -> tuple:
@@ -399,7 +401,10 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
 
 def _over_lcm(xs: list) -> tuple:
     """(D, nums): D the lcm of the denominators of the ints and Fractions xs,
-    folded pairwise as in `_regroup_rhs`, and nums the integers D x."""
+    and nums the integers D x."""
+    # folded pairwise: math.lcm(*xs) builds an argument tuple per call, and
+    # over a long run those kept CPython's tuple free lists full, about
+    # 1.8 MB more peak RSS in the rearrange benchmark
     den = reduce(math.lcm, [x.denominator for x in xs], 1)
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
@@ -444,35 +449,30 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
     0^0 = 1, which no selector of v >= 2 holds (that count, eq-4.4, is
     `weighted_regroup_check` with w = J_h).
 
-    Each b_k is scaled once to integer numerators over the lcm D_k of its
-    denominators.  The selector of each v is enumerated once, as an (N, h)
-    int64 array, and its dot products with the numerators of all of v's
-    multiples are one matrix product against an object array: exact Python
-    ints (int64 would overflow), as are their p-th powers, each total divided
-    once by (D_k v)^p.  This stays an enumeration, like `_regroup_rhs`.
+    The terms a_k and the weights b_k are scaled once to integer numerators
+    over the lcm A of the terms' and B of the weights' denominators.  The
+    loop's dot products with the weight numerators are exact Python ints in
+    an object array (int64 would overflow), and the kernel sums their p-th
+    powers against the term numerators and divides once by A (B v)^p.
     """
     if h < 1:
         raise DomainError("need at least one exponent sequence")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    b = {k: _over_lcm([Fraction(c) for c in weights(k)])
-         for k, ak in a.support.items() if ak and k >= 2}
-    for k, (_, nums) in b.items():
-        if len(nums) != h:
-            raise DomainError(f"weights({k}) has {len(nums)} values, need h = {h}")
-    n = a.bound
+    terms = [(k, ak) for k, ak in a.support.items() if ak and k >= 2]
+    bs = [[Fraction(c) for c in weights(k)] for k, _ in terms]
+    for (k, _), b in zip(terms, bs):
+        if len(b) != h:
+            raise DomainError(f"weights({k}) has {len(b)} values, need h = {h}")
     lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
-    rhs = Fraction(0)
-    for v in range(2, n + 1):
-        ks = [k for k in range(v, n + 1, v) if k in b]
-        if not ks:
-            continue
-        dens, nums = zip(*map(b.get, ks))
-        js = enumerate_selector(LatticeSelector(h, v), as_array=True)
-        dots = js @ np.array(nums, dtype=object).T
-        for k, den, total in zip(ks, dens, (dots**p).sum(axis=0)):
-            rhs += a(k) * Fraction(total, (den * v) ** p)
-    return Fraction(lhs), rhs
+    den_a, coef = _over_lcm([ak for _, ak in terms])
+    den_b, nums = _over_lcm([c for b in bs for c in b])
+    return Fraction(lhs), _visible_regroup(
+        a.bound, [k for k, _ in terms], np.array(coef, dtype=object),
+        np.array(nums, dtype=object).reshape(len(terms), h), h, Fraction(0),
+        lambda c, dots, v: Fraction(c @ (dots**p).sum(axis=0),
+                                    den_a * (den_b * v) ** p),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -247,10 +247,22 @@ def _inf(value):
     return math.inf
 
 
+def _milli_apart(sides):
+    return 0.0, 1e-3  # a residual above the c_max = 20 one, so not shrinking
+
+
+def _flat_errors(sides):
+    return 0.0, 1.0  # error 1.0 at every K: no decay
+
+
 FAILURE_PATHS = [
     # (id, ((layer name, call number, change), ...), the Outcome it returns)
     ("cor-2.3", (("ramanujan_cohen", 50, _plus_one),),
      Outcome("FAILS_AS_PRINTED", None, "n=[10], k1=4, k2=11: 2 vs 1")),
+    ("eq-2.3", (("dirichlet_partial_cohen", None, _flat_errors),),
+     Outcome("FAILS_AS_PRINTED", 1.0, "s=1.0, n=(6,): errors [1.0, 1.0, 1.0]")),
+    ("eq-2.4", (("dirichlet_partial_cohen", None, _flat_errors),),
+     Outcome("FAILS_AS_PRINTED", 1.0, "s=1.0, n=(4, 6): errors [1.0, 1.0, 1.0]")),
     ("eq-2.5", (("ps_exp", 5, _bump_z3),),
      Outcome("FAILS_AS_PRINTED", None,
              "m=1, g=5: coefficient 3 is 1/6 vs 7/6")),
@@ -318,6 +330,10 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", 0.5)),
     ("thm-5.2", (("thm_5_2_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
+    # cor_5_3_check call 1 is c_max = 40, call 2 c_max = 20; a failing
+    # check carries no note that the residual shrinks
+    ("cor-5.3", (("cor_5_3_check", 1, _milli_apart),),
+     Outcome("FAILS_AS_PRINTED", 1e-3)),
     ("eq-5.4", (("weighted_regroup_check", 4, _split),),
      Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),
     ("eq-5.5", (("weighted_regroup_check", 42, _split),),

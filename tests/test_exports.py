@@ -86,3 +86,49 @@ def test_kernels_import_nothing_from_exactcore():
     # not catch a factorization bug that both sides shared
     imports = _imports_from("_kernels", "exactcore")
     assert not imports, imports
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _module_all(tree):
+    """The names listed in a module's literal __all__, empty when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _references(tree):
+    """(name, owner) for every Name, Attribute and imported name in a module,
+    owner being the top-level function or class it sits in (None outside)."""
+    refs = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.add((node.attr, owner))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                refs.update((alias.name.split(".")[-1], owner) for alias in node.names)
+    return refs
+
+
+def test_unexported_definitions_have_a_caller():
+    # a top-level function or class that its module does not export must be
+    # referenced somewhere in the package other than in its own body;
+    # otherwise it is dead code, or library code kept only for tests
+    src = Path(registry.__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    refs = set().union(*map(_references, trees.values()))
+    unreferenced = [
+        f"{path.relative_to(src)}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, _DEFS) and node.name not in _module_all(tree)
+        if not any(ref == node.name and owner != node.name for ref, owner in refs)
+    ]
+    assert not unreferenced, unreferenced

@@ -9,7 +9,6 @@ from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.series import (
     PowerSeries,
     check_power_sum_work,
-    log_one_minus_z_pow,
     product_with_exponents,
     ps_exp,
     ps_log,
@@ -127,10 +126,11 @@ def test_product_with_exponents_vs_logs():
             for k in range(1, order + 1)
             if rng.random() < 0.7
         }
+        # log(1 - z^k) = -sum_j z^(jk) / j
         log_sum = [Fraction(0)] * (order + 1)
         for k, r in exps.items():
-            for i, c in enumerate(log_one_minus_z_pow(k, order).coeffs):
-                log_sum[i] += r * c
+            for j in range(1, order // k + 1):
+                log_sum[j * k] -= r / j
         got = product_with_exponents(exps, order)
         assert got.coeffs == tuple(_fraction_exp(log_sum)), order
 
@@ -171,12 +171,16 @@ def test_exp_requires_zero_constant():
 
 
 def test_log_one_minus_z_pow():
+    # the coefficients -1/j at z^(jk) that the tests build inline are
+    # ps_log(1 - z^k), and ps_exp takes them back
     n = 12
     for k in (1, 2, 5):
         want = [Fraction(0)] * (n + 1)
         for j in range(1, n // k + 1):
             want[j * k] = Fraction(-1, j)
-        assert log_one_minus_z_pow(k, n) == PowerSeries(tuple(want))
+        one_minus = PowerSeries(tuple(1 if i == 0 else -(i == k) for i in range(n + 1)))
+        assert ps_log(one_minus) == PowerSeries(tuple(want))
+        assert ps_exp(PowerSeries(tuple(want))) == one_minus
 
 
 def test_pow_rational_square_root():

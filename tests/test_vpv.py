@@ -13,8 +13,14 @@ from vpvtotients.audit import registry, run_audit
 from vpvtotients.audit.registry import _bracket, _bracket_sides, _printed_t, _q1, _q2
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, grid_power_sum, moebius
-from vpvtotients.series import PowerSeries, log_one_minus_z_pow, product_with_exponents, ps_exp, ps_mul
-from vpvtotients.totients import jordan, m_phi, unnormalized_phi
+from vpvtotients.series import PowerSeries, product_with_exponents, ps_exp, ps_mul
+from vpvtotients.totients import (
+    LatticeSelector,
+    enumerate_selector,
+    jordan,
+    m_phi,
+    unnormalized_phi,
+)
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
@@ -45,6 +51,12 @@ def _rand_seq(rng, n, nonzero=False):
 
 def _delta(k):
     return FiniteSequence({k: Fraction(1)}, k)
+
+
+# sequences of bound 6 with no term at k >= 2, and with k = 5 the only
+# term past 1, so that 5 is the only denominator with a multiple
+_SPARSE = (FiniteSequence({1: Fraction(3, 2)}, 6),
+           FiniteSequence({1: Fraction(1), 5: Fraction(-2, 3)}, 6))
 
 
 def _powers(n, e):
@@ -249,7 +261,10 @@ def _moebius_selector_exp_sum(h, v, b, x):
 
 
 def test_regrouping_inner_sum_three_routes():
-    # the engine's selector sum against two routes that share none of its code
+    # the float kernel of the regrouping loop, given the selector's dot
+    # products and the identity as coefficients, so that it returns one
+    # selector sum per weight row, against two routes that share none of its
+    # code
     rng = random.Random(14)
     for h in (1, 2, 3):
         for v in range(2, 31):
@@ -260,7 +275,9 @@ def test_regrouping_inner_sum_three_routes():
             if h == 2:  # thm-5.8's weights (b, 0)
                 bs.append([Fraction(rng.randint(-5, 5), rng.randint(1, 6)), 0])
             x = rng.uniform(0.2, 1.2)
-            got = vpv._selector_exp_sums(h, v, np.array(bs, dtype=float), x)
+            js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+            dots = js @ np.array(bs, dtype=float).T
+            got = vpv._exp_kernel(x)(np.eye(len(bs)), dots, v)
             for b, value in zip(bs, got):
                 fb = [float(bl) for bl in b]
                 for route in (_brute_selector_exp_sum, _moebius_selector_exp_sum):
@@ -313,6 +330,13 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         assert len(calls) == len(set(calls)), (name, calls)
         want = name not in tuple_checks
         assert all(flag is want for flag in arrays), (name, arrays)
+    # a denominator with no multiple in the support enumerates nothing
+    sparse = _SPARSE[1]
+    for check in (lambda: thm_5_2_check(sparse, b, c, 0.5),
+                  lambda: _grid_sides(2, sparse, Fraction(1, 2), Fraction(-2, 3))):
+        calls.clear()
+        check()
+        assert calls == [(2, 5)], calls
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +465,8 @@ def _float_engine_cases(rng):
             # weights so negative that the selector sums are below the last
             # bit of S_1, whose rounding then shows in the result
             yield a, lambda k: [-60.0] * h, 1.0, bound, h
+        for a in _SPARSE:
+            yield a, lambda k: [Fraction(1, 2), Fraction(-1, 3), 0.25][:h], 0.5, 6, h
 
 
 def test_regroup_rhs_matches_reference_bit_for_bit():
@@ -529,18 +555,18 @@ def test_power_regroup_three_routes():
         [0, 1, 2**62 + 1, -(2**61 + 3)],
     )
     for pool, (h, n) in product(pools, ((1, 20), (2, 20), (3, 12))):
-        a = _rand_seq(rng, n)
+        seq = _rand_seq(rng, n)
         slots = [pool[i % len(pool)] for i in range(n * h)]
         rng.shuffle(slots)
         weights = {k: slots[(k - 1) * h:k * h] for k in range(1, n + 1)}
-        for p in (1, 2, 3, 4):
+        for a, p in product((seq, *_SPARSE), (1, 2, 3, 4)):
             lhs, got = power_regroup_check(a, lambda k: 0, weights.get, h, p)
             assert lhs == 0 and isinstance(got, Fraction)
             for route in (_brute_power_sum, _moebius_power_sum):
                 want = sum(
                     a(v * w) * route(h, v, weights[v * w], p)
                     for v in range(2, n + 1)
-                    for w in range(1, n // v + 1)
+                    for w in range(1, n // v + 1) if a(v * w)
                 )
                 assert got == want, (route.__name__, h, p)
 
@@ -735,6 +761,11 @@ def _ref_add(a, b):
     return PowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
+def _log_one_minus_z(order):
+    """log(1 - z) = -sum_{j>=1} z^j / j, truncated at the order."""
+    return PowerSeries((Fraction(0), *(Fraction(-1, j) for j in range(1, order + 1))))
+
+
 def _ref_cor_5_17(which, order, reading):
     shift = 2 if (which == "a" or reading == "printed") else 3
     t = 1 if which == "a" else 2
@@ -754,7 +785,7 @@ def _ref_cor_5_17(which, order, reading):
             (Fraction(-5, den), Fraction(12, den)) + (Fraction(0),) * (order - 1)
         )
         rhs = ps_exp(ps_mul(ps_mul(z, linear), inv1z2))
-        log1z = log_one_minus_z_pow(1, order)
+        log1z = _log_one_minus_z(order)
         rhs = ps_mul(rhs, ps_exp(log1z.scale(Fraction(-5, den))))
     return lhs, rhs
 
@@ -778,7 +809,7 @@ def _ref_cor_5_9(x, order, reading):
 
     log_lhs = PowerSeries((0,) * (order + 1))
     if reading == "derived":
-        log_lhs = _ref_add(log_lhs, log_one_minus_z_pow(1, order).scale(-1))
+        log_lhs = _ref_add(log_lhs, _log_one_minus_z(order).scale(-1))
         for v in range(2, order + 1):
             for m in range(v):
                 cnt = m_phi(m, v)
