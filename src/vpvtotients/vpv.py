@@ -300,8 +300,10 @@ def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
     for v in range(2, n + 1):
         at = [pos[k] for k in range(v, n + 1, v) if k in pos]
         if at:
-            js = enumerate_selector(LatticeSelector(h, v), as_array=True)
-            total += kernel(coef[at], js @ rows[at].T, v)
+            # the selector array and dot products stay temporaries, freed before
+            # the next v's: bound to names, two of each would be held at once
+            sel = LatticeSelector(h, v)
+            total += kernel(coef[at], enumerate_selector(sel, as_array=True) @ rows[at].T, v)
     return total
 
 
