@@ -288,8 +288,8 @@ def _exp_kernel(x):
 def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
     """total plus kernel(c, dots, v) for each v = 2..n with a multiple among
     the distinct indices ks (all >= 2): c holds those multiples' coefficients
-    coef[i] and dots their selector dot products js @ rows[i].T, a row of h
-    weights each.  Each point A != 0 of the grid [0, k)^h is (k / v) j for
+    coef[i] and dots the products js @ rows[i].T of the selector array js
+    with their rows of h weights.  Each point A != 0 of the grid [0, k)^h is (k / v) j for
     exactly one divisor v of k and one j in sel(h, v), so this regroups the
     grid sums of every k by v.  The selector of each v is enumerated once, as
     an (N, h) int64 array, and all of v's multiples share one matrix product.
