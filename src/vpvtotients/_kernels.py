@@ -12,17 +12,19 @@ compares two independent factorizations. Values are `np.add.outer` folds
 of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
 residue histogram and weights its k bins, so it takes k cosines.
 
-The selector itself comes in two forms, both in lexicographic order (C order
-of the mask). `selector_array` is the nonzero indices of the mask as rows,
+The selector is enumerated one way, in lexicographic order (C order of the
+mask). `selector_array` is the nonzero indices of the mask as rows,
 `np.array(mask.nonzero()).T` (the values and strides of `np.argwhere`,
 without its Python wrapper), an (N, m) int64 array at 8m bytes a selected
 point; the one `vpv` regrouping loop takes it, because it forms the dot
-products j . b as one matrix product, and cor-5.3 reads its columns.
-`selector_tuples` is `compress(product(range(k), repeat=m), mask.tobytes())`,
-a list of tuples of Python ints: the mask bytes cost one byte a point, and
-`product` shares one Python int per coordinate value instead of creating one
-per point. It is what the public `enumerate_selector` returns by default; no
-library caller asks for it, and it stays for the benchmark's kernel battery.
+products j . b as one matrix product. `selector_tuples` wraps that array in
+a `SelectorRows` view, whose items are tuples of Python ints made on demand,
+and builds no tuple list; the public `enumerate_selector` returns it. The
+library reads the array, takes the view's length, or iterates a small
+selector (cor-5.3). A caller that keeps every row of a large selector as a
+tuple, as `list(view)` does, pays about 1.2-1.5 times what building a tuple
+list took, and shares no Python int between points; a loop that drops each
+row as it goes pays less than that build.
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -33,6 +35,7 @@ the tests can count calls by replacing the attribute.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import reduce
 from itertools import compress, product
 
@@ -75,17 +78,55 @@ def _selector_mask(m: int, k: int) -> np.ndarray:
     return mask
 
 
-def selector_tuples(m: int, k: int) -> list[tuple[int, ...]]:
-    """Selector tuples in lexicographic order, with Python-int coordinates."""
-    mask = _selector_mask(m, k).tobytes()  # C order, one 0/1 byte a point
-    return list(compress(product(range(k), repeat=m), mask))
-
-
 def selector_array(m: int, k: int) -> np.ndarray:
     """Selector points as the rows of an (N, m) int64 array, lexicographic:
     the nonzero indices of the mask, transposed (what `np.argwhere` returns,
     without its Python wrapper)."""
     return np.array(_selector_mask(m, k).nonzero()).T
+
+
+class SelectorRows(Sequence):
+    """The rows of an (N, m) int64 array, `.array`, read as tuples of
+    Python ints.
+
+    An index gives one row as a tuple and a slice a `SelectorRows` over
+    those rows. Iteration converts the columns to Python-int lists once and
+    zips them, about half the time of `map(tuple, array.tolist())`. It
+    equals any sequence of the same tuples in the same order. `vpv` builds
+    one per visible denominator, so it holds only the array and checks
+    nothing.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SelectorRows(self.array[i])
+        return tuple(self.array[i].tolist())
+
+    def __iter__(self):
+        return zip(*self.array.T.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def selector_tuples(m: int, k: int) -> SelectorRows:
+    """The selector array read as tuples of Python ints, lexicographic.
+
+    It enumerates nothing of its own. The name stays because the
+    benchmark's traced run and the tests wrap each `_kernels` entry point
+    by name, this one included.
+    """
+    return SelectorRows(selector_array(m, k))
 
 
 def selector_count(m: int, k: int) -> int:

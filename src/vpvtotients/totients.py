@@ -18,14 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, log2, sqrt
-from typing import TYPE_CHECKING
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
 from .exactcore import divisors, factorize, gcd_many, grid_power_sum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "LatticeSelector",
@@ -83,14 +79,11 @@ def _check_cap(m: int, k: int) -> None:
         )
 
 
-def enumerate_selector(
-    sel: LatticeSelector, *, as_array: bool = False
-) -> list[tuple[int, ...]] | np.ndarray:
-    """The selector set in lexicographic order: a list of m-tuples of Python
-    ints, or with as_array=True the rows of an (N, m) int64 array."""
+def enumerate_selector(sel: LatticeSelector) -> _kernels.SelectorRows:
+    """The selector set in lexicographic order, as a read-only sequence of
+    m-tuples of Python ints over the (N, m) int64 array it exposes as
+    `.array`; callers that need every point at once read the array."""
     _check_cap(sel.m, sel.k)
-    if as_array:
-        return _kernels.selector_array(sel.m, sel.k)
     return _kernels.selector_tuples(sel.m, sel.k)
 
 

@@ -19,9 +19,9 @@ exact grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
 a left factor f against a sum of rational p-th powers over each selector; the
 audit registry passes each display's f, weights and p, printed and corrected
 forms alike.  Both right sides are one loop over the visible denominators,
-`_visible_regroup`, which takes each selector once as an (N, h) int64 array
-from `enumerate_selector(..., as_array=True)`, as cor-5.3 does; eq-4.16 reads
-the visible points of a hyperpyramid.
+`_visible_regroup`, which takes each selector once as the (N, h) int64 array
+that `enumerate_selector(...).array` exposes; cor-5.3 iterates the same
+selector's rows, and eq-4.16 reads the visible points of a hyperpyramid.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
@@ -303,7 +303,7 @@ def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
             # the selector array and dot products stay temporaries, freed before
             # the next v's: bound to names, two of each would be held at once
             sel = LatticeSelector(h, v)
-            total += kernel(coef[at], enumerate_selector(sel, as_array=True) @ rows[at].T, v)
+            total += kernel(coef[at], enumerate_selector(sel).array @ rows[at].T, v)
     return total
 
 
@@ -389,8 +389,7 @@ def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
     # omits; for c >= 2 the visible (a, b, c) are the selector of c
     log_lhs = -math.log(1.0 - z)
     for c in range(2, c_max + 1):
-        js = enumerate_selector(LatticeSelector(2, c), as_array=True)
-        for a, b in zip(*js.T.tolist()):
+        for a, b in enumerate_selector(LatticeSelector(2, c)):
             log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
     base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
     log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))

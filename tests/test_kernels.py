@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
+import pytest
 
 import vpvtotients._kernels as kernels
 import vpvtotients.exactcore as exactcore
@@ -123,6 +125,35 @@ def test_selector_array_is_argwhere():
             assert [tuple(r) for r in got.tolist()] == _brute_selector(m, k), (m, k)
 
 
+def test_selector_rows_contract():
+    # enumerate_selector returns this view; the benchmark's kernel battery
+    # samples it by index and compares neighbouring rows with >=, which needs
+    # tuples of Python ints, never numpy rows
+    rows, brute = kernels.selector_tuples(2, 12), _brute_selector(2, 12)
+    n = len(brute)
+    assert isinstance(rows, Sequence) and len(rows) == n
+    for i in (0, 1, n - 1, -1, -n):
+        assert type(rows[i]) is tuple and rows[i] == brute[i], i
+    for i in (n, -n - 1, 10**6):
+        with pytest.raises(IndexError):
+            rows[i]
+    for part in (slice(3, 9), slice(None, None, -2), slice(5, 2), slice(-4, None)):
+        got = rows[part]
+        assert isinstance(got, kernels.SelectorRows) and got == brute[part], part
+    assert rows == brute and brute == rows and rows == tuple(brute)
+    assert rows != brute[:-1] and rows != brute[:-1] + [(0, 0)] and rows != brute[::-1]
+    assert rows.__eq__(5) is NotImplemented and rows != 5 and rows != {0: (1, 1)}
+    assert (5, 7) in rows and (0, 0) not in rows and (2, 4) not in rows
+    assert rows.index(brute[7]) == 7
+    assert _python_ints(rows) and _python_ints([rows[0], rows[-1]])
+    assert all(rows[i - 1] < rows[i] for i in range(1, n))
+    big = kernels.selector_tuples(2, 500)
+    assert big[-1] == (499, 499) and _python_ints([big[-1]]) and _python_ints(big[-3:])
+    empty = kernels.selector_tuples(3, 1)
+    assert len(empty) == 0 and empty == [] and list(empty) == []
+    assert empty.array.shape == (0, 3)
+
+
 def test_visible_points_box_cross_backend():
     for bounds in BOXES:
         got = kernels.visible_points_box(bounds)
@@ -195,19 +226,19 @@ def test_kernel_peak_memory_per_grid_point():
     # at a time; an (m, k^m) int64 coordinate grid alone would cost 24 B/point
     # at m = 3. The masks are sieved in place, with no temporary, so counting
     # costs 1 B/point at every k and in every box; a gcd fold would hold its
-    # uint8/16/32 grid beside the mask. A tuple list costs about 61 B/point
-    # at m = 3 (a 64 B tuple and its 8 B list slot per selected point, 84 %
-    # of the grid at k = 60).
-    # The int64 array costs 24 B per selected point at m = 3, and stacking
-    # the nonzero index arrays holds two such copies at its peak: about
-    # 41 B/point.
+    # uint8/16/32 grid beside the mask. The int64 array costs 24 B per
+    # selected point at m = 3, and stacking the nonzero index arrays holds
+    # two such copies at its peak: about 41 B/point. selector_tuples wraps
+    # that array, so it has the array's bound; a list of its tuples would
+    # cost about 61 B/point (a 64 B tuple and an 8 B list slot per selected
+    # point, 84 % of the grid at k = 60).
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
         (lambda: kernels.selector_count(1, 510510), 510510, 1.5),
         (lambda: kernels.visible_count_box((1000, 1000)), 1000**2, 1.5),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
-        (lambda: kernels.selector_tuples(3, 60), 60**3, 72),
+        (lambda: kernels.selector_tuples(3, 60), 60**3, 48),
         (lambda: kernels.selector_array(3, 60), 60**3, 48),
     )
     for run, points, bound in cases:

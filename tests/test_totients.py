@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -181,16 +182,18 @@ def test_selector_enumeration_matches_size():
 
 
 def test_selector_array_matches_tuples():
-    # the int64 array form has the tuple rows in the same order, J_m(k) of
-    # them; at k = 1 the selector is empty
+    # the int64 array and the tuple view over it both list the brute-force
+    # selector, J_m(k) points in lexicographic order; at k = 1 it is empty
     cases = [(m, k) for m in (1, 2, 3) for k in range(1, 31)] + [(2, 500), (3, 60)]
     for m, k in cases:
-        sel = LatticeSelector(m, k)
-        arr = enumerate_selector(sel, as_array=True)
-        tuples = enumerate_selector(sel)
-        assert arr.dtype == np.int64, (m, k)
-        assert arr.shape == (jordan(m, k) if k > 1 else 0, m), (m, k)
-        assert [tuple(row) for row in arr.tolist()] == tuples, (m, k)
+        brute = [
+            js for js in product(range(k), repeat=m) if any(js) and gcd(k, *js) == 1
+        ]
+        rows = enumerate_selector(LatticeSelector(m, k))
+        assert rows.array.dtype == np.int64, (m, k)
+        assert rows.array.shape == (jordan(m, k) if k > 1 else 0, m), (m, k)
+        assert [tuple(r) for r in rows.array.tolist()] == brute, (m, k)
+        assert list(rows) == brute, (m, k)
 
 
 def test_selector_cap_raises_before_allocating(monkeypatch):
@@ -202,7 +205,6 @@ def test_selector_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "_selector_mask", no_mask)
     calls = (
         lambda: enumerate_selector(LatticeSelector(2, 3163)),
-        lambda: enumerate_selector(LatticeSelector(2, 3163), as_array=True),
         lambda: selector_size(2, 3163),
         lambda: ramanujan_cohen_enum(3163, (1, 1)),
         lambda: phi_t_enum(2, 2, 3163),

@@ -275,7 +275,7 @@ def test_regrouping_inner_sum_three_routes():
             if h == 2:  # thm-5.8's weights (b, 0)
                 bs.append([Fraction(rng.randint(-5, 5), rng.randint(1, 6)), 0])
             x = rng.uniform(0.2, 1.2)
-            js = enumerate_selector(LatticeSelector(h, v), as_array=True)
+            js = enumerate_selector(LatticeSelector(h, v)).array
             dots = js @ np.array(bs, dtype=float).T
             got = vpv._exp_kernel(x)(np.eye(len(bs)), dots, v)
             for b, value in zip(bs, got):
@@ -288,15 +288,13 @@ def test_regrouping_inner_sum_three_routes():
 def test_checks_enumerate_each_selector_once(monkeypatch):
     # perfbench's traced run wraps vpv.enumerate_selector by name and divides
     # by its call count; a repeated (m, k) within one check is wasted work
-    # every check must ask it for the int64 array (eq-4.16 reads a
-    # hyperpyramid region and enumerates no selector)
-    calls, arrays = [], []
+    # (eq-4.16 reads a hyperpyramid region and enumerates no selector)
+    calls = []
     original = vpv.enumerate_selector
 
-    def counting(sel, *args, **kwargs):
+    def counting(sel):
         calls.append((sel.m, sel.k))
-        arrays.append(kwargs.get("as_array", False))
-        return original(sel, *args, **kwargs)
+        return original(sel)
 
     monkeypatch.setattr(vpv, "enumerate_selector", counting)
     rng = random.Random(15)
@@ -321,15 +319,11 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         checks[f"cor-5.11 h={h}"] = lambda h=h: _bracket_sides(
             a, [b, c, d][:h], _oracle_bracket(2), 2
         )
-    tuple_checks = set()
     for name, check in checks.items():
         calls.clear()
-        arrays.clear()
         check()
         assert calls, name
         assert len(calls) == len(set(calls)), (name, calls)
-        want = name not in tuple_checks
-        assert all(flag is want for flag in arrays), (name, arrays)
     # a denominator with no multiple in the support enumerates nothing
     sparse = _SPARSE[1]
     for check in (lambda: thm_5_2_check(sparse, b, c, 0.5),
