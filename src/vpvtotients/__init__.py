@@ -3,7 +3,7 @@ totients, visible-point lattice rearrangements, and the audit registry that
 verifies each catalogued identity.
 
 Subpackages and modules:
-  exactcore  -- gcd/Moebius/Bernoulli/Stirling primitives, exact rationals
+  exactcore  -- factorization/Moebius/Bernoulli/Stirling primitives, exact rationals
   totients   -- c_k(n_1..n_m), Jordan totients, the phi_t family
   series     -- truncated power series over Fraction coefficients
   analytic   -- zeta, Dirichlet partial sums, Jacobi theta evaluation

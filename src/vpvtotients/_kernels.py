@@ -44,6 +44,10 @@ import numpy as np
 # read by perfbench/run.py, which records it with every benchmark run
 BACKEND = "pure"
 
+# every kernel reads one numpy boolean mask with an axis per dimension, and
+# numpy arrays have at most 64 axes
+MAX_DIMS = 64
+
 
 def _distinct_primes(k: int) -> list[int]:
     """The distinct primes dividing k >= 1, by trial division."""

@@ -25,7 +25,7 @@ from operator import add, mul, truediv
 
 from . import _kernels
 from .errors import DomainError
-from .exactcore import bernoulli, divisors, gcd_many, moebius_sieve
+from .exactcore import bernoulli, divisors, moebius_sieve
 from .totients import _check_cap
 
 __all__ = [
@@ -67,7 +67,7 @@ def zeta(s: float) -> float:
 
 def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
     """g = gcd(|n_1|..|n_m|), rejected when 0 before any O(K) table is built."""
-    g = gcd_many([abs(int(v)) for v in n])
+    g = math.gcd(*map(int, n))
     if g == 0:
         raise DomainError(f"g = gcd(n) = 0: {why}")
     return g
@@ -81,7 +81,7 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
     is at most K * d(g) additions, with no divisor list per k.
     """
     m = len(n)
-    g = gcd_many([abs(int(v)) for v in n])
+    g = math.gcd(*map(int, n))
     mu = moebius_sieve(K)
     out = [0] * (K + 1)
     for e in divisors(g) if g else range(1, K + 1):

@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic primitives.
 
 Everything downstream (totients, power series, identity audits) is built on
-the functions here: gcd of tuples, factorization by trial division (no
+the functions here: factorization by trial division into (p, e) pairs (no
 sieve table; divisors stop at FACTOR_TRIAL_CAP = 10^7), the Moebius
 function, divisor lists, Bernoulli numbers (B1 = -1/2 convention), Stirling
 numbers of the second kind, power sums, and the full-grid power sum that
@@ -15,16 +15,13 @@ den >= 1, zero is 0/1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError
 
 __all__ = [
-    "Factorization",
-    "gcd_many",
     "factorize",
     "moebius",
     "moebius_sieve",
@@ -46,30 +43,9 @@ _BERNOULLI_CAP = 600
 _STIRLING_WORK_CAP = 2 * 10**9
 
 
-def gcd_many(xs: list[int]) -> int:
-    """gcd of a non-empty list of non-negative integers; gcd of all zeros is 0."""
-    if not xs:
-        raise UsageError("gcd_many requires a non-empty list")
-    g = 0
-    for x in xs:
-        if x < 0:
-            raise DomainError(f"gcd_many requires non-negative integers, got {x}")
-        g = gcd(g, x)
-    return g
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-exponent pairs with strictly ascending primes; 1 factors as ()."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division, one divisor at a time.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (p, e) pairs of a positive integer, primes ascending, with () for
+    1, found by trial division, one divisor at a time.
 
     Divisors run up to FACTOR_TRIAL_CAP; an n whose unfactored part still
     has a possible factor past the cap raises ResourceError, so every
@@ -95,17 +71,17 @@ def factorize(n: int) -> Factorization:
         d += 1 if d == 2 else 2
     if n > 1:
         pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def moebius(n: int) -> int:
     """Moebius mu: 0 on non-squarefree n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise DomainError(f"moebius requires n >= 1, got {n}")
-    f = factorize(n)
-    if any(e > 1 for _, e in f.pairs):
+    pairs = factorize(n)
+    if any(e > 1 for _, e in pairs):
         return 0
-    return -1 if len(f.pairs) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
 def moebius_sieve(limit: int) -> list[int]:
@@ -128,7 +104,7 @@ def divisors(n: int) -> list[int]:
     if n < 1:
         raise DomainError(f"divisors requires n >= 1, got {n}")
     divs = [1]
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 

@@ -49,6 +49,8 @@ class PowerSeries:
         object.__setattr__(
             self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs)
         )
+        if not self.coeffs:
+            raise DomainError("a series needs at least the coefficient c_0")
 
     @property
     def order(self) -> int:
@@ -57,9 +59,6 @@ class PowerSeries:
     def scale(self, r) -> "PowerSeries":
         r = _as_fraction(r)
         return PowerSeries(tuple(r * c for c in self.coeffs))
-
-    def __str__(self) -> str:
-        return " + ".join(f"({c})z^{i}" for i, c in enumerate(self.coeffs) if c)
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:

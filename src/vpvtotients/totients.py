@@ -21,7 +21,7 @@ from math import gcd, log, log2, sqrt
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
-from .exactcore import divisors, factorize, gcd_many, grid_power_sum
+from .exactcore import divisors, factorize, grid_power_sum
 
 __all__ = [
     "LatticeSelector",
@@ -71,10 +71,27 @@ class LatticeSelector:
             raise DomainError(f"selector requires m >= 1 and k >= 1, got {self}")
 
 
+def _decimal(k: int, m: int = 1) -> str:
+    """k**m in decimal; where that is past the interpreter's int-to-str
+    digit limit, its size as a power of two, and when k alone is past it
+    the power is never built."""
+    try:
+        str(k)
+        return str(k**m)
+    except ValueError:
+        return f"about 2^{m * log2(k):.0f}"
+
+
 def _check_cap(m: int, k: int) -> None:
-    if k**m > DEFAULT_SELECTOR_CAP:
+    # m is refused before k**m is built (3**(10**7) alone takes seconds), and
+    # past the cap the power is built only for a k short enough to print
+    if m > _kernels.MAX_DIMS:
         raise ResourceError(
-            f"selector grid for m={m}, k={k} has {k**m} tuples, "
+            f"selector grid for m={_decimal(m)} has more than {_kernels.MAX_DIMS} axes"
+        )
+    if k > DEFAULT_SELECTOR_CAP or k**m > DEFAULT_SELECTOR_CAP:
+        raise ResourceError(
+            f"selector grid for m={m}, k={_decimal(k)} has {_decimal(k, m)} tuples, "
             f"above cap {DEFAULT_SELECTOR_CAP}"
         )
 
@@ -126,12 +143,12 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     if k == 1:
         return 1
     m = len(n)
-    d = gcd(k, gcd_many([abs(int(v)) for v in n]))  # gcd(k, 0) = k
+    d = gcd(k, *map(int, n))  # gcd(k, 0) = k; gcd ignores signs
     # the sum is multiplicative, so one factorization of k splits it into a
     # factor per p^a || k: e takes p^b with b up to the exponent c of p in d,
     # and mu(k/e) = 0 unless b >= a - 1; an empty range makes the factor 0
     total = 1
-    for p, a in factorize(k).pairs:
+    for p, a in factorize(k):
         c = 0
         while d % p == 0:
             d //= p
@@ -153,7 +170,7 @@ def jordan(m: int, k: int) -> int:
             f"about {bits:.3g} bits or more, above cap {JORDAN_BITS_CAP}"
         )
     value = k**m
-    for p in factorize(k).primes():
+    for p, _ in factorize(k):
         value = value // p**m * (p**m - 1)
     return value
 
@@ -192,7 +209,7 @@ def unnormalized_phi(t: int, m: int, k: int) -> int:
         return 0
     _check_phi_work(t, m, k)
     squarefree = [(1, 1)]  # (d, mu(d))
-    for p in factorize(k).primes():
+    for p, _ in factorize(k):
         squarefree += [(d * p, -mu) for d, mu in squarefree]
     return sum(
         mu * d**t * grid_power_sum(t, k // d, (1,) * m) for d, mu in squarefree

@@ -11,10 +11,10 @@ evaluated with finitely supported sequences, so both sides are finite and
 Each family of displays is one function.  The floating-point
 rearrangements (lemma 3.2 and theorems 5.1, 5.2, 5.8 and 5.10) are calls of
 `_exp_regroup(a, f, weights, h, x)`, the left factors f of each term (its
-exact coefficient first) against a sum of exponentials over each selector
-(`_regroup_rhs`); each check passes only its factors and the weights of its
-exponentials, and the printed thm-5.1 reading is audit-registry data.  The
-exact grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
+exact coefficient first) against a sum of exponentials over each selector;
+each check passes only its factors and the weights of its exponentials,
+and the printed thm-5.1 reading is audit-registry data.  The exact
+grid-power identities (eq-4.2, eq-4.3, eq-4.7) and bracket corollaries
 (cor-5.11..5.13) are one function, `power_regroup_check(a, f, weights, h, p)`,
 a left factor f against a sum of rational p-th powers over each selector; the
 audit registry passes each display's f, weights and p, printed and corrected
@@ -60,6 +60,7 @@ from .errors import DomainError, ResourceError
 from .totients import (
     DEFAULT_SELECTOR_CAP,
     LatticeSelector,
+    _decimal,
     enumerate_selector,
 )
 
@@ -111,10 +112,6 @@ class FiniteSequence:
 
 _REGION_CONSTRAINTS = ("box", "hyperpyramid")
 
-# the visible points of a box are read from one numpy boolean mask with an
-# axis per dimension, and numpy arrays have at most 64 axes
-MAX_BOX_DIMS = 64
-
 
 @dataclass(frozen=True)
 class RadialRegion:
@@ -154,7 +151,9 @@ class RadialRegion:
                 if size > DEFAULT_SELECTOR_CAP:
                     break
         if size > DEFAULT_SELECTOR_CAP:
-            raise ResourceError(f"lattice size {least}{size} exceeds cap {DEFAULT_SELECTOR_CAP}")
+            raise ResourceError(
+                f"lattice size {least}{_decimal(size)} exceeds cap {DEFAULT_SELECTOR_CAP}"
+            )
 
     def points(self):
         """All lattice points of the region: lexicographic for a box; for a
@@ -169,8 +168,8 @@ class RadialRegion:
 
 def _box_bounds(region: RadialRegion) -> tuple:
     """The bounds of a box region, refused past the axis and size caps."""
-    if region.dims > MAX_BOX_DIMS:
-        raise ResourceError(f"a box of {region.dims} axes exceeds {MAX_BOX_DIMS}")
+    if region.dims > _kernels.MAX_DIMS:
+        raise ResourceError(f"a box of {region.dims} axes exceeds {_kernels.MAX_DIMS}")
     region._check_size()
     return region.bounds
 
@@ -237,35 +236,26 @@ def _exp_regroup(a: FiniteSequence, f, weights, h: int, x) -> tuple:
         = S_1 + sum_{v>=2} sum_{w<=n/v} a_{vw} sum_{j in sel(h, v)} exp((j . b_{vw}) x / v)
 
     with f(k) the factors of the k-th term, f_0(k) its exact coefficient
-    (a_k, or k a_k for thm-5.8), and b_k = weights(k), a vector of h
-    numbers.  The left side runs over the support of a in k order where
-    a_k != 0, as float(f_0(k)) times each further factor, left to right; the
-    right side is `_regroup_rhs`.  Returns (lhs, rhs) as complex numbers.
+    (a_k, or k a_k for thm-5.8), n = a.bound, S_1 = a_1 + ... + a_n and
+    b_k = weights(k), a vector of h numbers.  The support of a is read once,
+    in k order, where a_k != 0.  The left side is float(f_0(k)) times each
+    further factor, left to right.  For rational terms S_1 is one Python-int
+    sum of numerators over the lcm D of the denominators (`_over_lcm`),
+    divided once by D (the float of the exact sum); float terms are added in
+    k order.  a_k and b_k are converted to floats once (`_real`), for the
+    k >= 2, and `_visible_regroup` adds the selector sums of `_exp_kernel(x)`
+    onto S_1.  Returns (lhs, rhs) as complex numbers.
     """
     if h < 1:
         raise DomainError("need at least one exponent sequence")
-    lhs = 0j
-    for k, ak in sorted(a.support.items()):
-        if ak:
-            first, *rest = f(k)
-            term = _real(first)
-            for g in rest:
-                term *= g
-            lhs += term
-    return lhs, complex(_regroup_rhs(a, weights, x, h))
-
-
-def _regroup_rhs(a: FiniteSequence, weights, x, h: int):
-    """The right side of `_exp_regroup`, with n = a.bound,
-    S_1 = a_1 + ... + a_n and b_k = weights(k), h numbers.  The support of a
-    is read once, in k order.  For rational terms S_1 is one Python-int sum
-    of numerators over the lcm D of the denominators (`_over_lcm`), divided
-    once by D (the float of the exact sum); float terms are added in k
-    order.  a_k and b_k are converted to floats once (`_real`), for the
-    k >= 2 with a_k != 0, and `_visible_regroup` adds the selector sums of
-    `_exp_kernel(x)` onto S_1.
-    """
     terms = [(k, c) for k, c in sorted(a.support.items()) if c]
+    lhs = 0j
+    for k, _ in terms:
+        first, *rest = f(k)
+        term = _real(first)
+        for g in rest:
+            term *= g
+        lhs += term
     vals = [c for _, c in terms]
     if all(isinstance(c, (int, Fraction)) for c in vals):
         den, nums = _over_lcm(vals)
@@ -275,8 +265,8 @@ def _regroup_rhs(a: FiniteSequence, weights, x, h: int):
     terms = [(k, c) for k, c in terms if k >= 2]
     coef = np.array([_real(c) for _, c in terms])
     rows = np.array([[_real(c) for c in weights(k)] for k, _ in terms])
-    return _visible_regroup(a.bound, [k for k, _ in terms], coef, rows, h, rhs,
-                            _exp_kernel(x))
+    return lhs, complex(_visible_regroup(a.bound, [k for k, _ in terms], coef, rows,
+                                         h, rhs, _exp_kernel(x)))
 
 
 def _exp_kernel(x):

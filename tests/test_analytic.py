@@ -184,6 +184,9 @@ def test_dirichlet_domain_errors():
         dirichlet_partial_cohen(0.0, (4,), 100)
     with pytest.raises(DomainError):
         dirichlet_partial_cohen(1.0, (0, 0), 100)
+    # an empty n has g = gcd() = 0 and is refused as the all-zero n is
+    with pytest.raises(DomainError, match=r"g = gcd\(n\) = 0"):
+        dirichlet_partial_cohen(1.0, (), 100)
 
 
 def test_zero_gcd_rejected_before_the_table(monkeypatch):

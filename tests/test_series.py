@@ -170,6 +170,13 @@ def test_exp_requires_zero_constant():
         ps_exp(PowerSeries((1, 0, 0, 0, 0)))
 
 
+def test_empty_series_refused():
+    # every series has c_0: an empty one would fail later in ps_exp and
+    # ps_log, as an IndexError at coeffs[0]
+    with pytest.raises(DomainError, match="c_0"):
+        PowerSeries(())
+
+
 def test_log_one_minus_z_pow():
     # the coefficients -1/j at z^(jk) that the tests build inline are
     # ps_log(1 - z^k), and ps_exp takes them back

@@ -26,6 +26,7 @@ from vpvtotients.totients import (
     sigma,
     unnormalized_phi,
 )
+from vpvtotients.vpv import RadialRegion, visible_count
 
 
 def test_closed_form_matches_enumeration_grid():
@@ -214,6 +215,28 @@ def test_selector_cap_raises_before_allocating(monkeypatch):
     for call in calls:
         with pytest.raises(ResourceError, match="above cap 10000000"):
             call()
+
+
+def test_cap_refusals_far_past_the_cap():
+    # k^m, k or a lattice size past the int-to-str digit limit is named by
+    # its size as a power of two, and an m past the 64 axes of a numpy mask
+    # is refused before k^m is built (3^(10^7) alone takes seconds, and
+    # 1^65 = 1 is under the cap)
+    calls = (
+        lambda: selector_size(2, 10**3000),
+        lambda: ramanujan_cohen_enum(10**3000, (1, 1)),
+        lambda: m_phi(1, 10**5000),
+        lambda: visible_count(RadialRegion(2, (10**3000,) * 2)),
+        lambda: selector_size(10**7, 3),
+        lambda: selector_size(65, 1),
+        lambda: enumerate_selector(LatticeSelector(65, 1)),
+        lambda: selector_size(64, 10**100000),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ResourceError):
+            call()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_jordan_cap_raises_before_the_power(monkeypatch):

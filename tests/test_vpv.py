@@ -348,7 +348,7 @@ def _ref_selector_exp_sums(h, v, bs, x):
     return np.exp((js @ bs.T) * (x / v)).sum(axis=0)
 
 
-def _ref_regroup_rhs(a, weights, x, n, h):
+def _ref_exp_rhs(a, weights, x, n, h):
     rhs = float(sum(a(k) for k in range(1, n + 1)))
     ks = [k for k in range(2, n + 1) if a(k)]
     kv = np.array(ks, dtype=np.int64)
@@ -379,13 +379,13 @@ def _ref_lemma_3_2(a, q):
             term *= (1.0 - v) / (1.0 - v ** (1.0 / k))
         lhs += term
     logq = [math.log(v) for v in q]
-    return lhs, float(_ref_regroup_rhs(a, lambda k: logq, 1.0, n, len(q)))
+    return lhs, float(_ref_exp_rhs(a, lambda k: logq, 1.0, n, len(q)))
 
 
 def _ref_thm_5_8(a, b, x, n=None):
     n = a.bound if n is None else n
     lhs = sum(k * a(k) * _ref_exp_factor(b(k), x, k) for k in range(1, n + 1) if a(k))
-    return lhs, complex(_ref_regroup_rhs(a, lambda k: (b(k), 0), x, n, 2))
+    return lhs, complex(_ref_exp_rhs(a, lambda k: (b(k), 0), x, n, 2))
 
 
 def _ref_thm_5_10(a, bs, x, n=None):
@@ -399,7 +399,7 @@ def _ref_thm_5_10(a, bs, x, n=None):
         for b in bs:
             term *= _ref_exp_factor(b(k), x, k)
         lhs += term
-    return lhs, complex(_ref_regroup_rhs(a, lambda k: [b(k) for b in bs], x, n, len(bs)))
+    return lhs, complex(_ref_exp_rhs(a, lambda k: [b(k) for b in bs], x, n, len(bs)))
 
 
 def _ref_thm_5_1(a, b, x, n=None, as_printed=False):
@@ -466,8 +466,8 @@ def _float_engine_cases(rng):
 def test_regroup_rhs_matches_reference_bit_for_bit():
     rng = random.Random(21)
     for a, weights, x, n, h in _float_engine_cases(rng):
-        got = vpv._regroup_rhs(_truncated(a, n), weights, x, h)
-        assert got == _ref_regroup_rhs(a, weights, x, n, h), (h, n, a.support)
+        got = vpv._exp_regroup(_truncated(a, n), lambda k: (0,), weights, h, x)[1]
+        assert got == _ref_exp_rhs(a, weights, x, n, h), (h, n, a.support)
 
 
 def test_float_left_sides_match_reference_bit_for_bit():
