@@ -13,11 +13,11 @@ of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
 residue histogram and weights its k bins, so it takes k cosines.
 
 The selector is enumerated one way, in lexicographic order (C order of the
-mask). `selector_array` is the nonzero indices of the mask as rows,
-`np.array(mask.nonzero()).T` (the values and strides of `np.argwhere`,
-without its Python wrapper), an (N, m) int64 array at 8m bytes a selected
-point; the one `vpv` regrouping loop takes it, because it forms the dot
-products j . b as one matrix product. `selector_tuples` wraps that array in
+mask). `selector_array` is the nonzero indices of the mask as rows: the
+C-order (N, m) int64 array that `nonzero` fills and hands out as m column
+views, taken back as the views' `.base` (`np.argwhere`'s values, without its
+copy), at 8m bytes a selected point; the one `vpv` regrouping loop takes it,
+because it forms the dot products j . b as one matrix product. `selector_tuples` wraps that array in
 a `SelectorRows` view, whose items are tuples of Python ints made on demand,
 and builds no tuple list; the public `enumerate_selector` returns it. The
 library reads the array, takes the view's length, or iterates a small
@@ -25,6 +25,12 @@ selector (cor-5.3). A caller that keeps every row of a large selector as a
 tuple, as `list(view)` does, pays about 1.2-1.5 times what building a tuple
 list took, and shares no Python int between points; a loop that drops each
 row as it goes pays less than that build.
+
+`moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
+strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over
+whole slices, and a cofactor left above 1 is one larger prime. `analytic`
+reads it for its Dirichlet and mean-value sums; `exactcore.moebius`, by
+trial division, is its per-n oracle.
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -83,10 +89,14 @@ def _selector_mask(m: int, k: int) -> np.ndarray:
 
 
 def selector_array(m: int, k: int) -> np.ndarray:
-    """Selector points as the rows of an (N, m) int64 array, lexicographic:
-    the nonzero indices of the mask, transposed (what `np.argwhere` returns,
-    without its Python wrapper)."""
-    return np.array(_selector_mask(m, k).nonzero()).T
+    """Selector points as the rows of a C-order (N, m) int64 array,
+    lexicographic: the nonzero indices of the mask, what `np.argwhere`
+    returns."""
+    # nonzero fills one C-order (N, m) intp array and returns its m columns
+    # as strided views of it (for m = 1 and an empty mask too), so the
+    # views' base is the array of rows: restacking the columns would copy
+    # every selected point a second time
+    return _selector_mask(m, k).nonzero()[0].base
 
 
 class SelectorRows(Sequence):
@@ -165,6 +175,26 @@ def selector_power_sum(t: int, m: int, k: int) -> int:
     sums = reduce(np.add.outer, [np.arange(k)] * m)[mask]
     counts = np.bincount(sums, minlength=1)
     return sum(int(c) * s**t for s, c in enumerate(counts) if c)
+
+
+def moebius_table(n: int) -> list[int]:
+    """mu(0..n) as a list of Python ints, mu[0] = 0, sieved by prime strides.
+
+    Each prime p <= sqrt(n) negates mu on its multiples, divides them out of
+    `rest` once, and zeroes mu on the multiples of p^2. A multiple of p^2 is
+    zero whatever else happens, so `rest` needs only one division per p: a
+    squarefree index has then lost every prime factor up to sqrt(n), and
+    what is left above 1 is the one prime factor above sqrt(n).
+    """
+    mu = np.ones(n + 1, dtype=np.int8)
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in _primes_upto(math.isqrt(n)):
+        mu[::p] *= -1
+        rest[::p] //= p
+        mu[:: p * p] = 0
+    mu[rest > 1] *= -1
+    mu[0] = 0
+    return mu.tolist()
 
 
 def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:

@@ -25,7 +25,7 @@ from operator import add, mul, truediv
 
 from . import _kernels
 from .errors import DomainError
-from .exactcore import bernoulli, divisors, moebius_sieve
+from .exactcore import bernoulli, divisors
 from .totients import _check_cap
 
 __all__ = [
@@ -82,7 +82,7 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
     """
     m = len(n)
     g = math.gcd(*map(int, n))
-    mu = moebius_sieve(K)
+    mu = _kernels.moebius_table(K)
     out = [0] * (K + 1)
     for e in divisors(g) if g else range(1, K + 1):
         if e > K:
@@ -117,14 +117,14 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
 
     Each divisor e of g contributes e^(m-1) times the Mertens-type partial
     sum of mu(d)/d up to K/e; the total tends to 0 as K grows.  One Moebius
-    sieve at the largest K serves every n and K: the partial sums are read
+    table at the largest K serves every n and K: the partial sums are read
     from one `itertools.accumulate` of mu(d)/d, which adds left to right.
     """
     if any(K < 1 for K in Ks):
         raise DomainError("K must be >= 1")
     gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
     top = max(Ks, default=0)
-    mu = moebius_sieve(top)
+    mu = _kernels.moebius_table(top)
     partial = [0.0, *accumulate(mu[d] / d for d in range(1, top + 1))]
     table = []
     for n, g in zip(ns, gs):

@@ -24,7 +24,6 @@ from .errors import DomainError, ResourceError
 __all__ = [
     "factorize",
     "moebius",
-    "moebius_sieve",
     "divisors",
     "bernoulli",
     "stirling2",
@@ -82,21 +81,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in pairs):
         return 0
     return -1 if len(pairs) % 2 else 1
-
-
-def moebius_sieve(limit: int) -> list[int]:
-    """mu(0..limit) as a list (mu[0] unused, set to 0)."""
-    mu = [1] * (limit + 1)
-    mu[0] = 0
-    marked = [False] * (limit + 1)
-    for p in range(2, limit + 1):
-        if not marked[p]:  # p prime: composites were marked by smaller primes
-            for q in range(p, limit + 1, p):
-                marked[q] = True
-                mu[q] = -mu[q]
-            for q in range(p * p, limit + 1, p * p):
-                mu[q] = 0
-    return mu
 
 
 def divisors(n: int) -> list[int]:

@@ -106,6 +106,7 @@ def enumerate_selector(sel: LatticeSelector) -> _kernels.SelectorRows:
 
 def selector_size(m: int, k: int) -> int:
     """Cardinality of the selector set, by counting."""
+    LatticeSelector(m, k)  # refuses m < 1 and k < 1 before the cap check
     _check_cap(m, k)
     return _kernels.selector_count(m, k)
 

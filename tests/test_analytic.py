@@ -56,7 +56,7 @@ def test_dirichlet_partial_trend():
 def _mean_zero_one_sieve_per_cutoff(n, K):
     """The rearranged mean-value sum with its own Moebius table and a sum()
     of mu(d)/d per divisor: the reference for the shared table."""
-    mu = analytic.moebius_sieve(K)
+    mu = kernels.moebius_table(K)
     total = 0.0
     for e in analytic.divisors(math.gcd(*n)):
         if e <= K:
@@ -71,8 +71,8 @@ def test_mean_zero_table_matches_one_sieve_per_cutoff(monkeypatch):
     Ks = (100, 1000, 2000, 1, 37, 5000)
     want = [[_mean_zero_one_sieve_per_cutoff(n, K) for K in Ks] for n in ns]
     built = []
-    sieve = analytic.moebius_sieve
-    monkeypatch.setattr(analytic, "moebius_sieve", lambda K: built.append(K) or sieve(K))
+    table = kernels.moebius_table
+    monkeypatch.setattr(kernels, "moebius_table", lambda K: built.append(K) or table(K))
     assert analytic.ramanujan_mean_zero_table(ns, Ks) == want
     assert built == [5000]
     with pytest.raises(DomainError, match="K must be"):
@@ -191,10 +191,10 @@ def test_dirichlet_domain_errors():
 
 def test_zero_gcd_rejected_before_the_table(monkeypatch):
     # g = 0 is known from n alone; the O(K) Moebius table is never built
-    def no_sieve(limit):
+    def no_table(limit):
         raise AssertionError(f"Moebius table built up to {limit}")
 
-    monkeypatch.setattr(analytic, "moebius_sieve", no_sieve)
+    monkeypatch.setattr(kernels, "moebius_table", no_table)
     for call in (
         lambda: dirichlet_partial_cohen(1.0, (0, 0), 10**7),
         lambda: ramanujan_mean_zero_direct((0, 0, 0), 10**7),

@@ -4,6 +4,7 @@ from math import comb, gcd, isqrt, prod
 
 import pytest
 
+from vpvtotients._kernels import moebius_table
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import (
     bernoulli,
@@ -12,7 +13,6 @@ from vpvtotients.exactcore import (
     faulhaber_sum_direct,
     grid_power_sum,
     moebius,
-    moebius_sieve,
     stirling2,
 )
 
@@ -46,7 +46,8 @@ def test_factorize_trial_cap():
 
 
 def test_moebius_matches_sieve():
-    sieve = moebius_sieve(500)
+    # the Moebius table that analytic sums over, sieved by prime strides
+    sieve = moebius_table(500)
     for n in range(1, 501):
         assert moebius(n) == sieve[n]
 

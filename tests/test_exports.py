@@ -88,6 +88,13 @@ def test_kernels_import_nothing_from_exactcore():
     assert not imports, imports
 
 
+def test_exactcore_imports_no_numpy():
+    # the exact primitives stay pure Python, so that a `compute` built on
+    # them alone need not load numpy; the numpy Moebius table is _kernels'
+    imports = _imports_from("exactcore", "numpy")
+    assert not imports, imports
+
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -114,13 +114,19 @@ def test_selector_numeric_sums_cross_backend():
 
 
 def test_selector_array_is_argwhere():
-    # the nonzero rows of the mask, stacked: np.argwhere's values, dtype and
-    # strides, so that matrix products over it round as they did
+    # the nonzero rows of the mask as one C-contiguous int64 array, equal to
+    # np.argwhere's; a matrix product over it, as vpv forms j . b with the
+    # transposed weight rows, rounds bit for bit as one over np.argwhere does
+    rng = np.random.default_rng(11)
     for m, k in FIXED_CASES + RANDOM_CASES + ((2, 500), (3, 60)):
         got = kernels.selector_array(m, k)
         want = np.argwhere(kernels._selector_mask(m, k))
-        assert got.dtype == want.dtype and got.strides == want.strides, (m, k)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, (m, k)
         assert np.array_equal(got, want), (m, k)
+        for cols in (1, 2, 3):
+            weights = rng.uniform(-3.0, 3.0, (cols, m))
+            for w in (weights.T, np.ascontiguousarray(weights.T)):
+                assert (got @ w).tobytes() == (want @ w).tobytes(), (m, k, cols)
         if k <= 25:
             assert [tuple(r) for r in got.tolist()] == _brute_selector(m, k), (m, k)
 
@@ -221,25 +227,43 @@ def test_one_axis_box_is_not_sieved():
     assert time.perf_counter() - start < 1.0
 
 
+def test_moebius_table_against_trial_division():
+    # every limit up to 4, where sqrt(n) has no prime or only 2; limits at
+    # the prime squares 49 and 121, where p = sqrt(n) sieves and p^2 is the
+    # last entry; and 2000. Entries are Python ints, mu[0] = 0.
+    for limit in (0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 2000):
+        table = kernels.moebius_table(limit)
+        assert len(table) == limit + 1 and table[0] == 0, limit
+        assert all(type(mu) is int for mu in table), limit
+        assert table[1:] == [exactcore.moebius(n) for n in range(1, limit + 1)], limit
+    # at 10^5 (primes to 316, cofactors up to 49999): the Mertens sum
+    # M(10^5) = -48, and the first and last 2000 entries by trial division
+    table = kernels.moebius_table(10**5)
+    assert sum(table) == -48
+    for n in [*range(1, 2001), *range(10**5 - 1999, 10**5 + 1)]:
+        assert table[n] == exactcore.moebius(n), n
+
+
 def test_kernel_peak_memory_per_grid_point():
     # Each kernel holds one k^m boolean mask and at most one k^m value array
     # at a time; an (m, k^m) int64 coordinate grid alone would cost 24 B/point
     # at m = 3. The masks are sieved in place, with no temporary, so counting
     # costs 1 B/point at every k and in every box; a gcd fold would hold its
     # uint8/16/32 grid beside the mask. The int64 array costs 24 B per
-    # selected point at m = 3, and stacking the nonzero index arrays holds
-    # two such copies at its peak: about 41 B/point. selector_tuples wraps
-    # that array, so it has the array's bound; a list of its tuples would
-    # cost about 61 B/point (a 64 B tuple and an 8 B list slot per selected
-    # point, 84 % of the grid at k = 60).
+    # selected point at m = 3, 84 % of the grid at k = 60; nonzero fills it
+    # once and selector_array keeps it without a second copy: about
+    # 21 B/point with the mask, where restacking the nonzero columns peaked
+    # at about 41. selector_tuples wraps that array, so it has the array's
+    # bound; a list of its tuples would cost about 61 B/point (a 64 B tuple
+    # and an 8 B list slot per selected point).
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
         (lambda: kernels.selector_count(1, 510510), 510510, 1.5),
         (lambda: kernels.visible_count_box((1000, 1000)), 1000**2, 1.5),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
-        (lambda: kernels.selector_tuples(3, 60), 60**3, 48),
-        (lambda: kernels.selector_array(3, 60), 60**3, 48),
+        (lambda: kernels.selector_tuples(3, 60), 60**3, 24),
+        (lambda: kernels.selector_array(3, 60), 60**3, 24),
     )
     for run, points, bound in cases:
         run()  # numpy's lazy set-up is not the kernel's cost
