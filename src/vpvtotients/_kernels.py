@@ -17,14 +17,15 @@ mask). `selector_array` is the nonzero indices of the mask as rows: the
 C-order (N, m) int64 array that `nonzero` fills and hands out as m column
 views, taken back as the views' `.base` (`np.argwhere`'s values, without its
 copy), at 8m bytes a selected point; the one `vpv` regrouping loop takes it,
-because it forms the dot products j . b as one matrix product. `selector_tuples` wraps that array in
-a `SelectorRows` view, whose items are tuples of Python ints made on demand,
-and builds no tuple list; the public `enumerate_selector` returns it. The
-library reads the array, takes the view's length, or iterates a small
-selector (cor-5.3). A caller that keeps every row of a large selector as a
-tuple, as `list(view)` does, pays about 1.2-1.5 times what building a tuple
-list took, and shares no Python int between points; a loop that drops each
-row as it goes pays less than that build.
+because it forms the dot products j . b as one matrix product.
+`selector_tuples` wraps that array in a `SelectorRows` view, whose items are
+tuples of Python ints made on demand, and builds no tuple list; the public
+`enumerate_selector` returns it. The library reads the array, takes the
+view's length, or iterates a small selector (cor-5.3). A caller that keeps
+every row of a large selector as a tuple, as `list(view)` does, pays about
+1.2-1.5 times what building a tuple list took, and shares no Python int
+between points; a loop that drops each row as it goes pays less than that
+build.
 
 `moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
 strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over

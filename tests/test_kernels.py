@@ -252,10 +252,11 @@ def test_kernel_peak_memory_per_grid_point():
     # uint8/16/32 grid beside the mask. The int64 array costs 24 B per
     # selected point at m = 3, 84 % of the grid at k = 60; nonzero fills it
     # once and selector_array keeps it without a second copy: about
-    # 21 B/point with the mask, where restacking the nonzero columns peaked
-    # at about 41. selector_tuples wraps that array, so it has the array's
-    # bound; a list of its tuples would cost about 61 B/point (a 64 B tuple
-    # and an 8 B list slot per selected point).
+    # 21 B/point with the mask; restacking the nonzero columns, as
+    # np.argwhere does, would hold two copies: about 41. selector_tuples
+    # wraps that array, so it has the array's bound; a list of its tuples
+    # would cost about 61 B/point (a 64 B tuple and an 8 B list slot per
+    # selected point).
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
         (lambda: kernels.selector_count(1, 510510), 510510, 1.5),

@@ -183,9 +183,9 @@ def test_selector_enumeration_matches_size():
 
 
 def test_selector_size_refuses_bad_arguments():
-    # checked as enumerate_selector checks them, through LatticeSelector:
-    # a negative k reached numpy's mask as a negative dimension, k = 0
-    # indexed an empty mask, and m < 1 counted an empty selector as 0
+    # checked as enumerate_selector checks them, through LatticeSelector;
+    # unchecked, a negative k reaches numpy's mask as a negative dimension,
+    # k = 0 indexes an empty mask, and m < 1 counts an empty selector as 0
     for m, k in ((2, -3), (2, 0), (0, 5), (-1, 4)):
         with pytest.raises(DomainError, match="selector requires m >= 1 and k >= 1"):
             selector_size(m, k)
