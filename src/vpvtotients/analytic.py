@@ -73,13 +73,20 @@ def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
     return g
 
 
+def _check_cutoff(K: int) -> None:
+    """Refuse a cutoff K < 1 before any O(K) table is built."""
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
+
+
 def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
     """[c_1(n)..c_K(n)] by the closed form sum_{e | gcd(k,g)} mu(k/e) e^m.
 
     Sieved over the divisors e of g (every e <= K when g = 0, which gives the
     Jordan totients): each adds mu(q) e^m to c_(eq) for q <= K/e, so the cost
-    is at most K * d(g) additions, with no divisor list per k.
+    is at most K * d(g) additions, with no divisor list per k.  K >= 1.
     """
+    _check_cutoff(K)
     m = len(n)
     g = math.gcd(*map(int, n))
     mu = _kernels.moebius_table(K)
@@ -120,8 +127,8 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     table at the largest K serves every n and K: the partial sums are read
     from one `itertools.accumulate` of mu(d)/d, which adds left to right.
     """
-    if any(K < 1 for K in Ks):
-        raise DomainError("K must be >= 1")
+    for K in Ks:
+        _check_cutoff(K)
     gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
     top = max(Ks, default=0)
     mu = _kernels.moebius_table(top)
@@ -249,6 +256,7 @@ def theta_vpv_check(
     """
     if not 0.0 <= q < 1.0:
         raise DomainError(f"theta_vpv_check requires 0 <= q < 1, got {q}")
+    _check_cutoff(K)
     # the weights of the rearranged side, read by both routes below
     weights = selector_weights(thetas, K)
     tol = 1e-16

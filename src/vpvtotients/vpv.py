@@ -271,8 +271,23 @@ def _exp_regroup(a: FiniteSequence, f, weights, h: int, x) -> tuple:
 
 def _exp_kernel(x):
     """The float kernel of `_visible_regroup`: c against the sums over the
-    selector of exp(dots x / v), one for each column of dots."""
-    return lambda c, dots, v: c @ np.exp(dots * (x / v)).sum(axis=0)
+    selector of exp(dots x / v), one for each column of dots.
+
+    The scaled products are exponentiated in one temporary, so the caller's
+    dots are left as they were.  Each column is summed in the order that
+    `np.exp(...).sum(axis=0)` adds it: a single column is contiguous and
+    numpy sums it pairwise; for two or more columns of a C-order (N, c)
+    array numpy adds the rows one at a time, and `np.add.accumulate` along
+    the long axis makes the same additions in the same order at a fraction
+    of the cost (its last entry is the sum).
+    """
+    def kernel(c, dots, v):
+        e = dots * (x / v)
+        np.exp(e, out=e)
+        if e.shape[1] == 1:
+            return c @ e.sum(axis=0)
+        return c @ np.add.accumulate(e.T, axis=1)[:, -1]
+    return kernel
 
 
 def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
@@ -281,19 +296,28 @@ def _visible_regroup(n: int, ks: list, coef, rows, h: int, total, kernel):
     coef[i] and dots the products js @ rows[i].T of the selector array js
     with their rows of h weights.  Each point A != 0 of the grid [0, k)^h is (k / v) j for
     exactly one divisor v of k and one j in sel(h, v), so this regroups the
-    grid sums of every k by v.  The selector of each v is enumerated once, as
-    an (N, h) int64 array, and all of v's multiples share one matrix product.
+    grid sums of every k by v.  The positions of every v's multiples, in k
+    order, are collected in one pass and coef and rows gathered once in that
+    order, so each v reads two slices of the gathered arrays.  The selector
+    of each v is enumerated once, as an (N, h) int64 array, and all of v's
+    multiples share one matrix product.
     This stays an enumeration: factoring the selector sum by Moebius
     inversion would make the checks circular.
     """
     pos = {k: i for i, k in enumerate(ks)}
+    at, ends = [], []
     for v in range(2, n + 1):
-        at = [pos[k] for k in range(v, n + 1, v) if k in pos]
-        if at:
+        at += [pos[k] for k in range(v, n + 1, v) if k in pos]
+        ends.append(len(at))
+    coef, rows = coef[at], rows[at]
+    lo = 0
+    for v, hi in enumerate(ends, 2):
+        if hi > lo:
             # the selector array and dot products stay temporaries, freed before
             # the next v's: bound to names, two of each would be held at once
             sel = LatticeSelector(h, v)
-            total += kernel(coef[at], enumerate_selector(sel).array @ rows[at].T, v)
+            total += kernel(coef[lo:hi], enumerate_selector(sel).array @ rows[lo:hi].T, v)
+        lo = hi
     return total
 
 

@@ -170,6 +170,18 @@ def test_theta_q_out_of_range_raises():
         theta_vpv_check((2 + 0j,), 1.2, 0.7, 0.3, K=40)
 
 
+def test_cutoff_below_one_is_refused():
+    # a cutoff K < 1 is refused before any O(K) table is built, as
+    # ramanujan_mean_zero_table refuses it
+    for K in (0, -5):
+        with pytest.raises(DomainError, match="K must be"):
+            dirichlet_partial_cohen(2.0, (4, 6), K)
+        with pytest.raises(DomainError, match="K must be"):
+            ramanujan_mean_zero_direct((4, 6), K)
+        with pytest.raises(DomainError, match="K must be"):
+            theta_vpv_check(THETAS["thm-6.1"], 0.1, 0.7, 0.3, K)
+
+
 def test_theta_needs_a_factor():
     # refused before any kernel call (the kernel's outer-product reduce
     # has nothing to reduce)

@@ -492,6 +492,44 @@ def test_float_left_sides_match_reference_bit_for_bit():
                 == _ref_thm_5_1(a, b, x, as_printed=True))
 
 
+def test_exp_kernel_matches_frozen_expression_at_audit_sizes():
+    # the engine's cases stop at bound 12 for h = 3; this pins the kernel on
+    # the selectors of the audit and benchmark sizes, one to four columns,
+    # with thm-5.8's zero weight column among them
+    rng = random.Random(24)
+    for h, top in ((1, 30), (2, 30), (3, 24)):
+        js = {v: enumerate_selector(LatticeSelector(h, v)).array for v in range(2, top + 1)}
+        for v, cols, zero in product(range(2, top + 1), (1, 2, 3, 4), (False, True)):
+            if zero and h == 1:
+                continue
+            W = np.array([[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(h)]
+                          for _ in range(cols)], dtype=float)
+            if zero:
+                W[:, -1] = 0.0
+            c = np.array([float(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                          for _ in range(cols)])
+            x = rng.uniform(0.2, 1.2)
+            dots = js[v] @ W.T
+            before = dots.copy()
+            got = vpv._exp_kernel(x)(c, dots, v)
+            assert got == c @ np.exp(dots * (x / v)).sum(axis=0), (h, v, cols, zero)
+            assert np.array_equal(dots, before) and dots.dtype == before.dtype
+
+
+def test_complex_x_matches_reference_bit_for_bit():
+    rng = random.Random(25)
+    x = 0.5 + 0.3j
+    for bound in (9, 14):
+        a = _shuffled(_rand_seq(rng, bound), rng)
+        b, c, d = (_rand_seq(rng, bound, nonzero=True) for _ in range(3))
+        assert thm_5_1_check(a, b, x) == _ref_thm_5_1(a, b, x)
+        assert thm_5_2_check(a, b, c, x) == _ref_thm_5_10(a, [b, c], x)
+        assert thm_5_8_check(a, b, x) == _ref_thm_5_8(a, b, x)
+        assert thm_5_10_check(a, [b, c, d], x) == _ref_thm_5_10(a, [b, c, d], x)
+        lhs, rhs = thm_5_10_check(a, [b, c, d], x)
+        assert lhs.imag and abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+
 def test_rearrangement_ids_report_bytes_match_reference(monkeypatch):
     # the lemma-3.2 ids (eq-3.1..3.4, eq-4.1) and the exponential-factor ids
     ids = ["eq-3.1", "eq-3.2", "eq-3.3", "eq-3.4", "eq-4.1",
