@@ -20,8 +20,13 @@ a left factor f against a sum of rational p-th powers over each selector; the
 audit registry passes each display's f, weights and p, printed and corrected
 forms alike.  Both right sides are one loop over the visible denominators,
 `_visible_regroup`, which takes each selector once as the (N, h) int64 array
-that `enumerate_selector(...).array` exposes; cor-5.3 iterates the same
-selector's rows, and eq-4.16 reads the visible points of a hyperpyramid.
+that `enumerate_selector(...).array` exposes.  It gathers a check's
+coefficients and weight rows once, ordered by v, so each v reads two slices
+and makes one matrix product; the float kernel `_exp_kernel` sums the
+exponentials of two or more columns along the selector's long axis, in the
+order of numpy's axis-0 sum, so every float stays as it was.  cor-5.3
+iterates the same selector's rows, and eq-4.16 reads the visible points of
+a hyperpyramid.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
