@@ -20,12 +20,16 @@ copy), at 8m bytes a selected point; the one `vpv` regrouping loop takes it,
 because it forms the dot products j . b as one matrix product.
 `selector_tuples` wraps that array in a `SelectorRows` view, whose items are
 tuples of Python ints made on demand, and builds no tuple list; the public
-`enumerate_selector` returns it. The library reads the array, takes the
-view's length, or iterates a small selector (cor-5.3). A caller that keeps
-every row of a large selector as a tuple, as `list(view)` does, pays about
-1.2-1.5 times what building a tuple list took, and shares no Python int
-between points; a loop that drops each row as it goes pays less than that
-build.
+`enumerate_selector` returns it. `visible_points_box` gives a box's visible
+points the same form: the nonzero rows of the box mask, shifted in place to
+1-based coordinates, behind a `SelectorRows` view, at 8d bytes a visible
+point beside the mask's one byte a box point. No kernel returns a tuple
+list. The library reads the array, takes the view's length, or iterates a
+small selector (cor-5.3) or a small box (lem-3.1's partition check and the
+CLI's 2-D lattice, at most 64 x 64). A caller that keeps every row of a
+large selector or box as a tuple, as `list(view)` does, pays about 1.2-1.9
+times what building a tuple list took, and shares no Python int between
+points; a loop that drops each row as it goes pays less than that build.
 
 `moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
 strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over
@@ -44,7 +48,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import reduce
-from itertools import compress, product
 
 import numpy as np
 
@@ -101,8 +104,8 @@ def selector_array(m: int, k: int) -> np.ndarray:
 
 
 class SelectorRows(Sequence):
-    """The rows of an (N, m) int64 array, `.array`, read as tuples of
-    Python ints.
+    """The rows of an (N, d) int64 array, `.array`, read as tuples of
+    Python ints: the points of a selector, or the visible points of a box.
 
     An index gives one row as a tuple and a slice a `SelectorRows` over
     those rows. Iteration converts the columns to Python-int lists once and
@@ -209,10 +212,14 @@ def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def visible_points_box(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex order."""
-    mask = _visible_box_mask(bounds).tobytes()
-    return list(compress(product(*(range(1, b + 1) for b in bounds)), mask))
+def visible_points_box(bounds: tuple[int, ...]) -> SelectorRows:
+    """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex
+    order, as the view over the mask's nonzero rows shifted to 1-based
+    coordinates."""
+    # the array of rows that nonzero fills, taken as selector_array takes it
+    rows = _visible_box_mask(bounds).nonzero()[0].base
+    rows += 1  # mask index i is coordinate i + 1
+    return SelectorRows(rows)
 
 
 def visible_count_box(bounds: tuple[int, ...]) -> int:

@@ -84,14 +84,16 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
 
     Sieved over the divisors e of g (every e <= K when g = 0, which gives the
     Jordan totients): each adds mu(q) e^m to c_(eq) for q <= K/e, so the cost
-    is at most K * d(g) additions, with no divisor list per k.  K >= 1.
+    is at most K * d(g) additions, with no divisor list per k.  The divisor
+    e = 1 adds mu(q) to c_q, so the sieve starts from the Moebius table and
+    runs from the second divisor.  K >= 1.
     """
     _check_cutoff(K)
     m = len(n)
     g = math.gcd(*map(int, n))
     mu = _kernels.moebius_table(K)
-    out = [0] * (K + 1)
-    for e in divisors(g) if g else range(1, K + 1):
+    out = mu.copy()
+    for e in divisors(g)[1:] if g else range(2, K + 1):
         if e > K:
             break
         # out[e * q] += mu(q) e^m for q = 1..K // e
@@ -231,6 +233,7 @@ def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
     kernel once the selector cap admits (h, K); h >= 1."""
     if not thetas:
         raise DomainError("need at least one theta factor")
+    _check_cutoff(K)
     _check_cap(len(thetas), K)
     return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
 
@@ -256,7 +259,6 @@ def theta_vpv_check(
     """
     if not 0.0 <= q < 1.0:
         raise DomainError(f"theta_vpv_check requires 0 <= q < 1, got {q}")
-    _check_cutoff(K)
     # the weights of the rearranged side, read by both routes below
     weights = selector_weights(thetas, K)
     tol = 1e-16

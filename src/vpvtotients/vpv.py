@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -179,9 +180,11 @@ def _box_bounds(region: RadialRegion) -> tuple:
     return region.bounds
 
 
-def visible_points(region: RadialRegion) -> list:
+def visible_points(region: RadialRegion) -> Sequence:
     """Lattice points of the region with coordinate gcd 1, in the order of
-    `RadialRegion.points`."""
+    `RadialRegion.points`, as tuples of Python ints: for a box, the
+    `_kernels.SelectorRows` view over the kernel's int64 rows; for a
+    hyperpyramid, a list."""
     if region.constraint == "box":
         return _kernels.visible_points_box(_box_bounds(region))
     return [p for p in region.points() if math.gcd(*p) == 1]

@@ -182,6 +182,13 @@ def test_cutoff_below_one_is_refused():
             theta_vpv_check(THETAS["thm-6.1"], 0.1, 0.7, 0.3, K)
 
 
+def test_selector_weights_refuses_cutoff_below_one():
+    # a public name: it refused nothing below K = 1 and returned []
+    for K in (0, -3):
+        with pytest.raises(DomainError, match="K must be"):
+            selector_weights(THETAS["thm-6.1"], K)
+
+
 def test_theta_needs_a_factor():
     # refused before any kernel call (the kernel's outer-product reduce
     # has nothing to reduce)
@@ -230,6 +237,17 @@ def test_cohen_table_vs_closed_form():
     for n in COHEN_NS:
         want = [ramanujan_cohen(k, n) for k in range(1, 301)]
         assert analytic._cohen_values(n, 300) == want, n
+
+
+def test_cohen_table_from_the_first_divisor():
+    # the sieve starts from mu, the e = 1 term, and adds only e >= 2: at
+    # K = 1 nothing is added, at K = 2 only e = 2, and at K = 97 every
+    # divisor of g, or every e <= 97 for the all-zero n (the Jordan case)
+    for n in ((0, 0), (6,), (12, 18), (4, 6, 8)):
+        for K in (1, 2, 97):
+            got = analytic._cohen_values(n, K)
+            want = [ramanujan_cohen(k, n) for k in range(1, K + 1)]
+            assert got == want and all(type(c) is int for c in got), (n, K)
 
 
 def test_cohen_table_vs_enumeration():

@@ -166,6 +166,22 @@ def test_visible_points_box_cross_backend():
         assert got == _brute_visible(bounds) and _python_ints(got), bounds
 
 
+def test_visible_points_box_is_the_nonzero_rows():
+    # the view holds the nonzero rows of the box mask, one C-contiguous
+    # int64 (N, d) array shifted to 1-based coordinates, and no tuple list
+    for bounds in BOXES + ((1, 40), (300, 300), (1,) * 64):
+        got = kernels.visible_points_box(bounds)
+        assert isinstance(got, kernels.SelectorRows), bounds
+        rows = got.array
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous, bounds
+        assert rows.shape == (len(got), len(bounds)), bounds
+        want = np.argwhere(kernels._visible_box_mask(bounds)) + 1
+        assert np.array_equal(rows, want), bounds
+        assert _python_ints([got[0], got[-1]]), bounds
+        if math.prod(bounds) <= 10**5:
+            assert got == _brute_visible(bounds) and _python_ints(got), bounds
+
+
 def test_kernels_at_mask_dtype_boundaries():
     # k near 2^8 and at 2^16: a power of 2 is sieved by one stride, 255 =
     # 3 * 5 * 17 by three, and the prime 257 by one that clears only the
@@ -256,7 +272,9 @@ def test_kernel_peak_memory_per_grid_point():
     # np.argwhere does, would hold two copies: about 41. selector_tuples
     # wraps that array, so it has the array's bound; a list of its tuples
     # would cost about 61 B/point (a 64 B tuple and an 8 B list slot per
-    # selected point).
+    # selected point). A box's visible points are the same kind of array,
+    # 16 B per visible point in two dimensions, 61 % of the grid: about
+    # 11 B/point with the mask, where their tuple list held about 40.
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
         (lambda: kernels.selector_count(1, 510510), 510510, 1.5),
@@ -265,6 +283,7 @@ def test_kernel_peak_memory_per_grid_point():
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
         (lambda: kernels.selector_tuples(3, 60), 60**3, 24),
         (lambda: kernels.selector_array(3, 60), 60**3, 24),
+        (lambda: kernels.visible_points_box((1000, 1000)), 1000**2, 12),
     )
     for run, points, bound in cases:
         run()  # numpy's lazy set-up is not the kernel's cost

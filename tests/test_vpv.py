@@ -172,7 +172,6 @@ def test_visible_count_builds_no_point(monkeypatch):
         raise AssertionError("a point was built")
 
     monkeypatch.setattr(kernels, "visible_points_box", no_points)
-    monkeypatch.setattr(kernels, "product", no_points)
     monkeypatch.setattr(RadialRegion, "points", no_points)
     assert [visible_count(region) for region in regions[:-1]] == want[:-1]
     for region in (RadialRegion(2, (10**4, 10**4 + 1)), RadialRegion(65, (1,) * 65)):
