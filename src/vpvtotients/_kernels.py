@@ -25,11 +25,12 @@ points the same form: the nonzero rows of the box mask, shifted in place to
 1-based coordinates, behind a `SelectorRows` view, at 8d bytes a visible
 point beside the mask's one byte a box point. No kernel returns a tuple
 list. The library reads the array, takes the view's length, or iterates a
-small selector (cor-5.3) or a small box (lem-3.1's partition check and the
-CLI's 2-D lattice, at most 64 x 64). A caller that keeps every row of a
-large selector or box as a tuple, as `list(view)` does, pays about 1.2-1.9
-times what building a tuple list took, and shares no Python int between
-points; a loop that drops each row as it goes pays less than that build.
+small selector (the registry's cor-5.3 product) or a small box (the
+registry's lem-3.1 partition and the CLI's 2-D lattice, at most 64 x 64).
+A caller that keeps every row of a large selector or box as a tuple, as
+`list(view)` does, pays about 1.2-1.9 times what building a tuple list took,
+and shares no Python int between points; a loop that drops each row as it
+goes pays less than that build.
 
 `moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
 strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over

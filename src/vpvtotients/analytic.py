@@ -66,7 +66,10 @@ def zeta(s: float) -> float:
 
 
 def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
-    """g = gcd(|n_1|..|n_m|), rejected when 0 before any O(K) table is built."""
+    """g = gcd(|n_1|..|n_m|), rejected when n is empty or g is 0, before any
+    O(K) table is built."""
+    if not n:
+        raise DomainError("n must be a non-empty tuple")
     g = math.gcd(*map(int, n))
     if g == 0:
         raise DomainError(f"g = gcd(n) = 0: {why}")

@@ -57,6 +57,8 @@ from ..errors import UsageError
 from ..exactcore import bernoulli, divisors, grid_power_sum, moebius, stirling2
 from ..series import PowerSeries, product_with_exponents, ps_exp
 from ..totients import (
+    LatticeSelector,
+    enumerate_selector,
     jordan,
     m_phi,
     phi_t,
@@ -68,15 +70,13 @@ from ..totients import (
 from ..vpv import (
     FiniteSequence,
     RadialRegion,
-    cor_5_3_check,
-    hyperpyramid_log_check,
     lemma_3_2_check,
-    multiples_partition_check,
     power_regroup_check,
     thm_5_1_check,
     thm_5_2_check,
     thm_5_8_check,
     thm_5_10_check,
+    visible_points,
     weighted_regroup_check,
 )
 
@@ -353,6 +353,17 @@ def _check_moebius_mean_zero(rng: random.Random) -> Outcome:
 # section 3: the partition lemma and its analytic restatement
 
 
+def _multiples_partition_check(region: RadialRegion) -> bool:
+    """Lemma 3.1 on one region: every lattice point p is j v for exactly one
+    visible point v = p / gcd(p) and positive integer j = gcd(p).  So the
+    region's visible points, none repeated, are the set of those v."""
+    visible = visible_points(region)
+    found = set(visible)
+    return len(found) == len(visible) and found == {
+        tuple(c // gcd(*p) for c in p) for p in region.points()
+    }
+
+
 def _multiples_partition_cases(rng: random.Random) -> Iterator[tuple]:
     regions = [
         RadialRegion(2, (8, 8)),
@@ -361,7 +372,7 @@ def _multiples_partition_cases(rng: random.Random) -> Iterator[tuple]:
         RadialRegion(3, (5, 5, 6), constraint="hyperpyramid"),
     ]
     for region in regions:
-        yield multiples_partition_check(region), True, f"region {region}"
+        yield _multiples_partition_check(region), True, f"region {region}"
 
 
 def _check_radical_rearrangement(ms: tuple):
@@ -546,6 +557,45 @@ def _stirling_product_cases(rng: random.Random) -> Iterator[tuple]:
                                lambda k: _falling_expansion(m, k), 32), f"m={m}")
 
 
+def _hyperpyramid_log_check(xs: tuple, bs: tuple, cutoff: int) -> tuple:
+    """Matched-index sides of the hyperpyramid product (eq-4.16), for real
+    0 < x_i < 1 and rational b_i with sum(b_i) = 1.
+
+    lhs = sum over the visible points (a_1..a_n) of the hyperpyramid region
+    a_1..a_{n-1} < a_n <= cutoff with all a_i >= 1, of the log-series terms
+    sum_{l <= cutoff/a_n} (1/l) (prod x_i^(a_i))^l / prod a_i^(b_i);
+    rhs = sum_{k<=cutoff} prod_{i<n} (sum_{j=1}^{k-1} x_i^j / j^(b_i))
+    x_n^k / k^(b_n).  The index bijection (j_i, k) = l (a_i, a_n) makes the
+    two truncations cover the identical set, so they agree to rounding.
+
+    Points with a coordinate equal to 0 are excluded: 0^(b_i) is undefined
+    for fractional b_i, and no right-side term maps to such a point.
+    """
+    n = len(xs)
+    bsf = [float(v) for v in bs]
+    region = RadialRegion(n, (cutoff,) * n, "hyperpyramid")
+    # summed by apex, lexicographic within an apex: the order of points()
+    points = [pt for pt in visible_points(region) if all(pt)]
+    lhs = 0.0
+    for pt in points:
+        xpow = math.prod(v**a for v, a in zip(xs, pt))
+        weight = math.prod(float(a) ** b for a, b in zip(pt, bsf))
+        term = 0.0
+        p = 1.0
+        for ell in range(1, cutoff // pt[-1] + 1):
+            p *= xpow
+            term += p / ell
+        lhs += term / weight
+
+    rhs = 0.0
+    for k in range(1, cutoff + 1):
+        term = xs[-1] ** k / float(k) ** bsf[-1]
+        for i in range(n - 1):
+            term *= sum(xs[i] ** j / float(j) ** bsf[i] for j in range(1, k))
+        rhs += term
+    return lhs, rhs
+
+
 def _hyperpyramid_residuals(rng: random.Random) -> Iterator[float]:
     cases = [
         ((0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 24),
@@ -553,7 +603,7 @@ def _hyperpyramid_residuals(rng: random.Random) -> Iterator[float]:
         ((0.4, 0.3, 0.5), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), 14),
     ]
     for xs, bs, cutoff in cases:
-        yield _rel_residual(*hyperpyramid_log_check(xs, bs, cutoff))
+        yield _rel_residual(*_hyperpyramid_log_check(xs, bs, cutoff))
 
 
 # --------------------------------------------------------------------------
@@ -613,9 +663,28 @@ def _check_one_factor(rng: random.Random) -> Outcome:
     return Outcome("PASS_WITH_CORRECTION", outcome.max_residual, None, tuple(notes))
 
 
+def _cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
+    """Truncated visible-point product against its closed form (cor-5.3),
+    for |x|, |y|, |z| < 1.
+
+    lhs = product over visible (a, b, c), 0 <= a, b < c <= c_max, of
+    (1 - x^a y^b z^c)^(-1/c); rhs = [(1-xz)(1-yz)/((1-z)(1-xyz))]
+    raised to 1/((1-x)(1-y)).  Truncation error decays like |z|^c_max.
+    """
+    # c = 1 contributes the point (0, 0, 1), which the empty selector of 1
+    # omits; for c >= 2 the visible (a, b, c) are the selector of c
+    log_lhs = -math.log(1.0 - z)
+    for c in range(2, c_max + 1):
+        for a, b in enumerate_selector(LatticeSelector(2, c)):
+            log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
+    base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
+    log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))
+    return math.exp(log_lhs), math.exp(log_rhs)
+
+
 def _check_companion_product(rng: random.Random) -> Outcome:
-    l40, r40 = cor_5_3_check(0.3, 0.2, 0.25, 40)
-    l20, r20 = cor_5_3_check(0.3, 0.2, 0.25, 20)
+    l40, r40 = _cor_5_3_check(0.3, 0.2, 0.25, 40)
+    l20, r20 = _cor_5_3_check(0.3, 0.2, 0.25, 20)
     e40, e20 = abs(l40 - r40), abs(l20 - r20)
     if e40 >= 1e-6 or e40 >= e20:
         return _pass_if(False, e40)

@@ -24,9 +24,7 @@ that `enumerate_selector(...).array` exposes.  It gathers a check's
 coefficients and weight rows once, ordered by v, so each v reads two slices
 and makes one matrix product; the float kernel `_exp_kernel` sums the
 exponentials of two or more columns along the selector's long axis, in the
-order of numpy's axis-0 sum, so every float stays as it was.  cor-5.3
-iterates the same selector's rows, and eq-4.16 reads the visible points of
-a hyperpyramid.
+order of numpy's axis-0 sum, so every float stays as it was.
 The brackets themselves are registry data: every bracket display reads one
 oracle bracket, a full-grid power sum, and the registry holds the printed
 T-coefficients beside it, so this module has no bracket code.
@@ -44,9 +42,12 @@ eq-4.10, eq-4.11 and cor-5.16.
 The exact z-series product displays (eq-2.5, eq-4.13, eq-4.15, cor-5.9,
 cor-5.17a/b) are audit registry data, each side an exponent series or a
 product over (1 - z^k) evaluated by the series module; vpv has no series code.
+So are the displays that read only regions and visible points: lemma 3.1's
+partition, the trivariate product of cor-5.3 and the hyperpyramid product of
+eq-4.16.
 
 Function names carry the audit-registry ids they certify (thm-5.1,
-cor-5.3, ...); the registry module maps those ids to statuses.
+thm-5.10, ...); the registry module maps those ids to statuses.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -75,21 +77,23 @@ __all__ = [
     "RadialRegion",
     "visible_points",
     "visible_count",
-    "multiples_partition_check",
     "lemma_3_2_check",
     "thm_5_1_check",
     "thm_5_2_check",
     "thm_5_8_check",
     "thm_5_10_check",
-    "cor_5_3_check",
     "weighted_regroup_check",
     "power_regroup_check",
-    "hyperpyramid_log_check",
 ]
 
 
 # --------------------------------------------------------------------------
 # sequences and regions
+
+
+# int first: a Python int passes without the much slower numbers.Integral
+# check, which FiniteSequence makes once per support key
+_INTEGERS = (int, Integral)
 
 
 @dataclass(frozen=True)
@@ -100,11 +104,12 @@ class FiniteSequence:
     bound: int
 
     def __post_init__(self):
-        if self.bound < 1:
-            raise DomainError("bound must be a positive integer")
+        if not isinstance(self.bound, _INTEGERS) or self.bound < 1:
+            raise DomainError(f"bound must be a positive integer, got {self.bound!r}")
         for k in self.support:
-            if not 1 <= k <= self.bound:
-                raise DomainError(f"support index {k} outside 1..{self.bound}")
+            if not isinstance(k, _INTEGERS) or not 1 <= k <= self.bound:
+                raise DomainError(f"support index {k!r} is not an integer "
+                                  f"in 1..{self.bound}")
 
     @classmethod
     def from_values(cls, values) -> "FiniteSequence":
@@ -133,6 +138,8 @@ class RadialRegion:
     def __post_init__(self):
         if self.dims < 1:
             raise DomainError("dims must be >= 1")
+        if not all(isinstance(b, _INTEGERS) for b in self.bounds):
+            raise DomainError(f"bounds must be integers, got {self.bounds!r}")
         object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
         if len(self.bounds) != self.dims:
             raise DomainError("bounds must give one extent per axis")
@@ -196,23 +203,6 @@ def visible_count(region: RadialRegion) -> int:
     if region.constraint == "box":
         return _kernels.visible_count_box(_box_bounds(region))
     return len(visible_points(region))
-
-
-def multiples_partition_check(region: RadialRegion) -> bool:
-    """True iff every lattice point of the region is j * v for exactly one
-    visible point v and positive integer j."""
-    visible = set(visible_points(region))
-    seen = set()
-    for p in region.points():
-        g = math.gcd(*p) if len(p) > 1 else p[0]
-        if g == 0:
-            return False
-        v = tuple(c // g for c in p)
-        if v not in visible or p in seen:
-            return False
-        seen.add(p)
-    # every visible point must itself be in the region (j = 1 case)
-    return visible <= seen
 
 
 # --------------------------------------------------------------------------
@@ -391,44 +381,20 @@ def thm_5_10_check(a: FiniteSequence, bs: list, x: float) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# the trivariate visible-point product (cor-5.3)
-
-
-def cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
-    """Truncated visible-point product against its closed form (cor-5.3).
-
-    lhs = product over visible (a, b, c), 0 <= a, b < c <= c_max, of
-    (1 - x^a y^b z^c)^(-1/c); rhs = [(1-xz)(1-yz)/((1-z)(1-xyz))]
-    raised to 1/((1-x)(1-y)).  Truncation error decays like |z|^c_max.
-    """
-    for name, v in (("x", x), ("xz", x * z), ("yz", y * z),
-                    ("xyz", x * y * z), ("z", z)):
-        if abs(v) >= 1.0:
-            raise DomainError(f"|{name}| must be < 1")
-    if c_max < 1:
-        raise DomainError(f"c_max must be >= 1, got {c_max}")
-    # c = 1 contributes the point (0, 0, 1), which the empty selector of 1
-    # omits; for c >= 2 the visible (a, b, c) are the selector of c
-    log_lhs = -math.log(1.0 - z)
-    for c in range(2, c_max + 1):
-        for a, b in enumerate_selector(LatticeSelector(2, c)):
-            log_lhs -= math.log(1.0 - x**a * y**b * z**c) / c
-    base = (1.0 - x * z) * (1.0 - y * z) / ((1.0 - z) * (1.0 - x * y * z))
-    log_rhs = math.log(base) / ((1.0 - x) * (1.0 - y))
-    return math.exp(log_lhs), math.exp(log_rhs)
-
-
-# --------------------------------------------------------------------------
 # exact rational identities: weighted and selector-power regrouping
 
 
 def _over_lcm(xs: list) -> tuple:
     """(D, nums): D the lcm of the denominators of the ints and Fractions xs,
-    and nums the integers D x."""
+    and nums the integers D x.  A term with no denominator (a float, say) is
+    refused: the exact engines read every term through here."""
     # folded pairwise: math.lcm(*xs) builds an argument tuple per call, and
     # over a long run those kept CPython's tuple free lists full, about
     # 1.8 MB more peak RSS in the rearrange benchmark
-    den = reduce(math.lcm, [x.denominator for x in xs], 1)
+    try:
+        den = reduce(math.lcm, [x.denominator for x in xs], 1)
+    except AttributeError:
+        raise DomainError("exact terms must be ints or Fractions") from None
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
@@ -496,55 +462,3 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
         lambda c, dots, v: Fraction(c @ (dots**p).sum(axis=0),
                                     den_a * (den_b * v) ** p),
     )
-
-
-# --------------------------------------------------------------------------
-# the hyperpyramid product (eq-4.16)
-
-
-def hyperpyramid_log_check(xs, bs, cutoff: int) -> tuple:
-    """Matched-index check of the hyperpyramid product (audit id eq-4.16),
-    restricted to real 0 < x_i < 1 and rational b_i with sum(b_i) = 1.
-
-    lhs = sum over the visible points (a_1..a_n) of the hyperpyramid region
-    a_1..a_{n-1} < a_n <= cutoff with all a_i >= 1, of the log-series terms
-    sum_{l <= cutoff/a_n} (1/l) (prod x_i^(a_i))^l / prod a_i^(b_i);
-    rhs = sum_{k<=cutoff} prod_{i<n} (sum_{j=1}^{k-1} x_i^j / j^(b_i))
-    x_n^k / k^(b_n).  The index bijection (j_i, k) = l (a_i, a_n) makes the
-    two truncations cover the identical set, so they agree to rounding.
-
-    Points with a coordinate equal to 0 are excluded: 0^(b_i) is undefined
-    for fractional b_i, and no right-side term maps to such a point.
-    """
-    xs = [float(v) for v in xs]
-    bs = [Fraction(v) for v in bs]
-    if len(xs) != len(bs):
-        raise DomainError("need one exponent b_i per variable x_i")
-    if any(not 0.0 < v < 1.0 for v in xs):
-        raise DomainError("each x_i must lie in (0, 1)")
-    if sum(bs) != 1:
-        raise DomainError("the exponents b_i must sum to 1")
-    n = len(xs)
-    bsf = [float(v) for v in bs]
-
-    region = RadialRegion(n, (cutoff,) * n, "hyperpyramid")
-    # summed by apex, lexicographic within an apex: the order of points()
-    points = [pt for pt in visible_points(region) if all(pt)]
-    lhs = 0.0
-    for pt in points:
-        xpow = math.prod(v**a for v, a in zip(xs, pt))
-        weight = math.prod(float(a) ** b for a, b in zip(pt, bsf))
-        term = 0.0
-        p = 1.0
-        for ell in range(1, cutoff // pt[-1] + 1):
-            p *= xpow
-            term += p / ell
-        lhs += term / weight
-
-    rhs = 0.0
-    for k in range(1, cutoff + 1):
-        term = xs[-1] ** k / float(k) ** bsf[-1]
-        for i in range(n - 1):
-            term *= sum(xs[i] ** j / float(j) ** bsf[i] for j in range(1, k))
-        rhs += term
-    return lhs, rhs

@@ -11,7 +11,11 @@ from fractions import Fraction
 
 from vpvtotients.analytic import dirichlet_partial_cohen, theta_log_ratio_check, theta_vpv_check
 from vpvtotients.audit import REGISTRY, discover_linear_relation, run_audit
-from vpvtotients.audit.registry import _falling_expansion, _finite_stirling_sides
+from vpvtotients.audit.registry import (
+    _cor_5_3_check,
+    _falling_expansion,
+    _finite_stirling_sides,
+)
 from vpvtotients.exactcore import divisors
 from vpvtotients.series import PowerSeries, product_with_exponents, ps_exp
 from vpvtotients.totients import (
@@ -23,7 +27,6 @@ from vpvtotients.totients import (
 )
 from vpvtotients.vpv import (
     FiniteSequence,
-    cor_5_3_check,
     lemma_3_2_check,
     thm_5_1_check,
     thm_5_2_check,
@@ -186,8 +189,8 @@ def test_criterion_07_randomized_rearrangements():
 
 
 def test_criterion_08_companion_product_numeric():
-    l40, r40 = cor_5_3_check(0.3, 0.2, 0.25, 40)
-    l20, r20 = cor_5_3_check(0.3, 0.2, 0.25, 20)
+    l40, r40 = _cor_5_3_check(0.3, 0.2, 0.25, 40)
+    l20, r20 = _cor_5_3_check(0.3, 0.2, 0.25, 20)
     assert abs(l40 - r40) < 1e-6
     assert abs(l40 - r40) < abs(l20 - r20)
     print("criterion 8: PASS")

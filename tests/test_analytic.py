@@ -203,8 +203,8 @@ def test_dirichlet_domain_errors():
         dirichlet_partial_cohen(0.0, (4,), 100)
     with pytest.raises(DomainError):
         dirichlet_partial_cohen(1.0, (0, 0), 100)
-    # an empty n has g = gcd() = 0 and is refused as the all-zero n is
-    with pytest.raises(DomainError, match=r"g = gcd\(n\) = 0"):
+    # an empty n is refused before its gcd is taken, as ramanujan_cohen does
+    with pytest.raises(DomainError, match="n must be a non-empty tuple"):
         dirichlet_partial_cohen(1.0, (), 100)
 
 
@@ -223,6 +223,17 @@ def test_zero_gcd_rejected_before_the_table(monkeypatch):
         with pytest.raises(DomainError, match="g = gcd"):
             call()
         assert time.perf_counter() - start < 0.5
+
+
+def test_empty_n_is_refused():
+    # an empty n has no gcd to speak of; it is refused before g is formed
+    for call in (
+        lambda: dirichlet_partial_cohen(1.0, (), 10),
+        lambda: ramanujan_mean_zero_direct((), 10),
+        lambda: ramanujan_mean_zero_table([()], [10]),
+    ):
+        with pytest.raises(DomainError, match="n must be a non-empty tuple"):
+            call()
 
 
 # m = 1..3, with negative, zero and all-zero n, and a g with divisors above K

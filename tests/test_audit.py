@@ -266,7 +266,7 @@ FAILURE_PATHS = [
     ("eq-2.5", (("ps_exp", 5, _bump_z3),),
      Outcome("FAILS_AS_PRINTED", None,
              "m=1, g=5: coefficient 3 is 1/6 vs 7/6")),
-    ("lem-3.1", (("multiples_partition_check", 3, _negate),),
+    ("lem-3.1", (("_multiples_partition_check", 3, _negate),),
      Outcome("FAILS_AS_PRINTED", None,
              "region RadialRegion(dims=1, bounds=(10,), constraint='box')")),
     ("eq-3.1", (("lemma_3_2_check", 7, _half),),
@@ -324,15 +324,15 @@ FAILURE_PATHS = [
      Outcome("FAILS_AS_PRINTED", None, "m=3, n=1, z=1/3")),
     ("eq-4.15", (("ps_exp", 3, _off),),
      Outcome("FAILS_AS_PRINTED", None, "m=4")),
-    ("eq-4.16", (("hyperpyramid_log_check", 2, _half),),
+    ("eq-4.16", (("_hyperpyramid_log_check", 2, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
     ("thm-5.1", (("thm_5_1_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
     ("thm-5.2", (("thm_5_2_check", 3, _half),),
      Outcome("FAILS_AS_PRINTED", 0.5)),
-    # cor_5_3_check call 1 is c_max = 40, call 2 c_max = 20; a failing
+    # _cor_5_3_check call 1 is c_max = 40, call 2 c_max = 20; a failing
     # check carries no note that the residual shrinks
-    ("cor-5.3", (("cor_5_3_check", 1, _milli_apart),),
+    ("cor-5.3", (("_cor_5_3_check", 1, _milli_apart),),
      Outcome("FAILS_AS_PRINTED", 1e-3)),
     ("eq-5.4", (("weighted_regroup_check", 4, _split),),
      Outcome("FAILS_AS_PRINTED", None, "0 vs 1")),

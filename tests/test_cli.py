@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -5,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from vpvtotients.audit import REGISTRY
 from vpvtotients.cli import main
 from vpvtotients.totients import jordan, phi_t
 
@@ -106,6 +108,11 @@ def test_compute_negative_n_uses_absolute_values(capsys):
 def test_compute_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "compute", "ramanujan", "--k", "0", "--n", "1")
     assert code == 2 and err
+
+
+def test_compute_sigma_takes_one_n_exit_2(capsys):
+    code, out, err = run(capsys, "compute", "sigma", "--s", "1", "--n", "6,7")
+    assert code == 2 and not out and "single --n" in err
 
 
 def test_compute_empty_list_field_exit_2(capsys):
@@ -220,6 +227,12 @@ def test_series_work_caps_exit_2_at_once(capsys):
         assert code == 2 and not out and err.startswith("usage error: "), argv
 
 
+def test_series_order_out_of_range_exit_2(capsys):
+    for order in ("513", "-1"):
+        code, out, err = run(capsys, "series", "--exp-sum", "k^0 z^k", "--order", order)
+        assert code == 2 and not out and "--order must be in 0..512" in err, order
+
+
 def test_series_invalid_spec_exit_2(capsys):
     code, _, err = run(capsys, "series", "--exp-sum", "nonsense")
     assert code == 2 and err
@@ -249,6 +262,22 @@ def test_audit_json_round_trip(capsys, tmp_path):
     assert [e["id"] for e in payload["entries"]] == ["cor-5.3", "eq-5.5"]
     for entry in payload["entries"]:
         assert entry["status"] == "PASS"
+
+
+def test_audit_unexpected_status_exit_1(capsys, monkeypatch):
+    entry = REGISTRY["eq-5.10"]
+    assert entry.expected != "PASS"
+    monkeypatch.setitem(REGISTRY, "eq-5.10", dataclasses.replace(entry, expected="PASS"))
+    code, _, err = run(capsys, "audit", "--id", "eq-5.10")
+    assert code == 1 and "eq-5.10" in err
+
+
+def test_audit_json_to_stdout(capsys):
+    # only the first line: the report, one line of JSON with no newline of its own
+    code, out, _ = run(capsys, "audit", "--id", "eq-5.5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out.splitlines()[0])
+    assert [e["id"] for e in payload["entries"]] == ["eq-5.5"]
 
 
 def test_audit_io_failure_exit_3(capsys):

@@ -10,7 +10,16 @@ import pytest
 import vpvtotients._kernels as kernels
 from vpvtotients import vpv
 from vpvtotients.audit import registry, run_audit
-from vpvtotients.audit.registry import _bracket, _bracket_sides, _printed_t, _q1, _q2
+from vpvtotients.audit.registry import (
+    _bracket,
+    _bracket_sides,
+    _cor_5_3_check,
+    _hyperpyramid_log_check,
+    _multiples_partition_check,
+    _printed_t,
+    _q1,
+    _q2,
+)
 from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.exactcore import divisors, grid_power_sum, moebius
 from vpvtotients.series import PowerSeries, product_with_exponents, ps_exp, ps_mul
@@ -24,10 +33,7 @@ from vpvtotients.totients import (
 from vpvtotients.vpv import (
     FiniteSequence,
     RadialRegion,
-    cor_5_3_check,
-    hyperpyramid_log_check,
     lemma_3_2_check,
-    multiples_partition_check,
     power_regroup_check,
     thm_5_1_check,
     thm_5_2_check,
@@ -109,6 +115,27 @@ def test_finite_sequence_drops_zeros():
     assert 2 not in seq.support
 
 
+def test_finite_sequence_refuses_a_non_integral_bound():
+    with pytest.raises(DomainError, match="bound must be a positive integer"):
+        FiniteSequence({1: Fraction(1)}, 2.5)
+
+
+def test_finite_sequence_refuses_a_non_integral_key():
+    with pytest.raises(DomainError, match="support index 1.0"):
+        FiniteSequence({1.0: Fraction(1)}, 2)
+
+
+def test_exact_engines_refuse_float_terms():
+    a = FiniteSequence({1: Fraction(1), 2: 0.5}, 2)
+    with pytest.raises(DomainError, match="ints or Fractions"):
+        weighted_regroup_check(a, lambda k: k, lambda v: v)
+    with pytest.raises(DomainError, match="ints or Fractions"):
+        power_regroup_check(a, lambda k: k, lambda k: (1,), 1, 1)
+    # the float engine sums float terms as floats, not through the lcm
+    lhs, rhs = thm_5_1_check(a, FiniteSequence({1: 1, 2: 1}, 2), 0.5)
+    assert abs(lhs - rhs) < 1e-12
+
+
 def test_multiples_partition_on_regions():
     for region in (
         RadialRegion(2, (8, 8)),
@@ -116,7 +143,22 @@ def test_multiples_partition_on_regions():
         RadialRegion(3, (4, 4, 4)),
         RadialRegion(3, (5, 5, 6), constraint="hyperpyramid"),
     ):
-        assert multiples_partition_check(region)
+        assert _multiples_partition_check(region)
+
+
+def test_multiples_partition_refuses_a_wrong_visible_set(monkeypatch):
+    # a visible set with an extra non-visible point of the region, a missing
+    # point or a repeated point is not the set of the points p / gcd(p)
+    real = registry.visible_points
+    for region, extra in (
+        (RadialRegion(2, (8, 8)), (2, 2)),
+        (RadialRegion(3, (5, 5, 6), constraint="hyperpyramid"), (0, 0, 2)),
+    ):
+        assert extra in region.points()
+        pts = list(real(region))
+        for wrong in ([*pts, extra], pts[1:], [*pts, pts[0]]):
+            monkeypatch.setattr(registry, "visible_points", lambda r, wrong=wrong: wrong)
+            assert not _multiples_partition_check(region), (region, len(wrong))
 
 
 def test_visible_points_are_coprime():
@@ -286,7 +328,8 @@ def test_regrouping_inner_sum_three_routes():
 
 def test_checks_enumerate_each_selector_once(monkeypatch):
     # perfbench's traced run wraps vpv.enumerate_selector by name and divides
-    # by its call count; a repeated (m, k) within one check is wasted work
+    # by its call count; a repeated (m, k) within one check is wasted work.
+    # The registry's cor-5.3 product looks up its own enumerate_selector
     # (eq-4.16 reads a hyperpyramid region and enumerates no selector)
     calls = []
     original = vpv.enumerate_selector
@@ -296,6 +339,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         return original(sel)
 
     monkeypatch.setattr(vpv, "enumerate_selector", counting)
+    monkeypatch.setattr(registry, "enumerate_selector", counting)
     rng = random.Random(15)
     a, b, c, d = (_rand_seq(rng, 12, nonzero=True) for _ in range(4))
     checks = {
@@ -308,7 +352,7 @@ def test_checks_enumerate_each_selector_once(monkeypatch):
         "cor-5.12 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_FIRST),
         "cor-5.13 printed": lambda: _bracket_sides(a, [b, c], *_PRINTED_SECOND),
         "cor-5.13 corrected": lambda: _bracket_sides(a, [b, c], *_CORRECTED_SECOND),
-        "cor-5.3": lambda: cor_5_3_check(0.3, 0.2, 0.25, 20),
+        "cor-5.3": lambda: _cor_5_3_check(0.3, 0.2, 0.25, 20),
     }
     for p in (1, 2, 3, 4):
         checks[f"grid-power c={p}"] = lambda p=p: _grid_sides(
@@ -896,15 +940,20 @@ def test_mixed_product_derived_reading():
 
 
 def test_hyperpyramid_log_truncation():
-    lhs, rhs = hyperpyramid_log_check(
+    lhs, rhs = _hyperpyramid_log_check(
         (0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 24
     )
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
-    with pytest.raises(DomainError):
-        hyperpyramid_log_check((1.2, 0.3), (Fraction(1, 2), Fraction(1, 2)), 10)
     # the points are those of a hyperpyramid region, whose bounds are >= 1
     with pytest.raises(DomainError, match="bounds must be >= 1"):
-        hyperpyramid_log_check((0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 0)
+        _hyperpyramid_log_check((0.4, 0.3), (Fraction(1, 2), Fraction(1, 2)), 0)
+
+
+def test_region_refuses_non_integral_bounds():
+    with pytest.raises(DomainError, match="bounds must be integers"):
+        RadialRegion(2, (2.7, 3))
+    region = RadialRegion(2, (np.int64(2), np.int32(3)))
+    assert region.bounds == (2, 3) and all(type(b) is int for b in region.bounds)
 
 
 def test_region_validation():
