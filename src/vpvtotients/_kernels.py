@@ -3,12 +3,16 @@
 Every selector kernel reads one k^m boolean mask, `_selector_mask(m, k)`.
 A point j leaves the selector exactly when some prime p | k divides every
 coordinate, so the mask is `ones` with one strided clear, every p-th index on
-each axis, per distinct prime of k (at most 8 under the 10^7 cap); the
-visible-box mask is sieved the same way, by the primes up to its smallest
-bound. A mask costs one byte a point and builds no temporary. The primes are
-found here by trial division and a small sieve, not by `exactcore.factorize`,
-which the closed form `jordan` uses, so that `selector_count == jordan`
-compares two independent factorizations. Values are `np.add.outer` folds
+each axis, per distinct prime of k (at most 8 under the 10^7 cap). The
+visible-point masks of the two radial regions are sieved the same way: a
+box's by the primes up to its smallest bound, and a hyperpyramid's, over its
+bounding array with the apex axis first, by the primes up to the smaller of
+its apex bound and its largest lead bound, after open-grid comparisons clear
+a_i >= a_d and one line clears the lead coordinates all 0. A mask costs one
+byte a cell and builds no temporary of its size. The primes are found here
+by trial division and a small sieve, not by `exactcore.factorize`, which the
+closed form `jordan` uses, so that `selector_count == jordan` compares two
+independent factorizations. Values are `np.add.outer` folds
 of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
 residue histogram and weights its k bins, so it takes k cosines.
 
@@ -20,17 +24,22 @@ copy), at 8m bytes a selected point; the one `vpv` regrouping loop takes it,
 because it forms the dot products j . b as one matrix product.
 `selector_tuples` wraps that array in a `SelectorRows` view, whose items are
 tuples of Python ints made on demand, and builds no tuple list; the public
-`enumerate_selector` returns it. `visible_points_box` gives a box's visible
-points the same form: the nonzero rows of the box mask, shifted in place to
-1-based coordinates, behind a `SelectorRows` view, at 8d bytes a visible
-point beside the mask's one byte a box point. No kernel returns a tuple
-list. The library reads the array, takes the view's length, or iterates a
-small selector (the registry's cor-5.3 product) or a small box (the
-registry's lem-3.1 partition and the CLI's 2-D lattice, at most 64 x 64).
-A caller that keeps every row of a large selector or box as a tuple, as
-`list(view)` does, pays about 1.2-1.9 times what building a tuple list took,
-and shares no Python int between points; a loop that drops each row as it
-goes pays less than that build.
+`enumerate_selector` returns it. `visible_points_box` and
+`visible_points_hyperpyramid` give a region's visible points the same form:
+the nonzero rows of its mask behind a `SelectorRows` view, at 8d bytes a
+visible point beside the mask's one byte a cell. A box's rows are shifted in
+place to 1-based coordinates. A hyperpyramid's come apex-major and
+lexicographic within an apex, the order of `vpv.RadialRegion.points`,
+because the apex axis is first; its apex column is moved last in place.
+`visible_count_box` and `visible_count_hyperpyramid` count the same masks.
+No kernel returns a tuple list. The library reads the array, takes the
+view's length, or iterates a small selector (the registry's cor-5.3
+product) or a small region (the registry's lem-3.1 partition and eq-4.16
+sum, and the CLI's 2-D lattice, at most 64 x 64). A caller that keeps every
+row of a large selector or region as a tuple, as `list(view)` does, pays
+about 1.2-1.9 times what building a tuple list took, and shares no Python
+int between points; a loop that drops each row as it goes pays less than
+that build.
 
 `moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
 strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over
@@ -106,7 +115,8 @@ def selector_array(m: int, k: int) -> np.ndarray:
 
 class SelectorRows(Sequence):
     """The rows of an (N, d) int64 array, `.array`, read as tuples of
-    Python ints: the points of a selector, or the visible points of a box.
+    Python ints: the points of a selector, or the visible points of a
+    region.
 
     An index gives one row as a tuple and a slice a `SelectorRows` over
     those rows. Iteration converts the columns to Python-int lists once and
@@ -213,6 +223,30 @@ def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+def _visible_hyperpyramid_mask(bounds: tuple[int, ...]) -> np.ndarray:
+    """The hyperpyramid 0 <= a_i < a_d <= b_d, a_i <= b_i (i < d), as a
+    boolean array of shape (b_d, b_1 + 1, ..., b_{d-1} + 1), apex axis
+    first: index (a_d - 1, a_1, ..., a_{d-1}), true at coordinate gcd 1."""
+    *lead, top = bounds
+    d = len(bounds)
+    mask = np.ones((top, *(b + 1 for b in lead)), dtype=bool)
+    # a_i < a_d, one lead axis at a time against the apex: each comparison is
+    # a (b_d, b_i + 1) open grid, never the whole array; with no lead axis
+    # the apex column would be the whole array, and there is nothing to clear
+    if lead:
+        apex, *axes = np.ix_(np.arange(1, top + 1), *(np.arange(b + 1) for b in lead))
+        for axis in axes:
+            mask &= axis < apex
+    # the lead coordinates all 0 leave gcd a_d: a prime above every lead
+    # bound divides every lead coordinate only there, so this line stands in
+    # for all of them, and a one-axis hyperpyramid needs no sieve
+    mask[(slice(1, None),) + (0,) * (d - 1)] = False
+    for p in _primes_upto(min(top, max(lead, default=0))):
+        # p | a_d and every a_i, 0 included
+        mask[(slice(p - 1, None, p),) + (slice(None, None, p),) * (d - 1)] = False
+    return mask
+
+
 def visible_points_box(bounds: tuple[int, ...]) -> SelectorRows:
     """Lattice points in the box prod [1, b_i] with coordinate gcd 1, lex
     order, as the view over the mask's nonzero rows shifted to 1-based
@@ -226,3 +260,25 @@ def visible_points_box(bounds: tuple[int, ...]) -> SelectorRows:
 def visible_count_box(bounds: tuple[int, ...]) -> int:
     """Number of lattice points in the box prod [1, b_i] with coordinate gcd 1."""
     return int(np.count_nonzero(_visible_box_mask(bounds)))
+
+
+def visible_points_hyperpyramid(bounds: tuple[int, ...]) -> SelectorRows:
+    """Lattice points of the hyperpyramid 0 <= a_i < a_d <= b_d, a_i <= b_i,
+    with coordinate gcd 1, by apex a_d and lexicographic within an apex, as
+    the view over the mask's nonzero rows with the apex moved last."""
+    # nonzero's rows run apex-major, lexicographic within an apex, with the
+    # apex index in column 0
+    rows = _visible_hyperpyramid_mask(bounds).nonzero()[0].base
+    apex = rows[:, 0] + 1  # mask index i is apex i + 1
+    # shifting the flat buffer one place left moves each row's lead
+    # coordinates into columns 0..d-2, in place; the last column then takes
+    # the apex
+    flat = rows.reshape(-1)
+    flat[:-1] = flat[1:]
+    rows[:, -1] = apex
+    return SelectorRows(rows)
+
+
+def visible_count_hyperpyramid(bounds: tuple[int, ...]) -> int:
+    """Number of lattice points of the hyperpyramid with coordinate gcd 1."""
+    return int(np.count_nonzero(_visible_hyperpyramid_mask(bounds)))

@@ -26,7 +26,7 @@ from operator import add, mul, truediv
 from . import _kernels
 from .errors import DomainError
 from .exactcore import bernoulli, divisors
-from .totients import _check_cap
+from .totients import _check_cap, _check_n
 
 __all__ = [
     "zeta",
@@ -66,10 +66,9 @@ def zeta(s: float) -> float:
 
 
 def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
-    """g = gcd(|n_1|..|n_m|), rejected when n is empty or g is 0, before any
-    O(K) table is built."""
-    if not n:
-        raise DomainError("n must be a non-empty tuple")
+    """g = gcd(|n_1|..|n_m|), rejected when n is empty, has an entry that is
+    not an integer, or has g = 0, before any O(K) table is built."""
+    _check_n(n)
     g = math.gcd(*map(int, n))
     if g == 0:
         raise DomainError(f"g = gcd(n) = 0: {why}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, log2, sqrt
+from numbers import Integral
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -58,6 +59,10 @@ PHI_WORK_CAP = 2 * 10**9
 # residual guard for the floating-point cosine enumeration
 _ENUM_RESIDUAL_TOL = 1e-6
 
+# int first: a Python int passes without the much slower numbers.Integral
+# check, which vpv.FiniteSequence makes once per support key
+_INTEGERS = (int, Integral)
+
 
 @dataclass(frozen=True)
 class LatticeSelector:
@@ -96,6 +101,13 @@ def _check_cap(m: int, k: int) -> None:
         )
 
 
+def _check_n(n) -> None:
+    """Refuse an empty n or an entry that is not an integer (numpy ints pass),
+    which int() would truncate."""
+    if not n or not all(isinstance(x, _INTEGERS) for x in n):
+        raise DomainError(f"n must be a non-empty tuple of integers, got {n!r}")
+
+
 def enumerate_selector(sel: LatticeSelector) -> _kernels.SelectorRows:
     """The selector set in lexicographic order, as a read-only sequence of
     m-tuples of Python ints over the (N, m) int64 array it exposes as
@@ -119,8 +131,7 @@ def ramanujan_cohen_enum(k: int, n: list[int] | tuple[int, ...]) -> int:
     """
     if k < 2:
         raise DomainError("enumeration oracle requires k >= 2; use the k=1 convention")
-    if not n:
-        raise DomainError("n must be a non-empty tuple")
+    _check_n(n)
     _check_cap(len(n), k)
     total = _kernels.selector_cos_sum(k, tuple(int(v) for v in n))
     nearest = round(total)
@@ -139,8 +150,7 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     """
     if k < 1:
         raise DomainError(f"ramanujan_cohen requires k >= 1, got {k}")
-    if not n:
-        raise DomainError("n must be a non-empty tuple")
+    _check_n(n)
     if k == 1:
         return 1
     m = len(n)

@@ -54,12 +54,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from numbers import Integral
 
 import numpy as np
 
@@ -68,6 +66,7 @@ from .errors import DomainError, ResourceError
 from .totients import (
     DEFAULT_SELECTOR_CAP,
     LatticeSelector,
+    _INTEGERS,
     _decimal,
     enumerate_selector,
 )
@@ -89,11 +88,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # sequences and regions
-
-
-# int first: a Python int passes without the much slower numbers.Integral
-# check, which FiniteSequence makes once per support key
-_INTEGERS = (int, Integral)
 
 
 @dataclass(frozen=True)
@@ -149,28 +143,28 @@ class RadialRegion:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
     def _check_size(self) -> None:
-        """Raise ResourceError, before any point is built, when points() would
-        build more than the cap: prod b_i for a box; for a hyperpyramid the sum
-        over a <= b_d of prod_{i<d} min(b_i + 1, a), constant once a > every
-        b_i and stopped once past the cap, so a refusal gives a lower bound."""
-        *lead, top = self.bounds
+        """Raise ResourceError, before anything is built, when the region's
+        mask would pass a cap: more axes than a numpy array holds, or more
+        cells than DEFAULT_SELECTOR_CAP.  The mask has prod b_i cells for a
+        box and b_d prod_{i<d} (b_i + 1) for a hyperpyramid, its bounding
+        array; points() is charged the same."""
+        if self.dims > _kernels.MAX_DIMS:
+            raise ResourceError(f"a {self.constraint} of {self.dims} axes "
+                                f"exceeds {_kernels.MAX_DIMS}")
         if self.constraint == "box":
-            size, least = math.prod(self.bounds), ""
+            size = math.prod(self.bounds)
         else:
-            flat, least = min(top, max(lead, default=0) + 1), "at least "
-            size = (top - flat) * math.prod(b + 1 for b in lead)
-            for a in range(1, flat + 1):
-                size += math.prod(min(b + 1, a) for b in lead)
-                if size > DEFAULT_SELECTOR_CAP:
-                    break
+            size = self.bounds[-1] * math.prod(b + 1 for b in self.bounds[:-1])
         if size > DEFAULT_SELECTOR_CAP:
             raise ResourceError(
-                f"lattice size {least}{_decimal(size)} exceeds cap {DEFAULT_SELECTOR_CAP}"
+                f"lattice size {_decimal(size)} exceeds cap {DEFAULT_SELECTOR_CAP}"
             )
 
     def points(self):
-        """All lattice points of the region: lexicographic for a box; for a
-        hyperpyramid, by apex coordinate a_d, lexicographic within an apex."""
+        """All lattice points of the region, as a list built by itertools and
+        not by the sieved masks, so that lemma 3.1 checks `visible_points`
+        against it: lexicographic for a box; for a hyperpyramid, by apex
+        coordinate a_d, lexicographic within an apex."""
         self._check_size()
         *lead, top = self.bounds
         if self.constraint == "box":
@@ -179,30 +173,24 @@ class RadialRegion:
                 for p in product(*(range(min(b + 1, a)) for b in lead), (a,))]
 
 
-def _box_bounds(region: RadialRegion) -> tuple:
-    """The bounds of a box region, refused past the axis and size caps."""
-    if region.dims > _kernels.MAX_DIMS:
-        raise ResourceError(f"a box of {region.dims} axes exceeds {_kernels.MAX_DIMS}")
-    region._check_size()
-    return region.bounds
-
-
-def visible_points(region: RadialRegion) -> Sequence:
+def visible_points(region: RadialRegion) -> _kernels.SelectorRows:
     """Lattice points of the region with coordinate gcd 1, in the order of
-    `RadialRegion.points`, as tuples of Python ints: for a box, the
-    `_kernels.SelectorRows` view over the kernel's int64 rows; for a
-    hyperpyramid, a list."""
+    `RadialRegion.points`: the `_kernels.SelectorRows` view over the int64
+    rows of the region's sieved mask, whose items are tuples of Python ints.
+    A region past the axis or size cap is refused first."""
+    region._check_size()
     if region.constraint == "box":
-        return _kernels.visible_points_box(_box_bounds(region))
-    return [p for p in region.points() if math.gcd(*p) == 1]
+        return _kernels.visible_points_box(region.bounds)
+    return _kernels.visible_points_hyperpyramid(region.bounds)
 
 
 def visible_count(region: RadialRegion) -> int:
-    """len(visible_points(region)); a box is counted on its sieved mask, with
+    """len(visible_points(region)), counted on the region's sieved mask with
     no point built."""
+    region._check_size()
     if region.constraint == "box":
-        return _kernels.visible_count_box(_box_bounds(region))
-    return len(visible_points(region))
+        return _kernels.visible_count_box(region.bounds)
+    return _kernels.visible_count_hyperpyramid(region.bounds)
 
 
 # --------------------------------------------------------------------------
@@ -438,27 +426,30 @@ def power_regroup_check(a: FiniteSequence, f, weights, h: int, p: int) -> tuple:
     0^0 = 1, which no selector of v >= 2 holds (that count, eq-4.4, is
     `weighted_regroup_check` with w = J_h).
 
-    The terms a_k and the weights b_k are scaled once to integer numerators
-    over the lcm A of the terms' and B of the weights' denominators.  The
-    loop's dot products with the weight numerators are exact Python ints in
-    an object array (int64 would overflow), and the kernel sums their p-th
-    powers against the term numerators and divides once by A (B v)^p.
+    The nonzero terms a_k, a_1 included, and the weights b_k are scaled once
+    to integer numerators over the lcm A of the terms' and B of the weights'
+    denominators, so a term with no denominator is refused.  The loop's dot
+    products with the weight numerators are exact Python ints in an object
+    array (int64 would overflow), and the kernel sums their p-th powers
+    against the term numerators and divides once by A (B v)^p.
     """
     if h < 1:
         raise DomainError("need at least one exponent sequence")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    terms = [(k, ak) for k, ak in a.support.items() if ak and k >= 2]
-    bs = [[Fraction(c) for c in weights(k)] for k, _ in terms]
-    for (k, _), b in zip(terms, bs):
+    terms = [(k, ak) for k, ak in a.support.items() if ak]
+    ks = [k for k, _ in terms if k >= 2]
+    bs = [[Fraction(c) for c in weights(k)] for k in ks]
+    for k, b in zip(ks, bs):
         if len(b) != h:
             raise DomainError(f"weights({k}) has {len(b)} values, need h = {h}")
-    lhs = sum(ak * f(k) for k, ak in a.support.items() if ak)
-    den_a, coef = _over_lcm([ak for _, ak in terms])
+    den_a, scaled = _over_lcm([ak for _, ak in terms])
+    lhs = sum(c * f(k) for (k, _), c in zip(terms, scaled))
+    coef = [c for (k, _), c in zip(terms, scaled) if k >= 2]
     den_b, nums = _over_lcm([c for b in bs for c in b])
-    return Fraction(lhs), _visible_regroup(
-        a.bound, [k for k, _ in terms], np.array(coef, dtype=object),
-        np.array(nums, dtype=object).reshape(len(terms), h), h, Fraction(0),
+    return Fraction(lhs, den_a), _visible_regroup(
+        a.bound, ks, np.array(coef, dtype=object),
+        np.array(nums, dtype=object).reshape(len(ks), h), h, Fraction(0),
         lambda c, dots, v: Fraction(c @ (dots**p).sum(axis=0),
                                     den_a * (den_b * v) ** p),
     )

@@ -3,6 +3,7 @@ import math
 import time
 
 import mpmath
+import numpy as np
 import pytest
 
 import vpvtotients._kernels as kernels
@@ -234,6 +235,19 @@ def test_empty_n_is_refused():
     ):
         with pytest.raises(DomainError, match="n must be a non-empty tuple"):
             call()
+
+
+def test_non_integral_n_is_refused():
+    # int() would read n = (2.5,) as (2,); numpy ints are integers and pass
+    for call in (
+        lambda n: ramanujan_cohen(6, n),
+        lambda n: ramanujan_cohen_enum(6, n),
+        lambda n: dirichlet_partial_cohen(1.0, n, 10),
+    ):
+        with pytest.raises(DomainError, match="tuple of integers, got \\(2.5,\\)"):
+            call((2.5,))
+        assert call((np.int64(2),)) == call((2,))
+        assert call((np.int64(4), np.int32(6))) == call((4, 6))
 
 
 # m = 1..3, with negative, zero and all-zero n, and a g with divisors above K

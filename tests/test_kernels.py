@@ -182,6 +182,42 @@ def test_visible_points_box_is_the_nonzero_rows():
             assert got == _brute_visible(bounds) and _python_ints(got), bounds
 
 
+def _brute_visible_hyperpyramid(bounds):
+    """The points 0 <= a_i < a_d of prod [0, b_i] x [1, b_d] with coordinate
+    gcd 1, by apex a_d and lexicographic within an apex."""
+    *lead, top = bounds
+    return [
+        (*p, a)
+        for a, *p in product(range(1, top + 1), *(range(b + 1) for b in lead))
+        if max(p, default=0) < a and math.gcd(a, *p) == 1
+    ]
+
+
+# one to four axes, with lead bounds above, equal to and below the apex bound
+_rng_pyramids = random.Random(11)
+HYPERPYRAMIDS = (
+    (1,), (2,), (10,), (1, 1), (5, 3), (3, 5), (6, 6), (1, 1, 1), (2, 9, 4),
+    (9, 2, 4), (5, 5, 6), (12, 12, 5), (3, 3, 4, 2), (1, 1, 1, 5), (6, 2, 7, 4),
+) + tuple(
+    tuple(_rng_pyramids.randint(1, 12 // d) for _ in range(d))
+    for d in (1, 2, 3, 4) for _ in range(10)
+)
+
+
+def test_visible_points_hyperpyramid_against_brute_oracle():
+    # the view holds the nonzero rows of the apex-first mask, apex moved to
+    # the last column: the brute gcd filter's tuples, in its order
+    for bounds in HYPERPYRAMIDS:
+        got = kernels.visible_points_hyperpyramid(bounds)
+        assert isinstance(got, kernels.SelectorRows), bounds
+        rows = got.array
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous, bounds
+        brute = _brute_visible_hyperpyramid(bounds)
+        assert rows.shape == (len(brute), len(bounds)), bounds
+        assert list(got) == brute and _python_ints(got), bounds
+        assert kernels.visible_count_hyperpyramid(bounds) == len(brute), bounds
+
+
 def test_kernels_at_mask_dtype_boundaries():
     # k near 2^8 and at 2^16: a power of 2 is sieved by one stride, 255 =
     # 3 * 5 * 17 by three, and the prime 257 by one that clears only the
@@ -274,16 +310,23 @@ def test_kernel_peak_memory_per_grid_point():
     # would cost about 61 B/point (a 64 B tuple and an 8 B list slot per
     # selected point). A box's visible points are the same kind of array,
     # 16 B per visible point in two dimensions, 61 % of the grid: about
-    # 11 B/point with the mask, where their tuple list held about 40.
+    # 11 B/point with the mask, where their tuple list held about 40. A
+    # hyperpyramid's mask is its bounding array, cleared above the apex by
+    # open-grid comparisons; 28 % of the (100,) * 3 one is visible, 24 B a
+    # point, and moving the apex column last in place adds 8 B a point, about
+    # 9 B a cell in all, where a rotated copy would add 24 B a point more.
     cases = (
         (lambda: kernels.selector_count(3, 100), 100**3, 1.5),
         (lambda: kernels.selector_count(1, 510510), 510510, 1.5),
         (lambda: kernels.visible_count_box((1000, 1000)), 1000**2, 1.5),
+        (lambda: kernels.visible_count_hyperpyramid((100,) * 3), 100 * 101**2, 1.5),
+        (lambda: kernels.visible_count_hyperpyramid((10**6,)), 10**6, 1.5),
         (lambda: kernels.selector_power_sum(2, 3, 100), 100**3, 32),
         (lambda: kernels.selector_cos_sum(100, (7, 11, 13)), 100**3, 32),
         (lambda: kernels.selector_tuples(3, 60), 60**3, 24),
         (lambda: kernels.selector_array(3, 60), 60**3, 24),
         (lambda: kernels.visible_points_box((1000, 1000)), 1000**2, 12),
+        (lambda: kernels.visible_points_hyperpyramid((100,) * 3), 100 * 101**2, 11),
     )
     for run, points, bound in cases:
         run()  # numpy's lazy set-up is not the kernel's cost

@@ -131,6 +131,10 @@ def test_exact_engines_refuse_float_terms():
         weighted_regroup_check(a, lambda k: k, lambda v: v)
     with pytest.raises(DomainError, match="ints or Fractions"):
         power_regroup_check(a, lambda k: k, lambda k: (1,), 1, 1)
+    # a_1 has no selector term, but it is a term of the left side
+    a1 = FiniteSequence({1: 0.5, 2: Fraction(1)}, 2)
+    with pytest.raises(DomainError, match="ints or Fractions"):
+        power_regroup_check(a1, lambda k: k, lambda k: (1,), 1, 1)
     # the float engine sums float terms as floats, not through the lcm
     lhs, rhs = thm_5_1_check(a, FiniteSequence({1: 1, 2: 1}, 2), 0.5)
     assert abs(lhs - rhs) < 1e-12
@@ -170,8 +174,8 @@ def test_visible_points_are_coprime():
 
 def test_region_size_cap():
     # the cap is checked before anything is allocated; a hyperpyramid is
-    # charged the points it builds, sum_a prod min(b_i + 1, a), summed only
-    # until it passes the cap (the second region holds 333,833,500 points)
+    # charged its mask, the bounding array b_d prod_{i<d} (b_i + 1) (the
+    # second region's is 1,002,001,000 cells)
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
         RadialRegion(3, (10**3, 10**3, 10**3), constraint="hyperpyramid"),
@@ -182,46 +186,65 @@ def test_region_size_cap():
                 enumerate_region(region)
 
 
-def test_hyperpyramid_charged_the_points_it_builds(monkeypatch):
-    # a (c, c, c) hyperpyramid holds sum_{a<=c} a^2 points, where the product
-    # of its ranges is c^3; the (300,) * 3 one is checked without building it
+def test_hyperpyramid_charged_its_mask_size(monkeypatch):
+    # a (c, c, c) hyperpyramid holds sum_{a<=c} a^2 points, but its mask is
+    # the c x (c + 1)^2 bounding array; the (300,) * 3 one, 9,045,050
+    # points in 27,180,300 cells, is checked without building it
     big = RadialRegion(3, (300,) * 3, "hyperpyramid")
-    big._check_size()
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_050)
-    big._check_size()
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 9_045_049)
-    with pytest.raises(ResourceError, match="lattice size at least 9045050 exceeds cap 9045049"):
+    with pytest.raises(ResourceError, match="lattice size 27180300 exceeds cap 10000000"):
         big._check_size()
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 100)
-    assert len(RadialRegion(3, (6, 6, 6), "hyperpyramid").points()) == 91
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 27_180_300)
+    big._check_size()
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 27_180_299)
+    for build in (big._check_size, big.points, lambda: visible_points(big),
+                  lambda: visible_count(big)):
+        with pytest.raises(ResourceError, match="lattice size 27180300 exceeds cap 27180299"):
+            build()
+    # the (6, 6, 6) one: 91 points in 6 * 7^2 = 294 cells
+    small = RadialRegion(3, (6, 6, 6), "hyperpyramid")
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 294)
+    assert len(small.points()) == 91
+    assert len(visible_points(small)) == visible_count(small) == 72
+    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 293)
+    with pytest.raises(ResourceError, match="lattice size 294 exceeds cap 293"):
+        small.points()
 
 
 def test_box_axes_cap():
-    # the box's mask has one axis per dimension, and numpy allows 64
+    # a region's mask has one axis per dimension, and numpy allows 64
     assert visible_points(RadialRegion(64, (1,) * 64)) == [(1,) * 64]
-    with pytest.raises(ResourceError, match="a box of 65 axes exceeds 64"):
-        visible_points(RadialRegion(65, (1,) * 65))
+    for constraint in ("box", "hyperpyramid"):
+        region = RadialRegion(65, (1,) * 65, constraint)
+        for build in (visible_points, visible_count, RadialRegion.points):
+            with pytest.raises(ResourceError, match=f"a {constraint} of 65 axes exceeds 64"):
+                build(region)
 
 
 def test_visible_count_builds_no_point(monkeypatch):
     regions = [RadialRegion(d, b) for d, b in (
         (1, (1,)), (1, (9,)), (2, (6, 10)), (3, (4, 7, 5)), (4, (3, 3, 4, 2)),
         (64, (1,) * 64),
-    )] + [RadialRegion(3, (4, 5, 6), constraint="hyperpyramid")]
+    )] + [RadialRegion(d, b, "hyperpyramid") for d, b in (
+        (1, (1,)), (1, (9,)), (2, (6, 10)), (3, (4, 5, 6)), (3, (9, 2, 4)),
+        (4, (3, 3, 4, 2)),
+    )]
     want = [len(visible_points(region)) for region in regions]
 
     def no_points(*args):
         raise AssertionError("a point was built")
 
     monkeypatch.setattr(kernels, "visible_points_box", no_points)
+    monkeypatch.setattr(kernels, "visible_points_hyperpyramid", no_points)
     monkeypatch.setattr(RadialRegion, "points", no_points)
-    assert [visible_count(region) for region in regions[:-1]] == want[:-1]
-    for region in (RadialRegion(2, (10**4, 10**4 + 1)), RadialRegion(65, (1,) * 65)):
+    assert [visible_count(region) for region in regions] == want
+    for region in (
+        RadialRegion(2, (10**4, 10**4 + 1)),
+        RadialRegion(65, (1,) * 65),
+        RadialRegion(3, (300,) * 3, "hyperpyramid"),
+        RadialRegion(65, (1,) * 65, "hyperpyramid"),
+    ):
         with pytest.raises(ResourceError, match="exceeds"):
             visible_count(region)
-    monkeypatch.undo()
-    # a hyperpyramid has no mask, and is counted from its points
-    assert visible_count(regions[-1]) == want[-1]
 
 
 def test_lemma_3_2_randomized():
