@@ -6,15 +6,26 @@ coordinate, so the mask is `ones` with one strided clear, every p-th index on
 each axis, per distinct prime of k (at most 8 under the 10^7 cap). The
 visible-point masks of the two radial regions are sieved the same way: a
 box's by the primes up to its smallest bound, and a hyperpyramid's, over its
-bounding array with the apex axis first, by the primes up to the smaller of
-its apex bound and its largest lead bound, after open-grid comparisons clear
-a_i >= a_d and one line clears the lead coordinates all 0. A mask costs one
-byte a cell and builds no temporary of its size. The primes are found here
-by trial division and a small sieve, not by `exactcore.factorize`, which the
-closed form `jordan` uses, so that `selector_count == jordan` compares two
-independent factorizations. Values are `np.add.outer` folds
-of 1-D vectors, read through the mask; `selector_cos_sum` counts them into a
-residue histogram and weights its k bins, so it takes k cosines.
+bounding array with the apex axis first and each lead axis cut to the
+b_d values that a_i < a_d <= b_d leaves, by the primes below the largest
+lead axis, after open-grid comparisons clear a_i >= a_d and one line clears
+the lead coordinates all 0. A mask costs one byte a cell and builds no
+temporary of its size. The primes are found here by trial division and a
+small sieve, not by `exactcore.factorize`, which the closed form `jordan`
+uses, so that `selector_count == jordan` compares two independent
+factorizations. Values are `np.add.outer` folds of 1-D vectors, read through
+the mask; `selector_cos_sum` counts them into a residue histogram and
+weights its k bins, so it takes k cosines.
+
+The grid cap lives here and nowhere else: at most MAX_DIMS = 64 axes (what a
+numpy array holds) and MAX_CELLS = 10^7 cells. Each mask builder refuses its
+own shape with `ResourceError` before it allocates, so a kernel called
+directly is refused as its public callers are. The selector's check,
+`check_selector(m, k)`, is three comparisons, m first, so that k**m is never
+built for an m past 64; a region's shape and its check are one function,
+`region_shape(constraint, bounds)`, which `vpv.RadialRegion.points` reads
+too. The two callers that loop over a grid with no mask, `totients.m_phi`
+and `analytic.selector_weights`, call `check_selector` before their loops.
 
 The selector is enumerated one way, in lexicographic order (C order of the
 mask). `selector_array` is the nonzero indices of the mask as rows: the
@@ -61,12 +72,56 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import ResourceError
+
 # read by perfbench/run.py, which records it with every benchmark run
 BACKEND = "pure"
 
 # every kernel reads one numpy boolean mask with an axis per dimension, and
 # numpy arrays have at most 64 axes
 MAX_DIMS = 64
+
+# the most cells of any grid that a kernel builds or a caller walks
+MAX_CELLS = 10**7
+
+
+def _decimal(k: int, m: int = 1) -> str:
+    """k**m in decimal; where that is past the interpreter's int-to-str
+    digit limit, its size as a power of two, and when k alone is past it
+    the power is never built."""
+    try:
+        str(k)
+        return str(k**m)
+    except ValueError:
+        return f"about 2^{m * math.log2(k):.0f}"
+
+
+def check_selector(m: int, k: int) -> None:
+    """Refuse the selector grid (k,)*m past MAX_DIMS axes or MAX_CELLS cells.
+
+    Three comparisons and no shape tuple, since every selector passes here:
+    m is refused before k**m is built (3**(10**7) alone takes seconds), and
+    past the cap the power is built only for a k short enough to print."""
+    if m > MAX_DIMS:
+        raise ResourceError(f"selector grid for m={_decimal(m)} has more than {MAX_DIMS} axes")
+    if k > MAX_CELLS or k**m > MAX_CELLS:
+        raise ResourceError(f"selector grid for m={m}, k={_decimal(k)} has "
+                            f"{_decimal(k, m)} tuples, above cap {MAX_CELLS}")
+
+
+def region_shape(constraint: str, bounds: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape of a region's mask, refused past MAX_DIMS axes or MAX_CELLS
+    cells. A box's is the box. A hyperpyramid's has the apex axis first,
+    (b_d, c_1, ..., c_{d-1}) with c_i = min(b_i, b_d - 1) + 1, since
+    a_i < a_d <= b_d leaves a lead axis at most b_d values."""
+    if len(bounds) > MAX_DIMS:
+        raise ResourceError(f"a {constraint} of {len(bounds)} axes exceeds {MAX_DIMS}")
+    *lead, top = bounds
+    shape = bounds if constraint == "box" else (top, *(min(b, top - 1) + 1 for b in lead))
+    size = math.prod(shape)
+    if size > MAX_CELLS:
+        raise ResourceError(f"lattice size {_decimal(size)} exceeds cap {MAX_CELLS}")
+    return shape
 
 
 def _distinct_primes(k: int) -> list[int]:
@@ -94,6 +149,7 @@ def _primes_upto(n: int) -> list[int]:
 
 def _selector_mask(m: int, k: int) -> np.ndarray:
     """The selector as a (k,)*m boolean array: gcd(j_1..j_m, k) = 1, j != 0."""
+    check_selector(m, k)
     mask = np.empty((k,) * m, dtype=bool)
     mask.fill(True)  # np.ones costs about 1 us more, most of a small k's mask
     for p in _distinct_primes(k):
@@ -214,7 +270,7 @@ def moebius_table(n: int) -> list[int]:
 
 def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
     """The box prod [1, b_i] as a boolean array: coordinate gcd 1."""
-    mask = np.ones(bounds, dtype=bool)
+    mask = np.ones(region_shape("box", bounds), dtype=bool)
     if len(bounds) == 1:
         mask[1:] = False  # gcd(a) = a, so only (1,) is visible
         return mask
@@ -225,25 +281,26 @@ def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:
 
 def _visible_hyperpyramid_mask(bounds: tuple[int, ...]) -> np.ndarray:
     """The hyperpyramid 0 <= a_i < a_d <= b_d, a_i <= b_i (i < d), as a
-    boolean array of shape (b_d, b_1 + 1, ..., b_{d-1} + 1), apex axis
+    boolean array of `region_shape("hyperpyramid", bounds)`, apex axis
     first: index (a_d - 1, a_1, ..., a_{d-1}), true at coordinate gcd 1."""
-    *lead, top = bounds
-    d = len(bounds)
-    mask = np.ones((top, *(b + 1 for b in lead)), dtype=bool)
+    shape = region_shape("hyperpyramid", bounds)
+    top, *lead = shape
+    mask = np.ones(shape, dtype=bool)
     # a_i < a_d, one lead axis at a time against the apex: each comparison is
-    # a (b_d, b_i + 1) open grid, never the whole array; with no lead axis
-    # the apex column would be the whole array, and there is nothing to clear
+    # a (b_d, c_i) open grid, never the whole array; with no lead axis the
+    # apex column would be the whole array, and there is nothing to clear
     if lead:
-        apex, *axes = np.ix_(np.arange(1, top + 1), *(np.arange(b + 1) for b in lead))
+        apex, *axes = np.ix_(np.arange(1, top + 1), *map(np.arange, lead))
         for axis in axes:
             mask &= axis < apex
     # the lead coordinates all 0 leave gcd a_d: a prime above every lead
     # bound divides every lead coordinate only there, so this line stands in
     # for all of them, and a one-axis hyperpyramid needs no sieve
-    mask[(slice(1, None),) + (0,) * (d - 1)] = False
-    for p in _primes_upto(min(top, max(lead, default=0))):
+    mask[(slice(1, None),) + (0,) * len(lead)] = False
+    # any other point has a nonzero a_i <= c_i - 1 for p to divide
+    for p in _primes_upto(max(lead, default=1) - 1):
         # p | a_d and every a_i, 0 included
-        mask[(slice(p - 1, None, p),) + (slice(None, None, p),) * (d - 1)] = False
+        mask[(slice(p - 1, None, p),) + (slice(None, None, p),) * len(lead)] = False
     return mask
 
 

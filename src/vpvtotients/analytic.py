@@ -26,7 +26,7 @@ from operator import add, mul, truediv
 from . import _kernels
 from .errors import DomainError
 from .exactcore import bernoulli, divisors
-from .totients import _check_cap, _check_n
+from .totients import _check_n
 
 __all__ = [
     "zeta",
@@ -232,11 +232,12 @@ def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
 def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
     """The selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
     visible denominator v = 2..K, h = len(thetas), enumerated by the shared
-    kernel once the selector cap admits (h, K); h >= 1."""
+    kernel; h >= 1.  The largest selector, (h, K), is checked against the
+    kernels' cap before the first v, not only when the loop reaches it."""
     if not thetas:
         raise DomainError("need at least one theta factor")
     _check_cutoff(K)
-    _check_cap(len(thetas), K)
+    _kernels.check_selector(len(thetas), K)
     return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
 
 

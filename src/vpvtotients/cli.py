@@ -23,7 +23,7 @@ from .audit import run_audit
 from .errors import DomainError, ResourceError, UsageError
 from .exactcore import bernoulli, stirling2
 from .series import PowerSeries, check_power_sum_work, product_with_exponents, ps_exp
-from .totients import DEFAULT_SELECTOR_CAP, jordan, m_phi, phi_t, ramanujan_cohen, sigma
+from .totients import jordan, m_phi, phi_t, ramanujan_cohen, sigma
 from .vpv import RadialRegion, visible_count, visible_points
 
 _RENDER_MAX = 64
@@ -102,12 +102,10 @@ def _cmd_lattice(args) -> int:
     dims, bound = args.dims, args.max
     if dims < 1 or bound < 1:
         raise UsageError("--dims and --max must be positive")
-    # refused before the bounds tuple is built, whose length is dims; a
-    # lattice has at least `bound` points, so a larger bound is past the cap
+    # refused before the bounds tuple is built, whose length is dims; the
+    # kernel that builds the mask refuses a lattice past its cell cap
     if dims > MAX_DIMS:
         raise UsageError(f"--dims {dims} exceeds {MAX_DIMS}, the most axes of a grid")
-    if bound > DEFAULT_SELECTOR_CAP:
-        raise UsageError(f"--max {bound} exceeds the lattice cap {DEFAULT_SELECTOR_CAP}")
     region = RadialRegion(dims, (bound,) * dims)
     if dims == 2:
         if bound > _RENDER_MAX:

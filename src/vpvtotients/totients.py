@@ -15,10 +15,12 @@ Conventions adopted here:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, log2, sqrt
 from numbers import Integral
+from operator import index
 
 from . import _kernels
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -26,7 +28,6 @@ from .exactcore import divisors, factorize, grid_power_sum
 
 __all__ = [
     "LatticeSelector",
-    "DEFAULT_SELECTOR_CAP",
     "enumerate_selector",
     "selector_size",
     "ramanujan_cohen_enum",
@@ -38,8 +39,6 @@ __all__ = [
     "m_phi",
     "sigma",
 ]
-
-DEFAULT_SELECTOR_CAP = 10**7
 
 # J_m(k) has about m * log2(k) bits. At 10^6 bits, `compute jordan` took
 # 2.0-3.9 s end to end (k = 2, 3, 200, 997, 30030, 223092870; most of it the
@@ -72,33 +71,24 @@ class LatticeSelector:
     k: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.k < 1:
+        m, k = _ints(self.m, self.k)
+        if m < 1 or k < 1:
             raise DomainError(f"selector requires m >= 1 and k >= 1, got {self}")
+        # rewritten only for a numpy int: the rearrange checks build one
+        # selector per visible denominator, and two writes cost 0.25 us
+        if m is not self.m or k is not self.k:
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "k", k)
 
 
-def _decimal(k: int, m: int = 1) -> str:
-    """k**m in decimal; where that is past the interpreter's int-to-str
-    digit limit, its size as a power of two, and when k alone is past it
-    the power is never built."""
-    try:
-        str(k)
-        return str(k**m)
-    except ValueError:
-        return f"about 2^{m * log2(k):.0f}"
-
-
-def _check_cap(m: int, k: int) -> None:
-    # m is refused before k**m is built (3**(10**7) alone takes seconds), and
-    # past the cap the power is built only for a k short enough to print
-    if m > _kernels.MAX_DIMS:
-        raise ResourceError(
-            f"selector grid for m={_decimal(m)} has more than {_kernels.MAX_DIMS} axes"
-        )
-    if k > DEFAULT_SELECTOR_CAP or k**m > DEFAULT_SELECTOR_CAP:
-        raise ResourceError(
-            f"selector grid for m={m}, k={_decimal(k)} has {_decimal(k, m)} tuples, "
-            f"above cap {DEFAULT_SELECTOR_CAP}"
-        )
+def _ints(*values) -> Iterator[int]:
+    """The values as Python ints, numpy ints converted by operator.index;
+    DomainError for any that is not an integer, which the closed forms would
+    read as a float, fail on with a TypeError, or overflow as a numpy int."""
+    for v in values:  # a loop, not all(): every selector passes here
+        if not isinstance(v, _INTEGERS):
+            raise DomainError(f"arguments must be integers, got {values!r}")
+    return map(index, values)
 
 
 def _check_n(n) -> None:
@@ -112,15 +102,13 @@ def enumerate_selector(sel: LatticeSelector) -> _kernels.SelectorRows:
     """The selector set in lexicographic order, as a read-only sequence of
     m-tuples of Python ints over the (N, m) int64 array it exposes as
     `.array`; callers that need every point at once read the array."""
-    _check_cap(sel.m, sel.k)
     return _kernels.selector_tuples(sel.m, sel.k)
 
 
 def selector_size(m: int, k: int) -> int:
     """Cardinality of the selector set, by counting."""
-    LatticeSelector(m, k)  # refuses m < 1 and k < 1 before the cap check
-    _check_cap(m, k)
-    return _kernels.selector_count(m, k)
+    sel = LatticeSelector(m, k)  # refuses m < 1 and k < 1 before the cap check
+    return _kernels.selector_count(sel.m, sel.k)
 
 
 def ramanujan_cohen_enum(k: int, n: list[int] | tuple[int, ...]) -> int:
@@ -129,10 +117,10 @@ def ramanujan_cohen_enum(k: int, n: list[int] | tuple[int, ...]) -> int:
     Floating point with a rounding-residual guard; the residual before
     rounding must stay below 1e-6.  Enumeration covers k >= 2 only.
     """
+    (k,) = _ints(k)
     if k < 2:
         raise DomainError("enumeration oracle requires k >= 2; use the k=1 convention")
     _check_n(n)
-    _check_cap(len(n), k)
     total = _kernels.selector_cos_sum(k, tuple(int(v) for v in n))
     nearest = round(total)
     if abs(total - nearest) >= _ENUM_RESIDUAL_TOL:
@@ -148,6 +136,7 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     g = gcd(|n_1|..|n_m|), with gcd(k, 0) = k so that the all-zero n gives
     the Jordan totient J_m(k).  For k = 1 the value is 1 by convention.
     """
+    (k,) = _ints(k)
     if k < 1:
         raise DomainError(f"ramanujan_cohen requires k >= 1, got {k}")
     _check_n(n)
@@ -170,6 +159,7 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
 
 def jordan(m: int, k: int) -> int:
     """Jordan totient J_m(k) = k^m * prod_{p|k} (1 - p^-m), exactly."""
+    m, k = _ints(m, k)
     if m < 1 or k < 1:
         raise DomainError(f"jordan requires m >= 1 and k >= 1, got m={m}, k={k}")
     # an m past the cap puts the bits past it for every k >= 2, so clamping
@@ -202,6 +192,7 @@ def _check_phi_work(t: int, m: int, k: int) -> None:
 def phi_t(t: int, m: int, k: int) -> Fraction:
     """phi_t(m; k) = sum over the selector of ((j_1+...+j_m)/k)^t, exact:
     `unnormalized_phi(t, m, k)` / k^t."""
+    t, m, k = _ints(t, m, k)
     return Fraction(unnormalized_phi(t, m, k), k**t)
 
 
@@ -214,6 +205,7 @@ def unnormalized_phi(t: int, m: int, k: int) -> int:
     above PHI_WORK_CAP raises ResourceError before k is factorized.  Returns 0
     for k = 1 (empty selector).
     """
+    t, m, k = _ints(t, m, k)
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
@@ -229,11 +221,11 @@ def unnormalized_phi(t: int, m: int, k: int) -> int:
 
 def phi_t_enum(t: int, m: int, k: int) -> Fraction:
     """phi_t by direct enumeration over the selector (the oracle route)."""
+    t, m, k = _ints(t, m, k)
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
         return Fraction(0)
-    _check_cap(m, k)
     return Fraction(_kernels.selector_power_sum(t, m, k), k**t)
 
 
@@ -242,16 +234,16 @@ def m_phi(m_fixed: int, k: int) -> int:
 
     Half-open range, consistent with the selector definition.
     """
+    m_fixed, k = _ints(m_fixed, k)
     if m_fixed < 0 or k < 1:
         raise DomainError("m_phi requires m_fixed >= 0 and k >= 1")
-    _check_cap(1, k)
-    return sum(
-        1 for a in range(k) if gcd(gcd(a, m_fixed), k) == 1 and a + m_fixed != 0
-    )
+    _kernels.check_selector(1, k)  # a loop over range(k), charged as the 1-D selector
+    return sum(1 for a in range(k) if gcd(a, m_fixed, k) == 1 and a + m_fixed != 0)
 
 
 def sigma(s: int, n: int) -> Fraction:
     """sum of d^s over the divisors d of n; rational for negative s."""
+    s, n = _ints(s, n)
     if n < 1:
         raise DomainError(f"sigma requires n >= 1, got {n}")
     # n^|s| has |s| log2(n) bits, and for s < 0 the sum has a numerator and

@@ -62,14 +62,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, ResourceError
-from .totients import (
-    DEFAULT_SELECTOR_CAP,
-    LatticeSelector,
-    _INTEGERS,
-    _decimal,
-    enumerate_selector,
-)
+from .errors import DomainError
+from .totients import LatticeSelector, _INTEGERS, enumerate_selector
 
 __all__ = [
     "FiniteSequence",
@@ -142,33 +136,17 @@ class RadialRegion:
         if self.constraint not in _REGION_CONSTRAINTS:
             raise DomainError(f"constraint must be one of {_REGION_CONSTRAINTS}")
 
-    def _check_size(self) -> None:
-        """Raise ResourceError, before anything is built, when the region's
-        mask would pass a cap: more axes than a numpy array holds, or more
-        cells than DEFAULT_SELECTOR_CAP.  The mask has prod b_i cells for a
-        box and b_d prod_{i<d} (b_i + 1) for a hyperpyramid, its bounding
-        array; points() is charged the same."""
-        if self.dims > _kernels.MAX_DIMS:
-            raise ResourceError(f"a {self.constraint} of {self.dims} axes "
-                                f"exceeds {_kernels.MAX_DIMS}")
-        if self.constraint == "box":
-            size = math.prod(self.bounds)
-        else:
-            size = self.bounds[-1] * math.prod(b + 1 for b in self.bounds[:-1])
-        if size > DEFAULT_SELECTOR_CAP:
-            raise ResourceError(
-                f"lattice size {_decimal(size)} exceeds cap {DEFAULT_SELECTOR_CAP}"
-            )
-
     def points(self):
         """All lattice points of the region, as a list built by itertools and
         not by the sieved masks, so that lemma 3.1 checks `visible_points`
         against it: lexicographic for a box; for a hyperpyramid, by apex
-        coordinate a_d, lexicographic within an apex."""
-        self._check_size()
-        *lead, top = self.bounds
+        coordinate a_d, lexicographic within an apex.  It is refused, with
+        `ResourceError`, wherever the region's mask would be: it is charged
+        the mask's shape, `_kernels.region_shape`."""
+        _kernels.region_shape(self.constraint, self.bounds)
         if self.constraint == "box":
             return list(product(*(range(1, b + 1) for b in self.bounds)))
+        *lead, top = self.bounds
         return [p for a in range(1, top + 1)
                 for p in product(*(range(min(b + 1, a)) for b in lead), (a,))]
 
@@ -177,8 +155,8 @@ def visible_points(region: RadialRegion) -> _kernels.SelectorRows:
     """Lattice points of the region with coordinate gcd 1, in the order of
     `RadialRegion.points`: the `_kernels.SelectorRows` view over the int64
     rows of the region's sieved mask, whose items are tuples of Python ints.
-    A region past the axis or size cap is refused first."""
-    region._check_size()
+    The kernel refuses a mask past its axis or cell cap, with
+    `ResourceError`, before it builds it."""
     if region.constraint == "box":
         return _kernels.visible_points_box(region.bounds)
     return _kernels.visible_points_hyperpyramid(region.bounds)
@@ -186,8 +164,7 @@ def visible_points(region: RadialRegion) -> _kernels.SelectorRows:
 
 def visible_count(region: RadialRegion) -> int:
     """len(visible_points(region)), counted on the region's sieved mask with
-    no point built."""
-    region._check_size()
+    no point built; the kernel refuses the same masks as `visible_points`."""
     if region.constraint == "box":
         return _kernels.visible_count_box(region.bounds)
     return _kernels.visible_count_hyperpyramid(region.bounds)

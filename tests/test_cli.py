@@ -175,10 +175,11 @@ def test_lattice_oversize_dims_exit_2(capsys, dims, bound):
 
 
 def test_lattice_oversize_bound_exit_2(capsys):
-    # any one axis longer than the cap puts the lattice past it
+    # any one axis longer than the cap puts the lattice past it; the box
+    # kernel refuses its mask, and the CLI has no cap of its own
     code, out, err = run(capsys, "lattice", "--dims", "1", "--max", str(10**7 + 1))
     assert code == 2 and not out
-    assert err == "usage error: --max 10000001 exceeds the lattice cap 10000000\n"
+    assert err == "usage error: lattice size 10000001 exceeds cap 10000000\n"
 
 
 def test_series_partition_numbers(capsys):

@@ -59,6 +59,22 @@ def _imports_from(importer, module):
     ]
 
 
+def test_only_kernels_name_the_cell_cap():
+    # the grid cap is one constant, compared in the kernels that build the
+    # grids; every other module asks `_kernels` to check a shape
+    package = Path(registry.__file__).parents[1]
+    named = sorted(
+        f"{path.relative_to(package)}: {name}"
+        for path in package.rglob("*.py")
+        if path.name != "_kernels.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+        if name in ("MAX_CELLS", "DEFAULT_SELECTOR_CAP", "_check_cap", "_check_size")
+    )
+    assert not named, named
+
+
 def test_vpv_imports_nothing_from_series():
     # vpv holds lattice enumeration and regrouping; the exact z-series
     # product displays are registry data

@@ -14,6 +14,7 @@ import pytest
 
 import vpvtotients._kernels as kernels
 import vpvtotients.exactcore as exactcore
+from vpvtotients.errors import ResourceError
 
 # perfbench/run.py records BACKEND, and perfbench/tracing.py wraps these six
 # entry points by name
@@ -294,6 +295,25 @@ def test_moebius_table_against_trial_division():
     assert sum(table) == -48
     for n in [*range(1, 2001), *range(10**5 - 1999, 10**5 + 1)]:
         assert table[n] == exactcore.moebius(n), n
+
+
+def test_mask_kernels_refuse_before_allocating(monkeypatch):
+    # each mask builder checks its own shape, so a kernel called directly,
+    # one past the cap, raises before numpy allocates anything: 3163^2 and
+    # 10^4 (10^4 + 1) cells, and the (10^3,)*3 hyperpyramid's 10^9
+    def no_alloc(shape, *args, **kwargs):
+        raise AssertionError(f"array of shape {shape} allocated")
+
+    monkeypatch.setattr(np, "empty", no_alloc)
+    monkeypatch.setattr(np, "ones", no_alloc)
+    for call in (
+        lambda: kernels.selector_count(2, 3163),
+        lambda: kernels.selector_cos_sum(3163, (1, 1)),
+        lambda: kernels.visible_count_box((10**4, 10**4 + 1)),
+        lambda: kernels.visible_points_hyperpyramid((10**3,) * 3),
+    ):
+        with pytest.raises(ResourceError, match="cap 10000000"):
+            call()
 
 
 def test_kernel_peak_memory_per_grid_point():

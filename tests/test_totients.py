@@ -191,6 +191,56 @@ def test_selector_size_refuses_bad_arguments():
             selector_size(m, k)
 
 
+# each entry point reads its integer arguments through one check: a float, a
+# numpy float or a Fraction is refused (a float m gave a float J_m(k), and a
+# float k a TypeError or AttributeError deep in the closed form)
+@pytest.mark.parametrize("func, args", [
+    (jordan, (2.5, 6)),
+    (jordan, (2, 6.0)),
+    (sigma, (1.5, 6)),
+    (sigma, (2, np.float64(6))),
+    (ramanujan_cohen, (6.0, (2,))),
+    (ramanujan_cohen_enum, (6.0, (2,))),
+    (phi_t, (1.5, 2, 6)),
+    (unnormalized_phi, (2, 2, Fraction(6))),
+    (phi_t_enum, (1, 2, 6.0)),
+    (selector_size, (2.0, 6)),
+    (m_phi, (1.5, 6)),
+    (LatticeSelector, (2, Fraction(7))),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_non_integer_arguments_are_refused(func, args):
+    with pytest.raises(DomainError, match="must be integers"):
+        func(*args)
+
+
+# numpy ints are integers and are taken as Python ints: as np.int64, J_40(6)
+# overflowed to 6289078614652622816 and sigma_30(6) wrapped the same way
+@pytest.mark.parametrize("func, args", [
+    (jordan, (40, 6)),
+    (sigma, (30, 6)),
+    (sigma, (-3, 12)),
+    (ramanujan_cohen, (6, (2,))),
+    (ramanujan_cohen_enum, (6, (2,))),
+    (phi_t, (30, 3, 6)),
+    (unnormalized_phi, (30, 3, 6)),
+    (phi_t_enum, (30, 3, 6)),
+    (selector_size, (2, 6)),
+    (m_phi, (2, 6)),
+    (LatticeSelector, (2, 7)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_numpy_int_arguments_are_python_ints(func, args):
+    want = func(*args)
+    for np_int in (np.int64, np.int32):
+        got = func(*(np_int(a) if isinstance(a, int) else a for a in args))
+        assert got == want and type(got) is type(want), (np_int, got)
+        if isinstance(got, Fraction):
+            assert type(got.numerator) is type(got.denominator) is int, got
+        if isinstance(got, LatticeSelector):
+            assert type(got.m) is type(got.k) is int, got
+    if func is jordan:
+        assert want == 13367494538831576401280277420000
+
+
 def test_selector_array_matches_tuples():
     # the int64 array and the tuple view over it both list the brute-force
     # selector, J_m(k) points in lexicographic order; at k = 1 it is empty
@@ -208,11 +258,13 @@ def test_selector_array_matches_tuples():
 
 def test_selector_cap_raises_before_allocating(monkeypatch):
     # 3162^2 <= 10^7 < 3163^2: one past the cap, every entry point raises
-    # before the kernel builds its k^m mask
-    def no_mask(m, k):
-        raise AssertionError(f"mask built for m={m}, k={k}")
+    # before the kernel allocates its k^m mask (m_phi and theta_vpv_check
+    # refuse before their loops too: a loop that ran would raise nothing)
+    def no_alloc(shape, *args, **kwargs):
+        raise AssertionError(f"array of shape {shape} allocated")
 
-    monkeypatch.setattr(kernels, "_selector_mask", no_mask)
+    monkeypatch.setattr(kernels.np, "empty", no_alloc)
+    monkeypatch.setattr(kernels.np, "ones", no_alloc)
     calls = (
         lambda: enumerate_selector(LatticeSelector(2, 3163)),
         lambda: selector_size(2, 3163),

@@ -174,8 +174,8 @@ def test_visible_points_are_coprime():
 
 def test_region_size_cap():
     # the cap is checked before anything is allocated; a hyperpyramid is
-    # charged its mask, the bounding array b_d prod_{i<d} (b_i + 1) (the
-    # second region's is 1,002,001,000 cells)
+    # charged its mask, `kernels.region_shape`: b_d prod_{i<d}
+    # (min(b_i, b_d - 1) + 1) cells (the second region's is 10^9)
     for region in (
         RadialRegion(2, (10**4, 10**4 + 1)),
         RadialRegion(3, (10**3, 10**3, 10**3), constraint="hyperpyramid"),
@@ -188,26 +188,39 @@ def test_region_size_cap():
 
 def test_hyperpyramid_charged_its_mask_size(monkeypatch):
     # a (c, c, c) hyperpyramid holds sum_{a<=c} a^2 points, but its mask is
-    # the c x (c + 1)^2 bounding array; the (300,) * 3 one, 9,045,050
-    # points in 27,180,300 cells, is checked without building it
+    # c^3 cells, since a lead axis holds a_i < a_d <= c; the (300,) * 3 one,
+    # 9,045,050 points in 27,000,000 cells, is checked without building it
     big = RadialRegion(3, (300,) * 3, "hyperpyramid")
-    with pytest.raises(ResourceError, match="lattice size 27180300 exceeds cap 10000000"):
-        big._check_size()
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 27_180_300)
-    big._check_size()
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 27_180_299)
-    for build in (big._check_size, big.points, lambda: visible_points(big),
-                  lambda: visible_count(big)):
-        with pytest.raises(ResourceError, match="lattice size 27180300 exceeds cap 27180299"):
+    with pytest.raises(ResourceError, match="lattice size 27000000 exceeds cap 10000000"):
+        big.points()
+    monkeypatch.setattr(kernels, "MAX_CELLS", 27_000_000)
+    assert kernels.region_shape("hyperpyramid", big.bounds) == (300, 300, 300)
+    monkeypatch.setattr(kernels, "MAX_CELLS", 26_999_999)
+    for build in (big.points, lambda: visible_points(big), lambda: visible_count(big)):
+        with pytest.raises(ResourceError, match="lattice size 27000000 exceeds cap 26999999"):
             build()
-    # the (6, 6, 6) one: 91 points in 6 * 7^2 = 294 cells
+    # the (6, 6, 6) one: 91 points in 6^3 = 216 cells
     small = RadialRegion(3, (6, 6, 6), "hyperpyramid")
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 294)
+    monkeypatch.setattr(kernels, "MAX_CELLS", 216)
     assert len(small.points()) == 91
     assert len(visible_points(small)) == visible_count(small) == 72
-    monkeypatch.setattr(vpv, "DEFAULT_SELECTOR_CAP", 293)
-    with pytest.raises(ResourceError, match="lattice size 294 exceeds cap 293"):
+    monkeypatch.setattr(kernels, "MAX_CELLS", 215)
+    with pytest.raises(ResourceError, match="lattice size 216 exceeds cap 215"):
         small.points()
+
+
+def test_hyperpyramid_lead_axes_clamped_to_the_apex(monkeypatch):
+    # a lead bound at or above the apex bound b_d holds only a_i < b_d, so
+    # (10^7, 2) is 3 points in a 2 x 2 mask, not 2 x (10^7 + 1) cells
+    monkeypatch.setattr(kernels, "MAX_CELLS", 4)
+    region = RadialRegion(2, (10**7, 2), "hyperpyramid")
+    assert kernels.region_shape("hyperpyramid", region.bounds) == (2, 2)
+    assert region.points() == [(0, 1), (0, 2), (1, 2)]
+    assert visible_points(region) == [(0, 1), (1, 2)]
+    assert visible_count(region) == 2
+    monkeypatch.setattr(kernels, "MAX_CELLS", 3)
+    with pytest.raises(ResourceError, match="lattice size 4 exceeds cap 3"):
+        visible_count(region)
 
 
 def test_box_axes_cap():
