@@ -207,9 +207,6 @@ def test_hyperpyramid_charged_its_mask_size(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_CELLS", 215)
     with pytest.raises(ResourceError, match="lattice size 216 exceeds cap 215"):
         small.points()
-
-
-def test_hyperpyramid_lead_axes_clamped_to_the_apex(monkeypatch):
     # a lead bound at or above the apex bound b_d holds only a_i < b_d, so
     # (10^7, 2) is 3 points in a 2 x 2 mask, not 2 x (10^7 + 1) cells
     monkeypatch.setattr(kernels, "MAX_CELLS", 4)
