@@ -14,8 +14,9 @@ temporary of its size. The primes are found here by trial division and a
 small sieve, not by `exactcore.factorize`, which the closed form `jordan`
 uses, so that `selector_count == jordan` compares two independent
 factorizations. Values are `np.add.outer` folds of 1-D vectors, read through
-the mask; `selector_cos_sum` counts them into a residue histogram and
-weights its k bins, so it takes k cosines.
+the mask; `selector_cos_sum` reduces each axis vector mod k, counts the
+selected dots into m*k bins, folds them into k residue bins and weights
+those, so it takes k cosines and no remainder per point.
 
 The grid cap lives here and nowhere else: at most MAX_DIMS = 64 axes (what a
 numpy array holds) and MAX_CELLS = 10^7 cells. Each mask builder refuses its
@@ -24,8 +25,12 @@ directly is refused as its public callers are. The selector's check,
 `check_selector(m, k)`, is three comparisons, m first, so that k**m is never
 built for an m past 64; a region's shape and its check are one function,
 `region_shape(constraint, bounds)`, which `vpv.RadialRegion.points` reads
-too. The two callers that loop over a grid with no mask, `totients.m_phi`
-and `analytic.selector_weights`, call `check_selector` before their loops.
+too. The two callers that loop over grids with no mask check them before
+their loops: `totients.m_phi` calls `check_selector`, and
+`analytic.selector_weights`, which enumerates every selector v = 2..K, calls
+`check_selectors_upto`, which holds the sum of their cells to the cap. A
+table of the values at 0..n, `moebius_table` and the `analytic` arrays
+read beside it, is checked by `check_table(n)`.
 
 The selector is enumerated one way, in lexicographic order (C order of the
 mask). `selector_array` is the nonzero indices of the mask as rows: the
@@ -52,11 +57,12 @@ about 1.2-1.9 times what building a tuple list took, and shares no Python
 int between points; a loop that drops each row as it goes pays less than
 that build.
 
-`moebius_table(n)` is the one Moebius table, mu(0..n), sieved by prime
-strides: the primes up to sqrt(n) flip signs and clear multiples of p^2 over
-whole slices, and a cofactor left above 1 is one larger prime. `analytic`
-reads it for its Dirichlet and mean-value sums; `exactcore.moebius`, by
-trial division, is its per-n oracle.
+`moebius_table(n)` is the one Moebius table, mu(0..n) as an int8 array,
+sieved by prime strides: the primes up to sqrt(n) flip signs and clear
+multiples of p^2 over whole slices, and a cofactor left above 1 is one
+larger prime. `analytic` reads it, as an array, for its Dirichlet and
+mean-value sums; `exactcore.moebius`, by trial division, is its per-n
+oracle.
 
 `totients`, `vpv` and `analytic` (whose theta checks take every selector
 weight from `selector_char_sum`) look each kernel up as a module attribute at
@@ -107,6 +113,27 @@ def check_selector(m: int, k: int) -> None:
     if k > MAX_CELLS or k**m > MAX_CELLS:
         raise ResourceError(f"selector grid for m={m}, k={_decimal(k)} has "
                             f"{_decimal(k, m)} tuples, above cap {MAX_CELLS}")
+
+
+def check_selectors_upto(m: int, k: int) -> None:
+    """Refuse the selectors (v,)*m of v = 2..k, walked one after another,
+    past MAX_CELLS cells in all, as `check_selector` refuses the largest.
+
+    The sum of v**m stops at the first v that passes the cap, which is at
+    most v = 4472 for m >= 1, so no check walks far."""
+    check_selector(m, k)
+    cells = 0
+    for v in range(2, k + 1):
+        cells += v**m
+        if cells > MAX_CELLS:
+            raise ResourceError(f"selector grids for m={m}, v=2..{k} have at "
+                                f"least {cells} tuples in all, above cap {MAX_CELLS}")
+
+
+def check_table(n: int) -> None:
+    """Refuse a table of the values at 0..n, n past MAX_CELLS."""
+    if n > MAX_CELLS:
+        raise ResourceError(f"table up to {_decimal(n)} exceeds cap {MAX_CELLS}")
 
 
 def region_shape(constraint: str, bounds: tuple[int, ...]) -> tuple[int, ...]:
@@ -222,13 +249,17 @@ def selector_cos_sum(k: int, n: tuple[int, ...]) -> float:
     """sum over the selector of cos(2*pi*(j . n)/k).
 
     Each n_i is reduced mod k as a Python int first, so that j * n_i fits in
-    int64 for any n_i; j . n mod k is unchanged.  Every selector point is
-    counted into a histogram of its residue r = j . n mod k, and the k
-    counts are weighted by cos(2*pi*r/k): k cosines, not one per point.
+    int64 for any n_i, and each axis vector j * n_i is reduced mod k, so a
+    selected point's dot is below m*k; j . n mod k is unchanged.  Every
+    selector point is counted into one of m*k bins by its dot, the bins are
+    folded into the k residues r = j . n mod k, and the k counts are
+    weighted by cos(2*pi*r/k): k cosines, not one per point, and no
+    remainder taken per point.
     """
-    mask = _selector_mask(len(n), k)
-    dots = reduce(np.add.outer, [np.arange(k) * (ni % k) for ni in n])[mask]
-    counts = np.bincount(dots % k, minlength=k)
+    m = len(n)
+    mask = _selector_mask(m, k)
+    dots = reduce(np.add.outer, [np.arange(k) * (ni % k) % k for ni in n])[mask]
+    counts = np.bincount(dots, minlength=m * k).reshape(m, k).sum(0)
     return float(counts @ np.cos(2.0 * np.pi * np.arange(k) / k))
 
 
@@ -248,8 +279,9 @@ def selector_power_sum(t: int, m: int, k: int) -> int:
     return sum(int(c) * s**t for s, c in enumerate(counts) if c)
 
 
-def moebius_table(n: int) -> list[int]:
-    """mu(0..n) as a list of Python ints, mu[0] = 0, sieved by prime strides.
+def moebius_table(n: int) -> np.ndarray:
+    """mu(0..n) as an int8 array, mu[0] = 0, sieved by prime strides; n is
+    refused past MAX_CELLS by `check_table`.
 
     Each prime p <= sqrt(n) negates mu on its multiples, divides them out of
     `rest` once, and zeroes mu on the multiples of p^2. A multiple of p^2 is
@@ -257,6 +289,7 @@ def moebius_table(n: int) -> list[int]:
     squarefree index has then lost every prime factor up to sqrt(n), and
     what is left above 1 is the one prime factor above sqrt(n).
     """
+    check_table(n)
     mu = np.ones(n + 1, dtype=np.int8)
     rest = np.arange(n + 1, dtype=np.int64)
     for p in _primes_upto(math.isqrt(n)):
@@ -265,7 +298,7 @@ def moebius_table(n: int) -> list[int]:
         mu[:: p * p] = 0
     mu[rest > 1] *= -1
     mu[0] = 0
-    return mu.tolist()
+    return mu
 
 
 def _visible_box_mask(bounds: tuple[int, ...]) -> np.ndarray:

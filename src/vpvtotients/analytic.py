@@ -11,6 +11,18 @@ enumerated by the shared kernel `_kernels.selector_char_sum`; the eq-6.7
 audit check reads the same function, and their Moebius closed form is only
 its oracle.
 
+The O(K) series are numpy arrays: zeta's 10^4-term head, the Cohen table
+c_1(n)..c_K(n), the Dirichlet partial sums and the mean-value sums.  Each
+sum is one `np.add.accumulate`, which adds left to right, as `sum()` adds
+floats on Python 3.11 and `np.sum`, pairwise, does not; each k^(-s) is
+numpy's `power`, which may differ from libm's `pow` in the last bit.  The
+Cohen table is int64 while the sum of e^m over the divisors e it sieves,
+which bounds every value, is below 2^63, and holds Python ints in an object
+array from there, through the same code.  A cutoff K is refused below 1 as
+a `DomainError`, and past the kernels' cell cap, with every O(K) array, as
+a `ResourceError` by `_kernels.check_table`, before the Moebius table is
+built; g = gcd(n) = 0 is refused before either.
+
 theta1 uses the standard convention 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1))
 sin((2k+1)z).  All identities consuming it are ratio identities in which the
 q^(1/4) prefactor cancels, so the convention choice is immaterial to them.
@@ -20,8 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate, repeat
-from operator import add, mul, truediv
+
+import numpy as np
 
 from . import _kernels
 from .errors import DomainError
@@ -55,7 +67,7 @@ def zeta(s: float) -> float:
     if s <= 1:
         raise DomainError(f"zeta requires s > 1, got {s}")
     N = _ZETA_CUTOFF
-    total = sum(map(pow, range(1, N), repeat(-s)))
+    total = _left_to_right(np.arange(1.0, N) ** -s)
     total += N ** (1 - s) / (s - 1) + 0.5 * N**-s
     rising = s  # s(s+1)...(s+2i-2)
     for i in range(1, _ZETA_CORRECTION_TERMS + 1):
@@ -76,12 +88,20 @@ def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
 
 
 def _check_cutoff(K: int) -> None:
-    """Refuse a cutoff K < 1 before any O(K) table is built."""
+    """Refuse a cutoff K < 1, or one past the kernels' cell cap, before any
+    O(K) table is built."""
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
+    _kernels.check_table(K)
 
 
-def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
+def _left_to_right(terms: np.ndarray) -> float:
+    """terms[0] + terms[1] + ... added in that order, as a 3.11 `sum()` adds
+    floats; `np.sum` would add pairwise."""
+    return float(np.add.accumulate(terms)[-1])
+
+
+def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> np.ndarray:
     """[c_1(n)..c_K(n)] by the closed form sum_{e | gcd(k,g)} mu(k/e) e^m.
 
     Sieved over the divisors e of g (every e <= K when g = 0, which gives the
@@ -89,17 +109,22 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> list[int]:
     is at most K * d(g) additions, with no divisor list per k.  The divisor
     e = 1 adds mu(q) to c_q, so the sieve starts from the Moebius table and
     runs from the second divisor.  K >= 1.
+
+    The values are int64 while the sum of e^m over the sieved divisors, which
+    bounds every |c_k| and every partial sum of the sieve, is below 2^63,
+    and Python ints in an object array from there.
     """
     _check_cutoff(K)
     m = len(n)
     g = math.gcd(*map(int, n))
+    sieved = [e for e in divisors(g) if e <= K] if g else range(1, K + 1)
+    dtype = np.int64 if sum(e**m for e in sieved) < 2**63 else object
     mu = _kernels.moebius_table(K)
-    out = mu.copy()
-    for e in divisors(g)[1:] if g else range(2, K + 1):
-        if e > K:
-            break
-        # out[e * q] += mu(q) e^m for q = 1..K // e
-        out[e::e] = map(add, out[e::e], map(mul, mu[1:K // e + 1], repeat(e**m)))
+    out = mu.astype(dtype)
+    for e in sieved[1:]:
+        # out[e * q] += mu(q) e^m for q = 1..K // e; mu is cast first, since
+        # an int8 array times a Python int raises past int8 and wraps below
+        out[e::e] += mu[1:K // e + 1].astype(dtype) * e**m
     return out[1:]
 
 
@@ -117,7 +142,7 @@ def dirichlet_partial_cohen(
     g = _nonzero_gcd(n, "divisor sum undefined, series divergent")
     cs = _cohen_values(n, K)
     m = len(n)
-    partial = sum(map(truediv, cs, map(pow, range(1, K + 1), repeat(s + 1.0))))
+    partial = _left_to_right(cs / np.arange(1.0, K + 1) ** (s + 1.0))
     companion = sum(d ** (m - 1.0 - s) for d in divisors(g)) / zeta(s + 1.0)
     return partial, companion
 
@@ -129,14 +154,18 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     Each divisor e of g contributes e^(m-1) times the Mertens-type partial
     sum of mu(d)/d up to K/e; the total tends to 0 as K grows.  One Moebius
     table at the largest K serves every n and K: the partial sums are read
-    from one `itertools.accumulate` of mu(d)/d, which adds left to right.
+    from one `np.add.accumulate` of mu(d)/d, which adds left to right, made
+    in place in the one float array of the quotients.
     """
     for K in Ks:
         _check_cutoff(K)
     gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
     top = max(Ks, default=0)
     mu = _kernels.moebius_table(top)
-    partial = [0.0, *accumulate(mu[d] / d for d in range(1, top + 1))]
+    partial = np.arange(top + 1.0)
+    partial[0] = 1.0  # mu(0) = 0, so partial[0] is 0 / 1
+    np.divide(mu, partial, out=partial)
+    np.add.accumulate(partial, out=partial)
     table = []
     for n, g in zip(ns, gs):
         m, divs = len(n), divisors(g)
@@ -146,7 +175,7 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
             for e in divs:
                 if e > K:
                     break
-                total += e ** (m - 1) * partial[K // e]
+                total += e ** (m - 1) * float(partial[K // e])
             row.append(total)
         table.append(row)
     return table
@@ -157,7 +186,7 @@ def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
     c_k(n)/k."""
     _nonzero_gcd(n, "sum diverges")
     cs = _cohen_values(n, K)
-    return sum(map(truediv, cs, range(1, K + 1)))
+    return _left_to_right(cs / np.arange(1, K + 1))
 
 
 def theta1(z: float, q: float, tol: float = 1e-12) -> float:
@@ -232,12 +261,13 @@ def _left_weight(thetas: tuple[complex, ...], k: int) -> complex:
 def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
     """The selector weight sum_{j in sel(h, v)} prod_i x_i^(j_i/v) of each
     visible denominator v = 2..K, h = len(thetas), enumerated by the shared
-    kernel; h >= 1.  The largest selector, (h, K), is checked against the
-    kernels' cap before the first v, not only when the loop reaches it."""
+    kernel; h >= 1.  The selectors are checked against the kernels' cap
+    before the first v, the largest, (h, K), alone and all of v = 2..K
+    together, since the loop walks every one."""
     if not thetas:
         raise DomainError("need at least one theta factor")
     _check_cutoff(K)
-    _kernels.check_selector(len(thetas), K)
+    _kernels.check_selectors_upto(len(thetas), K)
     return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
 
 

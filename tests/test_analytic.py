@@ -20,7 +20,7 @@ from vpvtotients.analytic import (
     zeta,
 )
 from vpvtotients.audit.registry import _selector_weight
-from vpvtotients.errors import DomainError
+from vpvtotients.errors import DomainError, ResourceError
 from vpvtotients.totients import jordan, ramanujan_cohen, ramanujan_cohen_enum
 
 
@@ -55,13 +55,18 @@ def test_dirichlet_partial_trend():
 
 
 def _mean_zero_one_sieve_per_cutoff(n, K):
-    """The rearranged mean-value sum with its own Moebius table and a sum()
-    of mu(d)/d per divisor: the reference for the shared table."""
-    mu = kernels.moebius_table(K)
+    """The rearranged mean-value sum with its own Moebius table and an
+    explicit left-to-right loop over mu(d)/d per divisor: the reference for
+    the shared table. A `sum()` would not do: from Python 3.12 it
+    compensates float rounding, so it no longer adds left to right."""
+    mu = kernels.moebius_table(K).tolist()
     total = 0.0
     for e in analytic.divisors(math.gcd(*n)):
         if e <= K:
-            total += e ** (len(n) - 1) * sum(mu[d] / d for d in range(1, K // e + 1))
+            mertens = 0.0
+            for d in range(1, K // e + 1):
+                mertens += mu[d] / d
+            total += e ** (len(n) - 1) * mertens
     return total
 
 
@@ -183,6 +188,53 @@ def test_cutoff_below_one_is_refused():
             theta_vpv_check(THETAS["thm-6.1"], 0.1, 0.7, 0.3, K)
 
 
+def test_cutoff_past_the_cap_is_refused_before_the_table(monkeypatch):
+    # K above the kernels' cell cap is refused as a ResourceError before the
+    # Moebius table is built; K at the cap is admitted
+    built = []
+    table = kernels.moebius_table
+    monkeypatch.setattr(kernels, "moebius_table", lambda K: built.append(K) or table(K))
+    monkeypatch.setattr(kernels, "MAX_CELLS", 100)
+    for call in (
+        lambda K: dirichlet_partial_cohen(2.0, (4, 6), K),
+        lambda K: ramanujan_mean_zero_direct((4, 6), K),
+        lambda K: ramanujan_mean_zero_table([(4, 6)], [10, K]),
+    ):
+        with pytest.raises(ResourceError, match="table up to 101 exceeds cap 100"):
+            call(101)
+        assert built == []
+        call(100)
+        assert built == [100]
+        built.clear()
+    # at the real cap, past it by one: refused at once
+    monkeypatch.undo()
+    with pytest.raises(ResourceError, match="exceeds cap 10000000"):
+        dirichlet_partial_cohen(2.0, (4, 6), 10**7 + 1)
+
+
+def test_selector_weights_charged_their_total_grid(monkeypatch):
+    # every v = 2..K is enumerated, so the sum of v^h is held to the cap
+    # before the first kernel call: h = 2 is admitted to K = 310 (9,978,434
+    # cells) and refused from 311 (10,075,155), h = 1 to 4471 and from 4472
+    seen = []
+    monkeypatch.setattr(kernels, "selector_char_sum", lambda k, thetas: seen.append(k) or 0j)
+    for thetas, K in (((0j, 0j), 310), ((0j,), 4471)):
+        seen.clear()
+        assert len(selector_weights(thetas, K)) == K - 1
+        assert seen == list(range(2, K + 1))
+    for thetas, K in (((0j, 0j), 311), ((0j,), 4472), ((0j, 0j), 3162), ((0j,) * 3, 80)):
+        seen.clear()
+        with pytest.raises(ResourceError, match="in all, above cap 10000000"):
+            selector_weights(thetas, K)
+        with pytest.raises(ResourceError, match="in all, above cap 10000000"):
+            theta_vpv_check(thetas, 0.1, 0.7, 0.3, K)
+        assert seen == [], (thetas, K)
+    # the audit's own theta sizes stay admitted: h <= 2 and K <= 80
+    seen.clear()
+    selector_weights((0j, 0j), 80)
+    assert seen == list(range(2, 81))
+
+
 def test_selector_weights_refuses_cutoff_below_one():
     # a public name: it refused nothing below K = 1 and returned []
     for K in (0, -3):
@@ -261,7 +313,7 @@ COHEN_NS = (
 def test_cohen_table_vs_closed_form():
     for n in COHEN_NS:
         want = [ramanujan_cohen(k, n) for k in range(1, 301)]
-        assert analytic._cohen_values(n, 300) == want, n
+        assert analytic._cohen_values(n, 300).tolist() == want, n
 
 
 def test_cohen_table_from_the_first_divisor():
@@ -272,11 +324,45 @@ def test_cohen_table_from_the_first_divisor():
         for K in (1, 2, 97):
             got = analytic._cohen_values(n, K)
             want = [ramanujan_cohen(k, n) for k in range(1, K + 1)]
-            assert got == want and all(type(c) is int for c in got), (n, K)
+            assert got.dtype == np.int64 and got.tolist() == want, (n, K)
 
 
 def test_cohen_table_vs_enumeration():
     for n in COHEN_NS:
         # c_1(n) = 1 by convention; the enumeration covers k >= 2
         want = [1] + [ramanujan_cohen_enum(k, n) for k in range(2, 41)]
-        assert analytic._cohen_values(n, 40) == want, n
+        assert analytic._cohen_values(n, 40).tolist() == want, n
+
+
+def test_cohen_table_past_int64_is_exact():
+    # g = 6, m = 30: the bound 1 + 2^30 + 3^30 + 6^30 is past 2^63, so the
+    # table holds Python ints, each equal to the closed form
+    n = (6,) * 30
+    got = analytic._cohen_values(n, 50)
+    assert got.dtype == object and max(map(abs, got)) >= 2**63
+    assert list(got) == [ramanujan_cohen(k, n) for k in range(1, 51)]
+    assert all(type(c) is int for c in got)
+    # just below 2^63 the table is int64: 1 + 2^m + 3^m + 6^m < 2^63 at m = 24
+    assert analytic._cohen_values((6,) * 24, 50).dtype == np.int64
+
+
+def test_series_sums_against_python_int_loops():
+    # the closed form in Python ints, added left to right in a loop: the
+    # mean-value sum c_k/k has the same arithmetic, so it is equal; each
+    # k^(s+1) of the partial sum is numpy's power, which may differ from
+    # libm's in the last bit, so that sum is held to 4 ulps of its terms'
+    # absolute sum. (6,)*30 is past int64, the others are not.
+    eps = np.finfo(float).eps
+    for n, K in (((6,) * 30, 50), ((12, 18), 2000), ((-4, 6, 8), 500)):
+        cs = [ramanujan_cohen(k, n) for k in range(1, K + 1)]
+        mean = 0.0
+        for k, c in enumerate(cs, start=1):
+            mean += c / k
+        assert ramanujan_mean_zero_direct(n, K) == mean, n
+        for s in (0.5, 1.0, 2.0):
+            want, scale = 0.0, 0.0
+            for k, c in enumerate(cs, start=1):
+                want += c / k ** (s + 1.0)
+                scale += abs(c) / k ** (s + 1.0)
+            partial, _ = dirichlet_partial_cohen(s, n, K)
+            assert abs(partial - want) <= 4 * eps * scale, (n, s, partial, want)

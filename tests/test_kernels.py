@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections.abc import Sequence
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -112,6 +113,29 @@ def test_selector_numeric_sums_cross_backend():
                 for js in brute
             )
             assert abs(kernels.selector_char_sum(k, thetas) - want) <= 1e-9, (k, thetas)
+
+
+def _cos_sum_remainder_per_point(k, n):
+    """selector_cos_sum with j . n mod k taken over every selected point: the
+    reference for the kernel's folded bins."""
+    mask = kernels._selector_mask(len(n), k)
+    dots = reduce(np.add.outer, [np.arange(k) * (ni % k) for ni in n])[mask]
+    counts = np.bincount(dots % k, minlength=k)
+    return float(counts @ np.cos(2.0 * np.pi * np.arange(k) / k))
+
+
+def test_cos_sum_folded_bins_equal_remainder_per_point():
+    # the m*k bins of the reduced axis vectors fold into the same k integer
+    # counts as a remainder per point, so the float is the same bit for bit;
+    # m = 1..4, n_i of either sign up to 10^12, and k = 1 (an empty selector)
+    rng = random.Random(34)
+    cases = [(1, (5,)), (3, (0, 0, 0))]
+    for m, kmax in ((1, 400), (2, 60), (3, 20), (4, 10)):
+        for _ in range(15):
+            k = rng.randint(1, kmax)
+            cases.append((k, tuple(rng.randint(-(10**12), 10**12) for _ in range(m))))
+    for k, n in cases:
+        assert kernels.selector_cos_sum(k, n) == _cos_sum_remainder_per_point(k, n), (k, n)
 
 
 def test_selector_array_is_argwhere():
@@ -283,16 +307,17 @@ def test_one_axis_box_is_not_sieved():
 def test_moebius_table_against_trial_division():
     # every limit up to 4, where sqrt(n) has no prime or only 2; limits at
     # the prime squares 49 and 121, where p = sqrt(n) sieves and p^2 is the
-    # last entry; and 2000. Entries are Python ints, mu[0] = 0.
+    # last entry; and 2000. The table is an int8 array, mu[0] = 0.
     for limit in (0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 2000):
         table = kernels.moebius_table(limit)
         assert len(table) == limit + 1 and table[0] == 0, limit
-        assert all(type(mu) is int for mu in table), limit
-        assert table[1:] == [exactcore.moebius(n) for n in range(1, limit + 1)], limit
+        assert table.dtype == np.int8, limit
+        want = [exactcore.moebius(n) for n in range(1, limit + 1)]
+        assert table[1:].tolist() == want, limit
     # at 10^5 (primes to 316, cofactors up to 49999): the Mertens sum
     # M(10^5) = -48, and the first and last 2000 entries by trial division
     table = kernels.moebius_table(10**5)
-    assert sum(table) == -48
+    assert int(table.sum()) == -48
     for n in [*range(1, 2001), *range(10**5 - 1999, 10**5 + 1)]:
         assert table[n] == exactcore.moebius(n), n
 
@@ -311,6 +336,7 @@ def test_mask_kernels_refuse_before_allocating(monkeypatch):
         lambda: kernels.selector_cos_sum(3163, (1, 1)),
         lambda: kernels.visible_count_box((10**4, 10**4 + 1)),
         lambda: kernels.visible_points_hyperpyramid((10**3,) * 3),
+        lambda: kernels.moebius_table(10**7 + 1),
     ):
         with pytest.raises(ResourceError, match="cap 10000000"):
             call()
