@@ -17,11 +17,12 @@ sum is one `np.add.accumulate`, which adds left to right, as `sum()` adds
 floats on Python 3.11 and `np.sum`, pairwise, does not; each k^(-s) is
 numpy's `power`, which may differ from libm's `pow` in the last bit.  The
 Cohen table is int64 while the sum of e^m over the divisors e it sieves,
-which bounds every value, is below 2^63, and holds Python ints in an object
-array from there, through the same code.  A cutoff K is refused below 1 as
-a `DomainError`, and past the kernels' cell cap, with every O(K) array, as
-a `ResourceError` by `_kernels.check_table`, before the Moebius table is
-built; g = gcd(n) = 0 is refused before either.
+which bounds every value, is below 2^53, so that each value is exact as a
+float and c_k / k is Python's correctly rounded quotient; it holds Python
+ints in an object array from there, through the same code.  A cutoff K is
+refused below 1 as a `DomainError`, and past the kernels' cell cap, with
+every O(K) array, as a `ResourceError` by `_kernels.check_table`, before
+the Moebius table is built; g = gcd(n) = 0 is refused before either.
 
 theta1 uses the standard convention 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1))
 sin((2k+1)z).  All identities consuming it are ratio identities in which the
@@ -111,14 +112,15 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> np.ndarray:
     runs from the second divisor.  K >= 1.
 
     The values are int64 while the sum of e^m over the sieved divisors, which
-    bounds every |c_k| and every partial sum of the sieve, is below 2^63,
-    and Python ints in an object array from there.
+    bounds every |c_k| and every partial sum of the sieve, is below 2^53, so
+    that numpy's int-to-float casts are exact, and Python ints in an object
+    array from there.
     """
     _check_cutoff(K)
     m = len(n)
     g = math.gcd(*map(int, n))
     sieved = [e for e in divisors(g) if e <= K] if g else range(1, K + 1)
-    dtype = np.int64 if sum(e**m for e in sieved) < 2**63 else object
+    dtype = np.int64 if sum(e**m for e in sieved) < 2**53 else object
     mu = _kernels.moebius_table(K)
     out = mu.astype(dtype)
     for e in sieved[1:]:

@@ -342,8 +342,10 @@ def test_cohen_table_past_int64_is_exact():
     assert got.dtype == object and max(map(abs, got)) >= 2**63
     assert list(got) == [ramanujan_cohen(k, n) for k in range(1, 51)]
     assert all(type(c) is int for c in got)
-    # just below 2^63 the table is int64: 1 + 2^m + 3^m + 6^m < 2^63 at m = 24
-    assert analytic._cohen_values((6,) * 24, 50).dtype == np.int64
+    # the table is int64 only while every value is exact as a float: the
+    # bound 1 + 2^m + 3^m + 6^m is below 2^53 at m = 20 and past it at 21
+    assert analytic._cohen_values((6,) * 20, 50).dtype == np.int64
+    assert analytic._cohen_values((6,) * 21, 50).dtype == object
 
 
 def test_series_sums_against_python_int_loops():
@@ -351,9 +353,12 @@ def test_series_sums_against_python_int_loops():
     # mean-value sum c_k/k has the same arithmetic, so it is equal; each
     # k^(s+1) of the partial sum is numpy's power, which may differ from
     # libm's in the last bit, so that sum is held to 4 ulps of its terms'
-    # absolute sum. (6,)*30 is past int64, the others are not.
+    # absolute sum. (6,)*30 is past int64 and (6,)*24 and (6,)*22 are past
+    # 2^53, where int64 values would lose bits in a cast to float; the
+    # others are int64.
     eps = np.finfo(float).eps
-    for n, K in (((6,) * 30, 50), ((12, 18), 2000), ((-4, 6, 8), 500)):
+    for n, K in (((6,) * 30, 50), ((6,) * 24, 50), ((6,) * 22, 200),
+                 ((12, 18), 2000), ((-4, 6, 8), 500)):
         cs = [ramanujan_cohen(k, n) for k in range(1, K + 1)]
         mean = 0.0
         for k, c in enumerate(cs, start=1):
