@@ -19,10 +19,11 @@ numpy's `power`, which may differ from libm's `pow` in the last bit.  The
 Cohen table is int64 while the sum of e^m over the divisors e it sieves,
 which bounds every value, is below 2^53, so that each value is exact as a
 float and c_k / k is Python's correctly rounded quotient; it holds Python
-ints in an object array from there, through the same code.  A cutoff K is
-refused below 1 as a `DomainError`, and past the kernels' cell cap, with
-every O(K) array, as a `ResourceError` by `_kernels.check_table`, before
-the Moebius table is built; g = gcd(n) = 0 is refused before either.
+ints in an object array from there, through the same code.  A cutoff K
+that is not an integer or is below 1 is refused as a `DomainError`, and
+one past the kernels' cell cap, with every O(K) array, as a `ResourceError`
+by `_kernels.check_table`, before the Moebius table is built; g = gcd(n) = 0
+is refused before either.
 
 theta1 uses the standard convention 2 q^(1/4) sum_{k>=0} (-1)^k q^(k(k+1))
 sin((2k+1)z).  All identities consuming it are ratio identities in which the
@@ -39,7 +40,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError
 from .exactcore import bernoulli, divisors
-from .totients import _check_n
+from .totients import _check_n, _ints
 
 __all__ = [
     "zeta",
@@ -88,12 +89,14 @@ def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
     return g
 
 
-def _check_cutoff(K: int) -> None:
-    """Refuse a cutoff K < 1, or one past the kernels' cell cap, before any
-    O(K) table is built."""
+def _check_cutoff(K: int) -> int:
+    """K as a Python int; a cutoff that is not an integer, is below 1, or is
+    past the kernels' cell cap is refused before any O(K) table is built."""
+    (K,) = _ints(K)
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     _kernels.check_table(K)
+    return K
 
 
 def _left_to_right(terms: np.ndarray) -> float:
@@ -116,7 +119,7 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> np.ndarray:
     that numpy's int-to-float casts are exact, and Python ints in an object
     array from there.
     """
-    _check_cutoff(K)
+    K = _check_cutoff(K)
     m = len(n)
     g = math.gcd(*map(int, n))
     sieved = [e for e in divisors(g) if e <= K] if g else range(1, K + 1)
@@ -159,8 +162,7 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     from one `np.add.accumulate` of mu(d)/d, which adds left to right, made
     in place in the one float array of the quotients.
     """
-    for K in Ks:
-        _check_cutoff(K)
+    Ks = [_check_cutoff(K) for K in Ks]
     gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
     top = max(Ks, default=0)
     mu = _kernels.moebius_table(top)
@@ -268,7 +270,7 @@ def selector_weights(thetas: tuple[complex, ...], K: int) -> list[complex]:
     together, since the loop walks every one."""
     if not thetas:
         raise DomainError("need at least one theta factor")
-    _check_cutoff(K)
+    K = _check_cutoff(K)
     _kernels.check_selectors_upto(len(thetas), K)
     return [_kernels.selector_char_sum(v, thetas) for v in range(2, K + 1)]
 

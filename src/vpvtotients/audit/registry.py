@@ -22,13 +22,17 @@ Statuses:
 Every expectation of FAILS_AS_PRINTED ships with a machine-checked
 counterexample produced by an oracle in this package.
 
-A check keeps only its grid and its report strings; the control flow is in
-three helpers. `_first_mismatch` fails at the first case whose two sides
-differ, `_worst_residual` compares the largest residual with a tolerance,
-and `_printed_or_corrected` probes a display as printed beside a sweep of
-its corrected or oracle form. Cases are generators, so a check draws from
+A check keeps only its grid and its report strings; every exact verdict is
+decided by three helpers. `_first_mismatch` fails at the first case whose
+two sides differ, `_worst_residual` compares the largest residual with a
+tolerance, and `_printed_or_corrected` probes a display as printed beside a
+sweep of its corrected or oracle form. A note is a string, or a generator
+function that `_draw` calls only when the outcome reports its notes, so a
+note never decides a verdict. Cases are generators, so a check draws from
 its rng only up to where it stops, and the layer functions are looked up in
-this module's globals when a check runs, never bound at import.
+this module's globals when a check runs, never bound at import. Six float
+checks keep their own flow, since each tests a limit by its truncation
+errors at fixed cutoffs K, and eq-2.6 is a constant FLAGGED.
 """
 
 from __future__ import annotations
@@ -193,30 +197,37 @@ def _mismatch(cases) -> Optional[str]:
     return None
 
 
-def _first_mismatch(cases, *notes: str, status: str = "PASS"):
+def _draw(notes) -> tuple:
+    """The notes of an outcome that reports them: each entry is a note, or a
+    generator function whose notes are drawn only now."""
+    return tuple(line for note in notes
+                 for line in ((note,) if isinstance(note, str) else note()))
+
+
+def _first_mismatch(cases, *notes, status: str = "PASS"):
     """The check that runs the generator `cases(rng)` of (lhs, rhs, label):
     FAILS_AS_PRINTED with the label of its first mismatch, otherwise
-    `status` with residual 0.0 and `notes`."""
+    `status` with residual 0.0 and the drawn `notes`."""
     def check(rng: random.Random) -> Outcome:
         bad = _mismatch(cases(rng))
         if bad is not None:
             return _pass_if(False, None, bad)
-        return Outcome(status, 0.0, None, notes)
+        return Outcome(status, 0.0, None, _draw(notes))
 
     return check
 
 
-def _worst_residual(residuals, *notes: str, tol: float = 1e-9, status: str = "PASS"):
-    """The check that runs the generator `residuals(rng)`: `status` with
-    `notes` when the largest residual, from 0.0, is below `tol`, otherwise
-    FAILS_AS_PRINTED with that residual."""
+def _worst_residual(residuals, *notes, tol: float = 1e-9, status: str = "PASS"):
+    """The check that runs the generator `residuals(rng)`: `status` with the
+    drawn `notes` when the largest residual, from 0.0, is below `tol`,
+    otherwise FAILS_AS_PRINTED with that residual."""
     def check(rng: random.Random) -> Outcome:
         worst = 0.0
         for residual in residuals(rng):
             worst = max(worst, residual)
         if worst >= tol:
             return _pass_if(False, worst)
-        return Outcome(status, worst, None, notes)
+        return Outcome(status, worst, None, _draw(notes))
 
     return check
 
@@ -238,7 +249,7 @@ def _printed_or_corrected(printed, corrected=(), notes=(), oracle=()) -> Outcome
             return _pass_if(True, 0.0)
         skip = _mismatch(corrected)
         if skip is None:
-            return Outcome("FAILS_AS_PRINTED", None, bad, tuple(notes))
+            return Outcome("FAILS_AS_PRINTED", None, bad, _draw(notes))
     return Outcome("SKIPPED", None, None, (skip,))
 
 
@@ -410,7 +421,7 @@ def _printed_t(mu: int, k: int) -> Fraction:
     """The printed bracket coefficient
     T_mu = -sum_{alpha=1..mu} C(mu, alpha) B_alpha / k^(alpha-1) (B_1 = -1/2)."""
     return -sum(
-        comb(mu, alpha) * bernoulli(alpha) / Fraction(k) ** (alpha - 1)
+        comb(mu, alpha) * bernoulli(alpha) / k ** (alpha - 1)
         for alpha in range(1, mu + 1)
     )
 
@@ -453,22 +464,15 @@ def _phi_regroup(t: int, m: int, a: FiniteSequence) -> tuple:
 
 def _check_phi_weight(rng: random.Random) -> Outcome:
     # t = 0 balances; t >= 1 is refuted by the delta probe.
-    def notes():
-        yield "the t = 0 case (Jordan weights) balances exactly"
-        yield ("the display claims a t-independent left side; for t >= 1 the "
-               "selector weights phi_t(m;k) are not the Jordan totients")
-        for t in (1, 2):
-            a = _rand_seq(rng, 10)
-            l2, r2 = _phi_regroup(t, 2, a)
-            if l2 == r2:
-                yield f"random probe unexpectedly balanced at t={t}"
-
     oracle = ((*_phi_regroup(0, m, _rand_seq(rng, 12)),
                f"unexpected t=0 imbalance at m={m}") for m in (2, 3))
     printed = ((*_phi_regroup(1, 2, a),
                 lambda lhs, rhs: f"t=1, m=2, a=delta_2: lhs={lhs}, rhs={rhs}")
                for a in [_delta(2)])
-    return _printed_or_corrected(printed, notes=notes(), oracle=oracle)
+    return _printed_or_corrected(printed, oracle=oracle, notes=(
+        "the t = 0 case (Jordan weights) balances exactly",
+        "the display claims a t-independent left side; for t >= 1 the "
+        "selector weights phi_t(m;k) are not the Jordan totients"))
 
 
 def _divisor_law(f, w, n_max: int) -> tuple:
@@ -540,7 +544,7 @@ def _falling_expansion(m: int, k: int) -> int:
 def _finite_stirling_sides(m: int, n: int, z: Fraction) -> tuple:
     """Both sides of eq-4.14: sum_{k<n} k^(m-1) z^k against
     sum_j S(m-1, j) z^j d^j/dz^j (1 + z + ... + z^(n-1)), term by term."""
-    lhs = sum(Fraction(k) ** (m - 1) * z**k for k in range(n))
+    lhs = sum(k ** (m - 1) * z**k for k in range(n))
     rhs = sum(_falling_expansion(m, k) * z**k for k in range(n))
     return lhs, rhs
 
@@ -643,24 +647,11 @@ def _printed_one_factor(a: FiniteSequence, b: FiniteSequence, x: float) -> tuple
     return thm_5_1_check(a, b, x)[0], rhs
 
 
-def _check_one_factor(rng: random.Random) -> Outcome:
-    outcome = _worst_residual(_exp_residuals(
-        lambda a, bs, x: thm_5_1_check(a, *bs, x), 1, 30, 1.2))(rng)
-    if outcome.status != "PASS":
-        return outcome
-    lhs_p, rhs_p = _printed_one_factor(_delta(2), FiniteSequence({1: 1, 2: 1}, 2), 1.0)
-    notes = [
-        "the printed inner sum reads 0 < j < k with (j, m) = 1 and exponent "
-        "b_mk j x / k, mixing the multiple index with the visible denominator",
-        "resolved reading: j runs over the coprime residues of the visible "
-        "denominator and the exponent divides by it",
-    ]
-    if abs(lhs_p - rhs_p) > 1e-9:
-        notes.append(
-            f"as printed, a = delta_2, b = 1, x = 1 gives lhs = "
-            f"{lhs_p.real:.6f} (= 1 + e^(1/2)) but rhs = {rhs_p.real:.6f}"
-        )
-    return Outcome("PASS_WITH_CORRECTION", outcome.max_residual, None, tuple(notes))
+def _printed_one_factor_note() -> Iterator[str]:
+    lhs, rhs = _printed_one_factor(_delta(2), FiniteSequence({1: 1, 2: 1}, 2), 1.0)
+    if abs(lhs - rhs) > 1e-9:
+        yield (f"as printed, a = delta_2, b = 1, x = 1 gives lhs = "
+               f"{lhs.real:.6f} (= 1 + e^(1/2)) but rhs = {rhs.real:.6f}")
 
 
 def _cor_5_3_check(x: float, y: float, z: float, c_max: int) -> tuple:
@@ -742,23 +733,16 @@ def _geometric(n: int, z: Fraction) -> FiniteSequence:
 
 
 def _check_geometric_blocks(rng: random.Random) -> Outcome:
-    def notes():
-        yield ("the printed geometric blocks start at z^0; each needs its "
-               "leading factor (z on the first, z^j on the j-th)")
-        for m, z, n in product((1, 2, 3), (Fraction(1, 2), Fraction(-1, 3)),
-                               (2, 7, 19, 30)):
-            cl, cr = _jordan_regroup(_geometric(n, z), m)
-            if cl != cr:
-                yield f"corrected form fails at m={m}, n={n}, z={z}"
-        yield ("corrected form verified exactly for m <= 3, n <= 30, "
-               "z in {1/2, -1/3}")
-
     # as printed each block is S_v / z^v, so the weight is J_1(v) / z^v
     z = Fraction(1, 2)
     return _printed_or_corrected(
         [(*weighted_regroup_check(_geometric(2, z), lambda k: k, lambda v: jordan(1, v) / z**v),
           lambda lhs, rhs: f"m=1, n=2, z=1/2: lhs={lhs}, rhs={rhs}")],
-        notes=notes(),
+        ((*_jordan_regroup(_geometric(n, z), m), f"corrected form fails at m={m}, n={n}, z={z}")
+         for m, z, n in product((1, 2, 3), (Fraction(1, 2), Fraction(-1, 3)), (2, 7, 19, 30))),
+        ("the printed geometric blocks start at z^0; each needs its leading "
+         "factor (z on the first, z^j on the j-th)",
+         "corrected form verified exactly for m <= 3, n <= 30, z in {1/2, -1/3}"),
     )
 
 
@@ -804,26 +788,19 @@ _MIXED_PRODUCT_COUNTS = {
 }
 
 
-def _check_mixed_product(rng: random.Random) -> Outcome:
-    order = 24
-    derived = _MIXED_PRODUCT_COUNTS["derived"](order)
-    bad = _mismatch((*_mixed_product_sides(x, order, derived),
-                     f"derived reading fails at x={x}")
-                    for x in (Fraction(1, 3), Fraction(-2, 5)))
-    if bad is not None:
-        return _pass_if(False, None, bad)
-    notes = ["derived reading: the full double product over denominators v "
-             "and residues m < v, times 1/(1-z), balances exactly to "
-             "order 24"]
+def _mixed_product_cases(rng: random.Random) -> Iterator[tuple]:
+    derived = _MIXED_PRODUCT_COUNTS["derived"](24)
+    for x in (Fraction(1, 3), Fraction(-2, 5)):
+        yield *_mixed_product_sides(x, 24, derived), f"derived reading fails at x={x}"
+
+
+def _printed_mixed_product_notes() -> Iterator[str]:
     for reading in ("printed-halfopen", "printed-closed"):
         counts = _MIXED_PRODUCT_COUNTS[reading](8)
         diff = _first_diff(*_mixed_product_sides(Fraction(1, 3), 8, counts))
         if diff is not None:
-            notes.append(
-                "single-product reading ({} residue range) already fails at "
-                "z^{}: {} vs {}".format(reading.split("-")[1], *diff)
-            )
-    return Outcome("PASS_WITH_CORRECTION", 0.0, None, tuple(notes))
+            yield ("single-product reading ({} residue range) already fails at "
+                   "z^{}: {} vs {}".format(reading.split("-")[1], *diff))
 
 
 def _bracket_sides(a: FiniteSequence, bs: list, bracket, p: int) -> tuple:
@@ -921,13 +898,13 @@ def _bracket_identity(printed: tuple, corrected: tuple, skip_note: str, note: st
 def _printed_quadratic(k: int) -> Fraction:
     """(7/12) k^2 - k + 5/12, the polynomial cor-5.14b, cor-5.15b/d and
     cor-5.16b print."""
-    return Fraction(7, 12) * k * k - k + Fraction(5, 12)
+    return Fraction(7 * k * k - 12 * k + 5, 12)
 
 
 def _corrected_quadratic(k: int) -> Fraction:
     """(7/6) k^2 - 2k + 5/6, twice the printed polynomial, which balances
     with the 1/v^2 weights."""
-    return Fraction(7, 6) * k * k - 2 * k + Fraction(5, 6)
+    return Fraction(7 * k * k - 12 * k + 5, 6)
 
 
 def _phi_u_weight(t: int, s: int, scale: int = 1):
@@ -985,22 +962,16 @@ def _check_closed_display(display: str):
     return run
 
 
-def _check_dirichlet_linear(rng: random.Random) -> Outcome:
-    def law(n):
-        return n * n - n
+def _dirichlet_linear_cases(rng: random.Random) -> Iterator[tuple]:
+    yield (_divisor_law(lambda n: n * n - n, _phi_u_weight(1, 1), 120)[0], True,
+           "unnormalized reading fails")
 
-    ok, _ = _divisor_law(law, _phi_u_weight(1, 1), 120)
+
+def _normalized_linear_note() -> Iterator[str]:
+    ok, ce = _divisor_law(lambda n: n * n - n, _phi_u_weight(1, 2), 20)
     if not ok:
-        return _pass_if(False, None, "unnormalized reading fails")
-    ok_n, ce = _divisor_law(law, _phi_u_weight(1, 2), 20)
-    notes = ["multiplying through by zeta(s+2) reduces the display to the "
-             "divisor law sum_(d|n) phi1u(d)/d = n^2 - n, exact for n <= 120"]
-    if not ok_n and ce:
-        notes.append(
-            f"the normalized reading (weights phi1u(d)/d^2) fails at "
-            f"n={ce[0]}: {ce[1]} vs {ce[2]}"
-        )
-    return Outcome("PASS", 0.0, None, tuple(notes))
+        yield (f"the normalized reading (weights phi1u(d)/d^2) fails at "
+               f"n={ce[0]}: {ce[1]} vs {ce[2]}")
 
 
 def _check_dirichlet_quadratic(rng: random.Random) -> Outcome:
@@ -1055,15 +1026,10 @@ def _check_product_display(which: str):
     return run
 
 
-def _check_linear_totient_relation(rng: random.Random) -> Outcome:
-    target = lambda k: phi_t_enum(1, 2, k)  # noqa: E731
+def _linear_totient_cases(rng: random.Random) -> Iterator[tuple]:
     basis = [lambda k: Fraction(jordan(2, k)), lambda k: Fraction(jordan(1, k))]
-    coeffs = discover_linear_relation(target, basis, [2, 3], 200)
-    if coeffs == (Fraction(1), Fraction(-1)):
-        return _pass_if(True, 0.0,
-                        notes=("phi_1(2;k) = J_2(k) - J_1(k) verified "
-                               "exactly for 2 <= k <= 200",))
-    return _pass_if(False, None, f"discovered coefficients {coeffs}")
+    yield (discover_linear_relation(lambda k: phi_t_enum(1, 2, k), basis, [2, 3], 200),
+           (1, -1), lambda coeffs, _: f"discovered coefficients {coeffs}")
 
 
 def _check_quadratic_totient_relation(rng: random.Random) -> Outcome:
@@ -1073,7 +1039,7 @@ def _check_quadratic_totient_relation(rng: random.Random) -> Outcome:
          lambda k: Fraction(jordan(1, k))]
     printed = (Fraction(7, 12), Fraction(-1), Fraction(5, 12))
 
-    def notes():
+    def discovered():
         full = discover_linear_relation(target, j, [2, 3, 4], 200)
         two = discover_linear_relation(target, j[:2], [2, 3], 200)
         if full is not None:
@@ -1091,7 +1057,7 @@ def _check_quadratic_totient_relation(rng: random.Random) -> Outcome:
           lambda got, want: f"k={k}: phi_2(2;k) = {want} but "
                             f"(7/12)J_3 - J_2 + (5/12)J_1 = {got}")
          for k in range(2, 51)),
-        notes=notes(),
+        notes=(discovered,),
     )
 
 
@@ -1395,7 +1361,16 @@ _ENTRIES = [
     IdentityCheck(
         "thm-5.1", "led to many new results",
         "20 random sequences, n <= 30, x in (0.2, 1.2)",
-        _check_one_factor, "PASS_WITH_CORRECTION",
+        _worst_residual(
+            _exp_residuals(lambda a, bs, x: thm_5_1_check(a, *bs, x), 1, 30, 1.2),
+            "the printed inner sum reads 0 < j < k with (j, m) = 1 and exponent "
+            "b_mk j x / k, mixing the multiple index with the visible denominator",
+            "resolved reading: j runs over the coprime residues of the visible "
+            "denominator and the exponent divides by it",
+            _printed_one_factor_note,
+            status="PASS_WITH_CORRECTION",
+        ),
+        "PASS_WITH_CORRECTION",
         "[DERIVED: resolved index set balances; printed set refuted at "
         "a=delta_2, b=1, x=1]",
     ),
@@ -1465,7 +1440,14 @@ _ENTRIES = [
     IdentityCheck(
         "cor-5.9", "number of solutions in integers",
         "x in {1/3, -2/5}, order 24; printed readings probed to order 8",
-        _check_mixed_product, "PASS_WITH_CORRECTION",
+        _first_mismatch(
+            _mixed_product_cases,
+            "derived reading: the full double product over denominators v and "
+            "residues m < v, times 1/(1-z), balances exactly to order 24",
+            _printed_mixed_product_notes,
+            status="PASS_WITH_CORRECTION",
+        ),
+        "PASS_WITH_CORRECTION",
         "[DERIVED: exact z-series; single-product readings refuted at z^1]",
     ),
     IdentityCheck(
@@ -1587,7 +1569,13 @@ _ENTRIES = [
     IdentityCheck(
         "cor-5.16a", "permit $n$ to increase indefinitely",
         "divisor law for n <= 120 (unnormalized); normalized probe n <= 20",
-        _check_dirichlet_linear, "PASS",
+        _first_mismatch(
+            _dirichlet_linear_cases,
+            "multiplying through by zeta(s+2) reduces the display to the "
+            "divisor law sum_(d|n) phi1u(d)/d = n^2 - n, exact for n <= 120",
+            _normalized_linear_note,
+        ),
+        "PASS",
         "[DERIVED: coefficient extraction reduces the display to "
         "sum_(d|n) phi1u(d)/d = n^2 - n]",
     ),
@@ -1615,7 +1603,11 @@ _ENTRIES = [
     IdentityCheck(
         "cor-5.18a", "and its ensuing paragraph",
         "fit points {2, 3}, verification k <= 200",
-        _check_linear_totient_relation, "PASS",
+        _first_mismatch(
+            _linear_totient_cases,
+            "phi_1(2;k) = J_2(k) - J_1(k) verified exactly for 2 <= k <= 200",
+        ),
+        "PASS",
         "[DERIVED: selector enumeration oracle for phi_1(2;k)]",
     ),
     IdentityCheck(

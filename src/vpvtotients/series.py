@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log2
-from operator import mul
+from operator import index, mul
 
 from .errors import DomainError, ResourceError
 
@@ -201,12 +201,16 @@ def product_with_exponents(exps: dict, order: int) -> PowerSeries:
     coefficient times N is c_N = -sum_{k | N} k*exps[k]; the c_N are sieved
     straight into the exp recurrence.  Keys above the truncation order are
     rejected: such factors could not affect retained coefficients, so their
-    presence signals a caller error.
+    presence signals a caller error.  The order and the keys must be integers.
     """
+    try:
+        order, keys = index(order), [index(k) for k in exps]
+    except TypeError:
+        raise DomainError(f"order and keys must be integers, got {order!r}, {exps!r}") from None
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     c = [0] * (order + 1)
-    for k, r in exps.items():
+    for k, r in zip(keys, exps.values()):
         if not 1 <= k <= order:
             raise DomainError(f"exponent key {k} outside 1..{order}")
         r = _as_fraction(r)

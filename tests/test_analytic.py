@@ -188,6 +188,22 @@ def test_cutoff_below_one_is_refused():
             theta_vpv_check(THETAS["thm-6.1"], 0.1, 0.7, 0.3, K)
 
 
+@pytest.mark.parametrize("call", [
+    lambda K: dirichlet_partial_cohen(2.0, (4, 6), K),
+    lambda K: ramanujan_mean_zero_direct((4, 6), K),
+    lambda K: ramanujan_mean_zero_table([(4, 6)], [K]),
+    lambda K: selector_weights((0.1 + 0j,), K),
+    lambda K: theta_vpv_check(THETAS["thm-6.1"], 0.1, 0.7, 0.3, K),
+], ids=["dirichlet_partial_cohen", "ramanujan_mean_zero_direct",
+        "ramanujan_mean_zero_table", "selector_weights", "theta_vpv_check"])
+def test_non_integer_cutoff_is_refused(call):
+    # K = 10.5 ended in a TypeError inside the tables; a numpy int is an
+    # integer and gives the Python int's value
+    with pytest.raises(DomainError, match="must be integers, got \\(10.5,\\)"):
+        call(10.5)
+    assert call(np.int64(100)) == call(100)
+
+
 def test_cutoff_past_the_cap_is_refused_before_the_table(monkeypatch):
     # K above the kernels' cell cap is refused as a ResourceError before the
     # Moebius table is built; K at the cap is admitted

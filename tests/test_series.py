@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vpvtotients.audit.registry import _falling_expansion, _finite_stirling_sides
@@ -141,6 +142,17 @@ def test_product_with_exponents_rejects_keys_outside_order():
             product_with_exponents({k: 1}, 8)
     with pytest.raises(DomainError):
         product_with_exponents({}, -1)
+
+
+def test_product_with_exponents_refuses_non_integer_order_and_keys():
+    # these ended in TypeError, or in AttributeError at a numpy int key's
+    # bit_length; numpy ints are integers and pass
+    with pytest.raises(DomainError, match="must be integers, got 2.5, {1: 1}"):
+        product_with_exponents({1: 1}, 2.5)
+    with pytest.raises(DomainError, match="must be integers, got 3, {1.0: 1}"):
+        product_with_exponents({1.0: 1}, 3)
+    assert product_with_exponents({np.int64(1): 1}, np.int64(3)) == \
+        product_with_exponents({1: 1}, 3)
 
 
 def test_mul_identity_and_commutativity():
