@@ -38,9 +38,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, integer_tuple, integers
 from .exactcore import bernoulli, divisors
-from .totients import _check_n, _ints
 
 __all__ = [
     "zeta",
@@ -79,20 +78,20 @@ def zeta(s: float) -> float:
     return total
 
 
-def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> int:
-    """g = gcd(|n_1|..|n_m|), rejected when n is empty, has an entry that is
-    not an integer, or has g = 0, before any O(K) table is built."""
-    _check_n(n)
-    g = math.gcd(*map(int, n))
+def _nonzero_gcd(n: list[int] | tuple[int, ...], why: str) -> tuple[tuple, int]:
+    """(n read by `integer_tuple`, g = gcd(|n_1|..|n_m|)), refused when n is
+    empty or has a non-integer entry, or g = 0, before any O(K) table is built."""
+    n = integer_tuple(n)
+    g = math.gcd(*n)
     if g == 0:
         raise DomainError(f"g = gcd(n) = 0: {why}")
-    return g
+    return n, g
 
 
 def _check_cutoff(K: int) -> int:
     """K as a Python int; a cutoff that is not an integer, is below 1, or is
     past the kernels' cell cap is refused before any O(K) table is built."""
-    (K,) = _ints(K)
+    (K,) = integers(K)
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
     _kernels.check_table(K)
@@ -105,14 +104,14 @@ def _left_to_right(terms: np.ndarray) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
-def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> np.ndarray:
+def _cohen_values(n: tuple[int, ...], K: int) -> np.ndarray:
     """[c_1(n)..c_K(n)] by the closed form sum_{e | gcd(k,g)} mu(k/e) e^m.
 
     Sieved over the divisors e of g (every e <= K when g = 0, which gives the
     Jordan totients): each adds mu(q) e^m to c_(eq) for q <= K/e, so the cost
     is at most K * d(g) additions, with no divisor list per k.  The divisor
     e = 1 adds mu(q) to c_q, so the sieve starts from the Moebius table and
-    runs from the second divisor.  K >= 1.
+    runs from the second divisor.  n is read by `integer_tuple`; K >= 1.
 
     The values are int64 while the sum of e^m over the sieved divisors, which
     bounds every |c_k| and every partial sum of the sieve, is below 2^53, so
@@ -121,7 +120,7 @@ def _cohen_values(n: list[int] | tuple[int, ...], K: int) -> np.ndarray:
     """
     K = _check_cutoff(K)
     m = len(n)
-    g = math.gcd(*map(int, n))
+    g = math.gcd(*n)
     sieved = [e for e in divisors(g) if e <= K] if g else range(1, K + 1)
     dtype = np.int64 if sum(e**m for e in sieved) < 2**53 else object
     mu = _kernels.moebius_table(K)
@@ -144,7 +143,7 @@ def dirichlet_partial_cohen(
     """
     if s <= 0:
         raise DomainError(f"dirichlet_partial_cohen requires s > 0, got {s}")
-    g = _nonzero_gcd(n, "divisor sum undefined, series divergent")
+    n, g = _nonzero_gcd(n, "divisor sum undefined, series divergent")
     cs = _cohen_values(n, K)
     m = len(n)
     partial = _left_to_right(cs / np.arange(1.0, K + 1) ** (s + 1.0))
@@ -163,7 +162,7 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     in place in the one float array of the quotients.
     """
     Ks = [_check_cutoff(K) for K in Ks]
-    gs = [_nonzero_gcd(n, "sum diverges") for n in ns]
+    read = [_nonzero_gcd(n, "sum diverges") for n in ns]
     top = max(Ks, default=0)
     mu = _kernels.moebius_table(top)
     partial = np.arange(top + 1.0)
@@ -171,7 +170,7 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
     np.divide(mu, partial, out=partial)
     np.add.accumulate(partial, out=partial)
     table = []
-    for n, g in zip(ns, gs):
+    for n, g in read:
         m, divs = len(n), divisors(g)
         row = []
         for K in Ks:
@@ -188,7 +187,7 @@ def ramanujan_mean_zero_table(ns, Ks) -> list[list[float]]:
 def ramanujan_mean_zero_direct(n: list[int] | tuple[int, ...], K: int) -> float:
     """Direct-summation oracle for ramanujan_mean_zero_table: sum_{k<=K}
     c_k(n)/k."""
-    _nonzero_gcd(n, "sum diverges")
+    n, _ = _nonzero_gcd(n, "sum diverges")
     cs = _cohen_values(n, K)
     return _left_to_right(cs / np.arange(1, K + 1))
 

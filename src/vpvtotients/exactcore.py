@@ -10,7 +10,7 @@ grid-power and bracket displays) share.
 
 Rational values are plain ``fractions.Fraction`` instances; the stdlib type
 already maintains the normalized-form invariant (gcd(|num|, den) = 1,
-den >= 1, zero is 0/1).
+den >= 1, zero is 0/1).  Integer arguments are read by `errors.integers`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, integers
 
 __all__ = [
     "factorize",
@@ -50,6 +50,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     has a possible factor past the cap raises ResourceError, so every
     n <= FACTOR_TRIAL_CAP**2 factors.
     """
+    (n,) = integers(n)
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     bits = n.bit_length()
@@ -93,13 +94,14 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # else a cached B_2 would answer 2.0
 def bernoulli(a: int) -> Fraction:
     """Bernoulli number B_a under the B1 = -1/2 convention.
 
     Computed from the defining recurrence
     sum_{j=0}^{a} C(a+1, j) B_j = 0 for a >= 1, B_0 = 1.
     """
+    (a,) = integers(a)
     if a < 0:
         raise DomainError(f"bernoulli requires a >= 0, got {a}")
     if a > _BERNOULLI_CAP:
@@ -112,10 +114,11 @@ def bernoulli(a: int) -> Fraction:
     return -total / (a + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # else S(5, 2) would answer (5.0, 2)
 def stirling2(n: int, j: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into j blocks,
     built bottom-up one row S(r, 0..j) at a time, so n is not bound by recursion."""
+    n, j = integers(n, j)
     if n < 0 or j < 0:
         raise DomainError("stirling2 requires non-negative arguments")
     if j > n:
@@ -136,6 +139,7 @@ def stirling2(n: int, j: int) -> int:
 
 def faulhaber_sum_direct(m: int, k: int) -> int:
     """sum_{A=0}^{k-1} A^m by direct summation, with 0^0 = 1."""
+    m, k = integers(m, k)
     if m < 0:
         raise DomainError(f"faulhaber_sum_direct requires m >= 0, got {m}")
     if k < 1:
@@ -153,6 +157,7 @@ def grid_power_sum(c: int, k: int, ws) -> int | Fraction:
     then (c + 1)(c + 2)/2 products per factor, each binomial C(n, j) updated
     from C(n, j - 1).  With h = 0 the grid is the origin alone: 0^c.
     """
+    c, k = integers(c, k)
     if c < 0:
         raise DomainError(f"grid_power_sum requires c >= 0, got {c}")
     if k < 1:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log2
-from operator import index, mul
+from operator import mul
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, integers
 
 __all__ = [
     "PowerSeries",
@@ -203,10 +203,7 @@ def product_with_exponents(exps: dict, order: int) -> PowerSeries:
     rejected: such factors could not affect retained coefficients, so their
     presence signals a caller error.  The order and the keys must be integers.
     """
-    try:
-        order, keys = index(order), [index(k) for k in exps]
-    except TypeError:
-        raise DomainError(f"order and keys must be integers, got {order!r}, {exps!r}") from None
+    order, *keys = integers(order, *exps)
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     c = [0] * (order + 1)

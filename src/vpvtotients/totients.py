@@ -11,19 +11,17 @@ Conventions adopted here:
     (the classical c_1(n) = 1 convention, required by the divisor-sum law).
   * phi_t(t, m, 1) = 0 (the empty sum); jordan(m, 1) = 1 (empty product).
   * Negative n_i are allowed; values depend on n only through gcd(|n_i|).
+  * Integer arguments, n too, are read by `errors.integers` / `integer_tuple`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, log2, sqrt
-from numbers import Integral
-from operator import index
 
 from . import _kernels
-from .errors import ConsistencyError, DomainError, ResourceError
+from .errors import ConsistencyError, DomainError, ResourceError, integer_tuple, integers
 from .exactcore import divisors, factorize, grid_power_sum
 
 __all__ = [
@@ -58,11 +56,6 @@ PHI_WORK_CAP = 2 * 10**9
 # residual guard for the floating-point cosine enumeration
 _ENUM_RESIDUAL_TOL = 1e-6
 
-# int first: a Python int passes without the much slower numbers.Integral
-# check, which vpv.FiniteSequence makes once per support key
-_INTEGERS = (int, Integral)
-
-
 @dataclass(frozen=True)
 class LatticeSelector:
     """The index set of the generalized Ramanujan sum: dimension m, modulus k."""
@@ -71,7 +64,7 @@ class LatticeSelector:
     k: int
 
     def __post_init__(self) -> None:
-        m, k = _ints(self.m, self.k)
+        m, k = integers(self.m, self.k)
         if m < 1 or k < 1:
             raise DomainError(f"selector requires m >= 1 and k >= 1, got {self}")
         # rewritten only for a numpy int: the rearrange checks build one
@@ -79,23 +72,6 @@ class LatticeSelector:
         if m is not self.m or k is not self.k:
             object.__setattr__(self, "m", m)
             object.__setattr__(self, "k", k)
-
-
-def _ints(*values) -> Iterator[int]:
-    """The values as Python ints, numpy ints converted by operator.index;
-    DomainError for any that is not an integer, which the closed forms would
-    read as a float, fail on with a TypeError, or overflow as a numpy int."""
-    for v in values:  # a loop, not all(): every selector passes here
-        if not isinstance(v, _INTEGERS):
-            raise DomainError(f"arguments must be integers, got {values!r}")
-    return map(index, values)
-
-
-def _check_n(n) -> None:
-    """Refuse an empty n or an entry that is not an integer (numpy ints pass),
-    which int() would truncate."""
-    if not n or not all(isinstance(x, _INTEGERS) for x in n):
-        raise DomainError(f"n must be a non-empty tuple of integers, got {n!r}")
 
 
 def enumerate_selector(sel: LatticeSelector) -> _kernels.SelectorRows:
@@ -117,15 +93,15 @@ def ramanujan_cohen_enum(k: int, n: list[int] | tuple[int, ...]) -> int:
     Floating point with a rounding-residual guard; the residual before
     rounding must stay below 1e-6.  Enumeration covers k >= 2 only.
     """
-    (k,) = _ints(k)
+    (k,) = integers(k)
     if k < 2:
         raise DomainError("enumeration oracle requires k >= 2; use the k=1 convention")
-    _check_n(n)
-    total = _kernels.selector_cos_sum(k, tuple(int(v) for v in n))
+    n = integer_tuple(n)
+    total = _kernels.selector_cos_sum(k, n)
     nearest = round(total)
     if abs(total - nearest) >= _ENUM_RESIDUAL_TOL:
         raise ConsistencyError(
-            f"cosine sum residual {abs(total - nearest):.3e} at k={k}, n={tuple(n)}"
+            f"cosine sum residual {abs(total - nearest):.3e} at k={k}, n={n}"
         )
     return int(nearest)
 
@@ -134,16 +110,14 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
     """c_k(n_1..n_m) by the closed form sum_{e | gcd(k,g)} mu(k/e) e^m.
 
     g = gcd(|n_1|..|n_m|), with gcd(k, 0) = k so that the all-zero n gives
-    the Jordan totient J_m(k).  For k = 1 the value is 1 by convention.
+    the Jordan totient J_m(k).  For k = 1 the value is 1, the empty product.
     """
-    (k,) = _ints(k)
+    (k,) = integers(k)
     if k < 1:
         raise DomainError(f"ramanujan_cohen requires k >= 1, got {k}")
-    _check_n(n)
-    if k == 1:
-        return 1
+    n = integer_tuple(n)
     m = len(n)
-    d = gcd(k, *map(int, n))  # gcd(k, 0) = k; gcd ignores signs
+    d = gcd(k, *n)  # gcd(k, 0) = k; gcd ignores signs
     # the sum is multiplicative, so one factorization of k splits it into a
     # factor per p^a || k: e takes p^b with b up to the exponent c of p in d,
     # and mu(k/e) = 0 unless b >= a - 1; an empty range makes the factor 0
@@ -159,7 +133,7 @@ def ramanujan_cohen(k: int, n: list[int] | tuple[int, ...]) -> int:
 
 def jordan(m: int, k: int) -> int:
     """Jordan totient J_m(k) = k^m * prod_{p|k} (1 - p^-m), exactly."""
-    m, k = _ints(m, k)
+    m, k = integers(m, k)
     if m < 1 or k < 1:
         raise DomainError(f"jordan requires m >= 1 and k >= 1, got m={m}, k={k}")
     # an m past the cap puts the bits past it for every k >= 2, so clamping
@@ -192,7 +166,7 @@ def _check_phi_work(t: int, m: int, k: int) -> None:
 def phi_t(t: int, m: int, k: int) -> Fraction:
     """phi_t(m; k) = sum over the selector of ((j_1+...+j_m)/k)^t, exact:
     `unnormalized_phi(t, m, k)` / k^t."""
-    t, m, k = _ints(t, m, k)
+    t, m, k = integers(t, m, k)
     return Fraction(unnormalized_phi(t, m, k), k**t)
 
 
@@ -205,7 +179,7 @@ def unnormalized_phi(t: int, m: int, k: int) -> int:
     above PHI_WORK_CAP raises ResourceError before k is factorized.  Returns 0
     for k = 1 (empty selector).
     """
-    t, m, k = _ints(t, m, k)
+    t, m, k = integers(t, m, k)
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
@@ -221,7 +195,7 @@ def unnormalized_phi(t: int, m: int, k: int) -> int:
 
 def phi_t_enum(t: int, m: int, k: int) -> Fraction:
     """phi_t by direct enumeration over the selector (the oracle route)."""
-    t, m, k = _ints(t, m, k)
+    t, m, k = integers(t, m, k)
     if t < 0 or m < 1 or k < 1:
         raise DomainError("phi_t requires t >= 0, m >= 1, k >= 1")
     if k == 1:
@@ -234,7 +208,7 @@ def m_phi(m_fixed: int, k: int) -> int:
 
     Half-open range, consistent with the selector definition.
     """
-    m_fixed, k = _ints(m_fixed, k)
+    m_fixed, k = integers(m_fixed, k)
     if m_fixed < 0 or k < 1:
         raise DomainError("m_phi requires m_fixed >= 0 and k >= 1")
     _kernels.check_selector(1, k)  # a loop over range(k), charged as the 1-D selector
@@ -243,7 +217,7 @@ def m_phi(m_fixed: int, k: int) -> int:
 
 def sigma(s: int, n: int) -> Fraction:
     """sum of d^s over the divisors d of n; rational for negative s."""
-    s, n = _ints(s, n)
+    s, n = integers(s, n)
     if n < 1:
         raise DomainError(f"sigma requires n >= 1, got {n}")
     # n^|s| has |s| log2(n) bits, and for s < 0 the sum has a numerator and

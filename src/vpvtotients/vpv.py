@@ -62,8 +62,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
-from .totients import LatticeSelector, _INTEGERS, enumerate_selector
+from .errors import INTEGERS, DomainError, integers
+from .totients import LatticeSelector, enumerate_selector
 
 __all__ = [
     "FiniteSequence",
@@ -92,10 +92,10 @@ class FiniteSequence:
     bound: int
 
     def __post_init__(self):
-        if not isinstance(self.bound, _INTEGERS) or self.bound < 1:
+        if not isinstance(self.bound, INTEGERS) or self.bound < 1:
             raise DomainError(f"bound must be a positive integer, got {self.bound!r}")
         for k in self.support:
-            if not isinstance(k, _INTEGERS) or not 1 <= k <= self.bound:
+            if not isinstance(k, INTEGERS) or not 1 <= k <= self.bound:
                 raise DomainError(f"support index {k!r} is not an integer "
                                   f"in 1..{self.bound}")
 
@@ -124,11 +124,10 @@ class RadialRegion:
     constraint: str = "box"
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", *integers(self.dims))
+        object.__setattr__(self, "bounds", integers(*self.bounds))
         if self.dims < 1:
             raise DomainError("dims must be >= 1")
-        if not all(isinstance(b, _INTEGERS) for b in self.bounds):
-            raise DomainError(f"bounds must be integers, got {self.bounds!r}")
-        object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
         if len(self.bounds) != self.dims:
             raise DomainError("bounds must give one extent per axis")
         if any(b < 1 for b in self.bounds):

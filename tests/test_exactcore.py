@@ -134,6 +134,15 @@ def test_domain_errors():
         moebius(0)
 
 
+def test_a_warm_cache_refuses_a_float():
+    # an untyped lru_cache keys (5.0, 2) as (5, 2): once S(5, 2) was cached,
+    # stirling2(5.0, 2) returned 15, though a cold cache raised TypeError
+    assert stirling2(5, 2) == 15 and bernoulli(2) == Fraction(1, 6)
+    for func, args in ((stirling2, (5.0, 2)), (bernoulli, (2.0,))):
+        with pytest.raises(DomainError, match="must be integers"):
+            func(*args)
+
+
 def test_work_caps_raise_one_past_the_limit():
     # B_600 is the largest Bernoulli number; S(n, 1) costs 256 word steps
     # per row against a cap of 2*10^9, so n = 7812500 is the last allowed

@@ -12,7 +12,15 @@ import vpvtotients.exactcore as exactcore
 import vpvtotients.totients as totients
 from vpvtotients.analytic import theta_vpv_check
 from vpvtotients.errors import DomainError, ResourceError
-from vpvtotients.exactcore import divisors, moebius
+from vpvtotients.exactcore import (
+    bernoulli,
+    divisors,
+    factorize,
+    faulhaber_sum_direct,
+    grid_power_sum,
+    moebius,
+    stirling2,
+)
 from vpvtotients.totients import (
     LatticeSelector,
     enumerate_selector,
@@ -207,6 +215,14 @@ def test_selector_size_refuses_bad_arguments():
     (selector_size, (2.0, 6)),
     (m_phi, (1.5, 6)),
     (LatticeSelector, (2, Fraction(7))),
+    (RadialRegion, (2.0, (3, 3))),
+    (factorize, (2.5,)),
+    (divisors, (6.0,)),
+    (moebius, (6.0,)),
+    (bernoulli, (2.0,)),
+    (stirling2, (5.0, 2)),
+    (faulhaber_sum_direct, (2, 2.5)),
+    (grid_power_sum, (2, 2.5, (1,))),
 ], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_non_integer_arguments_are_refused(func, args):
     with pytest.raises(DomainError, match="must be integers"):
@@ -227,6 +243,13 @@ def test_non_integer_arguments_are_refused(func, args):
     (selector_size, (2, 6)),
     (m_phi, (2, 6)),
     (LatticeSelector, (2, 7)),
+    (factorize, (12,)),
+    (divisors, (12,)),
+    (moebius, (6,)),
+    (bernoulli, (4,)),
+    (stirling2, (30, 3)),
+    (faulhaber_sum_direct, (30, 6)),
+    (grid_power_sum, (30, 6, (1, 1))),
 ], ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_numpy_int_arguments_are_python_ints(func, args):
     want = func(*args)

@@ -983,7 +983,7 @@ def test_hyperpyramid_log_truncation():
 
 
 def test_region_refuses_non_integral_bounds():
-    with pytest.raises(DomainError, match="bounds must be integers"):
+    with pytest.raises(DomainError, match=r"must be integers, got \(2.7, 3\)"):
         RadialRegion(2, (2.7, 3))
     region = RadialRegion(2, (np.int64(2), np.int32(3)))
     assert region.bounds == (2, 3) and all(type(b) is int for b in region.bounds)
